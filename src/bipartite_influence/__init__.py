@@ -65,10 +65,7 @@ from .thermo import (
 from .segments import (
     SegmentEngine,
     SegmentSum,
-    canonicalize,
-    normal_form,
     periodicity_scan,
-    rewrite_42,
     segment_scores,
     segment_table,
     segment_union_tree,

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -32,9 +31,9 @@ from .reduction import (
 )
 from .segments import (
     SegmentEngine,
-    SegmentSum,
-    segment_union_tree,
     periodicity_scan,
+    segment_table,
+    segment_union_tree,
     write_table_csv,
 )
 from .solver import SearchBudgetError, Solver, milnor_audit
@@ -47,7 +46,7 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 ENV_PREFIX = "INFLUENCE_"
-CONFIG_KEYS = ("node_budget", "cache_dir", "threads", "search_budget")
+CONFIG_KEYS = ("node_budget", "cache_dir", "search_budget")
 
 
 def load_config(path: str | None) -> dict:
@@ -70,6 +69,13 @@ def load_config(path: str | None) -> dict:
         if env is not None:
             settings[key] = env
     return settings
+
+
+def _int_setting(flag, settings: dict, key: str, default: int) -> int:
+    """A flag value, else the config value, else the default; 0 is a value."""
+    if flag is not None:
+        return flag
+    return int(settings.get(key) or default)
 
 
 def default_cache_dir() -> Path:
@@ -141,8 +147,7 @@ def graph_from_args(args) -> GroundGraph:
 
 
 def cmd_solve(args, settings) -> int:
-    budget = int(args.node_budget or settings.get("node_budget")
-                 or 100_000_000)
+    budget = _int_setting(args.node_budget, settings, "node_budget", 100_000_000)
     solver = Solver(node_budget=budget, prune=not args.no_prune)
     if args.segments is not None:
         parts = parse_segment_list(args.segments)
@@ -176,20 +181,12 @@ def cmd_table(args, settings) -> int:
                          or default_cache_dir())
         cache_file = cache_dir / "segment-scores.json"
         if cache_file.exists():
-            engine.load(cache_file)
-    threads = int(args.threads or settings.get("threads") or 1)
-    if threads > 1:
-        # Rows share the engine; memo inserts are idempotent, so the result
-        # does not depend on scheduling.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(
-                lambda n: engine.scores(SegmentSum([n])),
-                range(1, args.max + 1),
-            ))
-    rows = []
-    for n in range(1, args.max + 1):
-        pair = engine.scores(SegmentSum([n]))
-        rows.append((n, pair.ls, pair.rs))
+            try:
+                engine.load(cache_file)
+            except ValueError as exc:
+                print(f"# ignoring segment cache {cache_file}: {exc}; "
+                      "rebuilding it", file=sys.stderr)
+    rows = segment_table(args.max, engine)
     if cache_file is not None:
         engine.save(cache_file)
     if args.check_period:
@@ -273,7 +270,7 @@ def cmd_equiv(args, settings) -> int:
 
 def cmd_symmetry(args, settings) -> int:
     g = graph_from_args(args)
-    budget = int(args.budget or settings.get("search_budget") or 2_000_000)
+    budget = _int_setting(args.budget, settings, "search_budget", 2_000_000)
     report = certify_draw(g, budget=budget,
                           solve_limit=0 if args.no_solve else args.solve_limit)
     payload = {
@@ -367,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out", metavar="FILE")
     pt.add_argument("--no-cache", action="store_true")
     pt.add_argument("--cache-dir", metavar="DIR")
-    pt.add_argument("--threads", type=int)
     pt.add_argument("--check-period", nargs=2, type=int,
                     metavar=("PERIOD", "PREPERIOD"))
     pt.set_defaults(func=cmd_table)

@@ -388,7 +388,10 @@ def parse_game(text: str) -> Game:
             pos += 1
         if pos == start:
             raise ValueError(f"expected a number at position {start}")
-        return number(Fraction(text[start:pos]))
+        try:
+            return number(Fraction(text[start:pos]))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator at position {start}") from None
 
     g = parse_g()
     skip_ws()

@@ -166,12 +166,16 @@ def graph_from_json(data: dict) -> GroundGraph:
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"graph object missing field: {exc}") from exc
-    ids = [v["id"] for v in vertices]
-    if sorted(ids) != list(range(len(ids))):
+    try:
+        ids = [v["id"] for v in vertices]
+        ids_ok = sorted(ids) == list(range(len(ids)))
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"bad graph vertex: {exc!r}") from exc
+    if not ids_ok:
         raise ValueError("vertex ids must be exactly 0..n-1")
     colors: list[VertexColor] = [BLACK] * len(ids)
     for v in vertices:
-        raw = v["color"]
+        raw = v.get("color")
         if raw not in ("B", "W"):
             raise ValueError(f"bad color {raw!r} (expected 'B' or 'W')")
         colors[v["id"]] = BLACK if raw == "B" else WHITE

@@ -110,13 +110,6 @@ def parse_pos_cnf(text: str) -> PosCnf:
     return PosCnf(num_vars, clauses)
 
 
-def format_pos_cnf(f: PosCnf) -> str:
-    lines = [f"p cnf {f.num_vars} {f.num_clauses}"]
-    for clause in f.clauses:
-        lines.append(" ".join(str(v) for v in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # the gadget
 
@@ -161,23 +154,6 @@ def gadget_graph(f: PosCnf) -> GroundGraph:
         for var in clause:
             edges.append((connector_of[var], clause_id[j]))
     return GroundGraph(colors, edges, name=f"poscnf_n{n}_m{m}")
-
-
-def gadget_vertex_count(num_vars: int, num_clauses: int) -> int:
-    n = num_vars if num_vars % 2 == 0 else num_vars + 1
-    return num_clauses + n * (num_clauses + 2 * n + 1)
-
-
-def free_point_shift(g: GroundGraph, k: int) -> GroundGraph:
-    """Add ``k`` isolated White vertices (or ``-k`` Black ones), shifting
-    every score by ``-k`` and thresholds down to zero."""
-    color = WHITE if k > 0 else BLACK
-    extra = abs(k)
-    return GroundGraph(
-        list(g.colors) + [color] * extra,
-        g.edges,
-        name=f"{g.name}+shift({k})" if g.name else f"shift({k})",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ A segment ``S_n`` is a path on ``|n|`` vertices whose first vertex is Black
 when ``n > 0`` and White when ``n < 0``.  Sums of segments close under play:
 every move removes two to five consecutive vertices and leaves at most two
 shorter segments.  This module evaluates such sums with a dedicated engine
-whose transposition keys are aggressively canonicalized:
+whose transposition keys are aggressively reduced.  Single Black or White
+vertices are banked points, not parts; ``SegmentEngine._reduce``, the one
+place keys are made, folds the remaining parts into a memo key:
 
-* single Black or White vertices are banked points, not parts;
 * an even segment reads the same from either end up to a color swap, so
   even parts are stored positive, and a pair of equal even parts (each the
   other's negative) cancels, as does an odd pair ``{n, -n}``;
 * a part of size ``4k + 2 > 2`` scores like the union of ``S_4k`` and
   ``S_2``, so it is split before lookup, which collapses the state space
-  enough to push tables well past one hundred vertices.
+  enough to push tables well past one hundred vertices;
+* a few further exact equivalences (``_SINGLE_RULES``, ``_PARTNER_RULES``)
+  replace parts by smaller parts plus banked points.
 
 Everything the rewrite relies on is an equality of games, hence preserved
 under sums; the test suite cross-checks the engine against the generic
@@ -52,113 +55,34 @@ class SegmentSum:
         return f"SegmentSum({list(self.parts)}, offset={self.offset})"
 
 
-def canonicalize(s: SegmentSum) -> SegmentSum:
-    """Absorb single vertices, orient even parts, cancel negative pairs."""
-    offset = s.offset
-    evens: dict[int, int] = {}
-    odds: dict[int, int] = {}
-    for p in s.parts:
-        if p == 1:
-            offset += 1
-        elif p == -1:
-            offset -= 1
-        elif p % 2 == 0:
-            evens[abs(p)] = evens.get(abs(p), 0) + 1
-        else:
-            odds[p] = odds.get(p, 0) + 1
-    parts: list[int] = []
-    for size, cnt in evens.items():
-        parts.extend([size] * (cnt % 2))  # equal even parts cancel in pairs
-    for size in list(odds):
-        if size > 0 and -size in odds:
-            k = min(odds[size], odds[-size])
-            odds[size] -= k
-            odds[-size] -= k
-    for size, cnt in odds.items():
-        parts.extend([size] * cnt)
-    return SegmentSum(parts, offset)
-
-
-def rewrite_42(s: SegmentSum) -> SegmentSum:
-    """Split every part of size ``4k + 2 > 2`` into ``4k`` and ``2``."""
-    parts: list[int] = []
-    for p in s.parts:
-        size = abs(p)
-        if size % 4 == 2 and size > 2:
-            parts.extend([size - 2, 2])
-        else:
-            parts.append(p)
-    return SegmentSum(parts, s.offset)
-
-
-def normal_form(s: SegmentSum, use_rewrite: bool = True) -> SegmentSum:
-    s = canonicalize(s)
-    if use_rewrite:
-        s = canonicalize(rewrite_42(s))
-    return s
-
-
 # ---------------------------------------------------------------------------
 # move arithmetic
 
 
-def segment_moves(part: int, mover_black: bool) -> list[tuple[int, tuple[int, ...]]]:
+def segment_moves(
+    part: int, mover_black: bool, prune: bool = False
+) -> list[tuple[int, tuple[int, ...]]]:
     """All moves of one player on a single segment.
 
     Returns ``(count, remnants)`` pairs: the number of vertices the mover
     pockets and the segments left behind.  Positions are numbered from the
     signed end; playing position ``i`` removes ``i`` with its neighbors,
     plus a length-one leftover next to the gap, which always carries the
-    mover's color.
+    mover's color.  With ``prune``, the extremities of a segment of size
+    four or more are skipped: playing one removes a strict subset of what
+    the same player removes two steps in, so those moves are dominated.
     """
     size = abs(part)
     first_black = part > 0
+    edge = 1 if prune and size >= 4 else 0
     moves = []
-    for i in range(1, size + 1):
+    for i in range(1 + edge, size + 1 - edge):
         pos_black = first_black if i % 2 == 1 else not first_black
         if pos_black != mover_black:
             continue
         lo = max(1, i - 1)
         hi = min(size, i + 1)
         count = hi - lo + 1
-        left_len = i - 2
-        right_len = size - i - 1
-        if left_len == 1:
-            count += 1
-            left_len = 0
-        if right_len == 1:
-            count += 1
-            right_len = 0
-        remnants = []
-        if left_len >= 2:
-            remnants.append(left_len if first_black else -left_len)
-        if right_len >= 2:
-            remnants.append(right_len if mover_black else -right_len)
-        moves.append((count, tuple(remnants)))
-    return moves
-
-
-def _pruned_position_range(size: int) -> tuple[int, int]:
-    """Playing an extremity of a segment of size >= 4 removes a strict
-    subset of what the same player removes two steps in, so those moves
-    are dominated and skipped."""
-    if size >= 4:
-        return 2, size - 1
-    return 1, size
-
-
-def segment_moves_pruned(part: int, mover_black: bool) -> list[tuple[int, tuple[int, ...]]]:
-    size = abs(part)
-    lo, hi = _pruned_position_range(size)
-    first_black = part > 0
-    moves = []
-    for i in range(lo, hi + 1):
-        pos_black = first_black if i % 2 == 1 else not first_black
-        if pos_black != mover_black:
-            continue
-        a = max(1, i - 1)
-        b = min(size, i + 1)
-        count = b - a + 1
         left_len = i - 2
         right_len = size - i - 1
         if left_len == 1:
@@ -183,7 +107,7 @@ def segment_moves_pruned(part: int, mover_black: bool) -> list[tuple[int, tuple[
 def _mirrored(parts: Sequence[int]) -> tuple[int, ...]:
     """The color-swapped union: odd parts flip sign, even parts read the
     same from either end already."""
-    return tuple(sorted(-p if p & 1 else p for p in parts))
+    return tuple(-p if p & 1 else p for p in parts)
 
 
 # Score-preserving substitutions beyond the 4k + 2 split, each an exact
@@ -214,10 +138,11 @@ class SegmentEngine:
     Everything is evaluated from the Black mover's seat: flipping the sign
     of every odd part mirrors the position, so the White-to-move score of a
     multiset is minus the Black-to-move score of its mirror.  The memo maps
-    a normal-form parts tuple straight to that Black score; entries are
-    final and inserts are idempotent, so one engine can be shared.  With
-    ``use_rewrite=False`` the engine skips the ``4k + 2`` split and serves
-    as an independent oracle for it.
+    a ``_reduce`` key straight to that Black score; entries are final and
+    inserts are idempotent, so one engine can be shared.  With
+    ``use_rewrite=False`` the engine keeps only orientation and pair
+    cancellation, skipping the ``4k + 2`` split and the rule tables, and
+    serves as an independent oracle for them.
     """
 
     def __init__(self, use_rewrite: bool = True, prune: bool = True):
@@ -230,24 +155,23 @@ class SegmentEngine:
     # -- scores ------------------------------------------------------------
 
     def scores(self, s: SegmentSum) -> ScorePair:
-        s = normal_form(s, self.use_rewrite)
-        core, shift = self._reduce(s.parts)
-        mcore, mshift = self._reduce(_mirrored(s.parts))
+        # _reduce takes no size-one parts: a single vertex is a banked point
+        offset = s.offset + s.parts.count(1) - s.parts.count(-1)
+        parts = [p for p in s.parts if p != 1 and p != -1]
+        core, shift = self._reduce(parts)
+        mcore, mshift = self._reduce(_mirrored(parts))
         return ScorePair(
-            s.offset + shift + self._black_score(core),
-            s.offset - mshift - self._black_score(mcore),
+            offset + shift + self._black_score(core),
+            offset - mshift - self._black_score(mcore),
         )
-
-    def _normal_parts(self, parts: Sequence[int]) -> tuple[int, ...]:
-        return normal_form(SegmentSum(parts), self.use_rewrite).parts
 
     def _move_list(self, part: int) -> tuple:
         """Black's moves on one part, deduplicated up to reflection."""
         cached = self._moves.get(part)
         if cached is None:
-            gen = segment_moves_pruned if self.prune else segment_moves
             cached = tuple(
-                {(count, tuple(sorted(rem))) for count, rem in gen(part, True)}
+                {(count, tuple(sorted(rem)))
+                 for count, rem in segment_moves(part, True, self.prune)}
             )
             self._moves[part] = cached
         return cached
@@ -255,12 +179,13 @@ class SegmentEngine:
     def _reduce(self, values) -> tuple[tuple[int, ...], int]:
         """Fold a multiset into the engine's memo key plus banked points.
 
-        Inserts parts one by one, keeping the residents closed under the
-        substitution rules: the ``4k + 2`` split, pair cancellation, and
-        (when rewriting is on) the exact equivalences in ``_SINGLE_RULES``
-        and ``_PARTNER_RULES``.  Every firing shrinks the multiset, or
-        flips a lone negative three, so this terminates; determinism comes
-        from callers always presenting ``values`` in sorted order.
+        Orients even parts and inserts parts one by one, in sorted order,
+        keeping the residents closed under pair cancellation and (when
+        rewriting is on) the ``4k + 2`` split and the exact equivalences in
+        ``_SINGLE_RULES`` and ``_PARTNER_RULES``.  Every firing shrinks the
+        multiset, or flips a lone negative three, so this terminates; the
+        key depends only on the multiset, not on the order of ``values``.
+        ``values`` must hold no part of size one.
         """
         rules = self.use_rewrite
         out: list[int] = []
@@ -349,9 +274,13 @@ class SegmentEngine:
         tmp.replace(path)
 
     def load(self, path) -> int:
-        """Merge a cache file into the memo; returns entries loaded."""
+        """Merge a cache file into the memo; returns entries loaded.
+
+        A file that is not a well-formed cache for this engine's rewrite
+        mode raises ``ValueError`` and leaves the memo untouched.
+        """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("format") != CACHE_FORMAT:
+        if not isinstance(data, dict) or data.get("format") != CACHE_FORMAT:
             raise ValueError("not a segment cache file")
         if data.get("version") != CACHE_VERSION:
             raise ValueError(
@@ -359,10 +288,15 @@ class SegmentEngine:
             )
         if data.get("rewrite") != self.use_rewrite:
             raise ValueError("cache was built with a different rewrite mode")
-        loaded = 0
-        for raw_parts, value in data["entries"]:
-            self.memo.setdefault(tuple(raw_parts), value)
-            loaded += 1
+        try:
+            entries = {tuple(parts): value for parts, value in data["entries"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed cache entries: {exc}") from exc
+        if not all(type(value) is int for value in entries.values()):
+            raise ValueError("malformed cache entries: non-integer score")
+        loaded = len(entries)
+        entries.update(self.memo)  # merge without overwriting
+        self.memo = entries
         return loaded
 
 

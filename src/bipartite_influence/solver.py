@@ -3,10 +3,10 @@
 Left score Ls is the best final score (Left points minus Right points) when
 Left moves first and both players play perfectly; Rs is the same with Right
 moving first.  The solver runs a memoized minimax over sums of connected
-components.  Transposition keys canonicalize path components, and exact
-negative pairs of components cancel out of the sum before lookup, which is
-score-preserving because every position here is dicotic and free of
-zugzwang, so a game plus its negative is equivalent to zero.
+components.  Transposition keys bring path components to canonical form,
+and exact negative pairs of components cancel out of the sum before
+lookup, which is score-preserving because every position here is dicotic
+and free of zugzwang, so a game plus its negative is equivalent to zero.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ exhausted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -294,16 +293,3 @@ def certify_draw(
         outcome.status, outcome.mapping, conditions, scores, outcome.nodes
     )
 
-
-def breadth_first_distances(g: GroundGraph, source: int) -> list[int | None]:
-    """Plain BFS distances, None for unreachable vertices."""
-    dist: list[int | None] = [None] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if dist[u] is None:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist

@@ -70,14 +70,28 @@ class TestSolve:
         assert rc == EXIT_INPUT
 
     def test_budget_exhaustion(self, capsys):
-        rc, _, err = run(capsys, "solve", "--grid", "3x3",
-                         "--node-budget", "1")
-        assert rc == EXIT_BUDGET
-        assert "budget" in err
+        # 0 is a budget too, not "unset"
+        for grid, budget in (("3x3", "1"), ("3x4", "0")):
+            rc, _, err = run(capsys, "solve", "--grid", grid,
+                             "--node-budget", budget)
+            assert rc == EXIT_BUDGET
+            assert "budget" in err
 
     def test_bad_dims(self, capsys):
         rc, _, err = run(capsys, "solve", "--grid", "2by2")
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("vertices", [
+        [{"color": "B"}],
+        [{"id": 0, "color": "B"}, {"id": "a", "color": "W"}],
+    ], ids=["no-id", "mixed-ids"])
+    def test_bad_vertex(self, capsys, tmp_path, vertices):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": []}))
+        rc, out, err = run(capsys, "solve", "--file", str(path))
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_no_prune_matches(self, capsys):
         rc, out, _ = run(capsys, "solve", "--segment", "8", "--json")
@@ -127,13 +141,44 @@ class TestTable:
                            "--check-period", "8", "13")
         assert "no violations" in err
 
-    def test_threads_agree_with_single(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["table", "--max", "15", "--no-cache", "--out", str(a)])
-        main(["table", "--max", "15", "--no-cache", "--threads", "4",
-              "--out", str(b)])
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+    def test_max_zero_rejected(self, capsys):
+        rc, out, err = run(capsys, "table", "--max", "0", "--no-cache")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--max", "5", "--no-cache", "--threads", "2"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        "garbage",
+        '{"format": "something-else", "entries": []}',
+        '{"format": "bipartite-influence-segment-cache", "version": 1, '
+        '"rewrite": false, "entries": []}',
+        '{"format": "bipartite-influence-segment-cache", "version": 1, '
+        '"rewrite": true, "entries": [[[5], "x"]]}',
+        '{"format": "bipartite-influence-segment-cache", "version": 1, '
+        '"rewrite": true, "entries": 7}',
+    ], ids=["garbage", "format", "rewrite", "score", "entries"])
+    def test_bad_cache_is_rebuilt(self, capsys, tmp_path, content):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache_file = cache / "segment-scores.json"
+        cache_file.write_text(content)
+        rc, out, err = run(capsys, "table", "--max", "12",
+                           "--cache-dir", str(cache))
+        assert rc == EXIT_OK
+        assert err.count("\n") == 1 and "ignoring segment cache" in err
+        _, fresh, _ = run(capsys, "table", "--max", "12", "--no-cache")
+        assert out == fresh
+        # the rebuilt file is a valid cache, loaded quietly next time
+        assert json.loads(cache_file.read_text())["rewrite"] is True
+        rc, again, err = run(capsys, "table", "--max", "12",
+                             "--cache-dir", str(cache))
+        assert (rc, again, err) == (EXIT_OK, fresh, "")
 
 
 class TestThermo:
@@ -177,6 +222,12 @@ class TestThermo:
     def test_source_required(self, capsys):
         rc, _, _ = run(capsys, "thermo")
         assert rc == EXIT_INPUT
+
+    def test_zero_denominator(self, capsys):
+        rc, out, err = run(capsys, "thermo", "--game", "<1/0|0>")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEquiv:
@@ -242,10 +293,11 @@ class TestSymmetry:
         assert data["draw_certified"] is False
 
     def test_budget_exit_code(self, capsys):
-        rc, out, _ = run(capsys, "symmetry", "--torus", "4x6",
-                         "--budget", "3", "--json")
-        assert rc == EXIT_BUDGET
-        assert json.loads(out)["status"] == "budget"
+        for budget in ("3", "0"):
+            rc, out, _ = run(capsys, "symmetry", "--torus", "4x6",
+                             "--budget", budget, "--json")
+            assert rc == EXIT_BUDGET
+            assert json.loads(out)["status"] == "budget"
 
     def test_no_solve_skips_scores(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "--hypercube", "3",
@@ -328,11 +380,13 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "influence.cfg"
-        cfg.write_text("node_budgt = 1\n")
-        rc, _, err = run(capsys, "--config", str(cfg),
-                         "solve", "--segment", "2")
-        assert rc == EXIT_INPUT
-        assert "unknown config key" in err
+        # threads was a key once; it is gone with table --threads
+        for key in ("node_budgt", "threads"):
+            cfg.write_text(f"{key} = 1\n")
+            rc, _, err = run(capsys, "--config", str(cfg),
+                             "solve", "--segment", "2")
+            assert rc == EXIT_INPUT
+            assert f"unknown config key: {key}" in err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "influence.cfg"

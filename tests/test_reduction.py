@@ -9,6 +9,7 @@ from conftest import random_ground
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
+    GroundGraph,
     Position,
     twin_classes,
 )
@@ -16,10 +17,7 @@ from bipartite_influence.reduction import (
     MAX_BRUTE_FORCE_VARS,
     PosCnf,
     bag_size,
-    format_pos_cnf,
-    free_point_shift,
     gadget_graph,
-    gadget_vertex_count,
     parse_pos_cnf,
     pos_cnf_winner,
     reduction_soundness_check,
@@ -27,6 +25,30 @@ from bipartite_influence.reduction import (
 from bipartite_influence.solver import Solver
 
 RING = PosCnf(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+
+
+def format_pos_cnf(f: PosCnf) -> str:
+    lines = [f"p cnf {f.num_vars} {f.num_clauses}"]
+    for clause in f.clauses:
+        lines.append(" ".join(str(v) for v in clause) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def gadget_vertex_count(num_vars: int, num_clauses: int) -> int:
+    n = num_vars if num_vars % 2 == 0 else num_vars + 1
+    return num_clauses + n * (num_clauses + 2 * n + 1)
+
+
+def free_point_shift(g: GroundGraph, k: int) -> GroundGraph:
+    """Add ``k`` isolated White vertices (or ``-k`` Black ones), shifting
+    every score by ``-k`` and thresholds down to zero."""
+    color = WHITE if k > 0 else BLACK
+    extra = abs(k)
+    return GroundGraph(
+        list(g.colors) + [color] * extra,
+        g.edges,
+        name=f"{g.name}+shift({k})" if g.name else f"shift({k})",
+    )
 
 
 class TestFormula:

@@ -1,4 +1,4 @@
-"""Segment engine: canonical forms, move arithmetic, tables, caching."""
+"""Segment engine: memo keys, move arithmetic, tables, caching."""
 
 import pytest
 
@@ -17,12 +17,8 @@ from bipartite_influence.segments import (
     SegmentSum,
     _PARTNER_RULES,
     _SINGLE_RULES,
-    canonicalize,
-    normal_form,
     periodicity_scan,
-    rewrite_42,
     segment_moves,
-    segment_moves_pruned,
     segment_scores,
     segment_table,
     segment_union_tree,
@@ -57,6 +53,9 @@ def oracle():
 
 
 class TestNormalForm:
+    """Memo keys come from ``SegmentEngine._reduce``, the only canonicalizer;
+    single vertices are banked by ``scores`` before it runs."""
+
     def test_zero_part_rejected(self):
         with pytest.raises(ValueError):
             SegmentSum([3, 0])
@@ -64,35 +63,41 @@ class TestNormalForm:
     def test_parts_sorted_on_construction(self):
         assert SegmentSum([5, -3, 2]).parts == (-3, 2, 5)
 
-    def test_singles_become_offset(self):
-        s = canonicalize(SegmentSum([1, 1, -1, 7]))
-        assert s.parts == (7,)
-        assert s.offset == 1
+    def test_singles_become_offset(self, engine, oracle):
+        for eng in (engine, oracle):
+            assert eng._reduce([7]) == ((7,), 0)
+            assert (eng.scores(SegmentSum([1, 1, -1, 7]))
+                    == eng.scores(SegmentSum([7], offset=1)))
 
-    def test_even_orientation(self):
-        assert canonicalize(SegmentSum([-6])).parts == (6,)
+    def test_even_orientation(self, engine, oracle):
+        for eng in (engine, oracle):
+            assert eng._reduce([-8]) == ((8,), 0)
+        assert oracle._reduce([-6]) == ((6,), 0)
 
-    def test_opposite_odds_cancel(self):
-        s = canonicalize(SegmentSum([9, -9, 2]))
-        assert s.parts == (2,)
-        assert s.offset == 0
+    def test_opposite_odds_cancel(self, engine, oracle):
+        for eng in (engine, oracle):
+            assert eng._reduce([9, -9, 2]) == ((2,), 0)
+            assert eng._reduce([7, -7, 2]) == ((2,), 0)
 
-    def test_equal_evens_cancel(self):
-        assert canonicalize(SegmentSum([4, -4, 4])).parts == (4,)
+    def test_equal_evens_cancel(self, engine, oracle):
+        for eng in (engine, oracle):
+            assert eng._reduce([4, -4, 4]) == ((4,), 0)
 
-    def test_rewrite_splits_ten(self):
-        assert rewrite_42(SegmentSum([10])).parts == (2, 8)
+    def test_rewrite_splits_ten(self, engine):
+        assert engine._reduce([10]) == ((2, 8), 0)
 
-    def test_rewrite_leaves_two_alone(self):
-        assert rewrite_42(SegmentSum([2])).parts == (2,)
+    def test_rewrite_leaves_two_alone(self, engine, oracle):
+        for eng in (engine, oracle):
+            assert eng._reduce([2]) == ((2,), 0)
 
-    def test_normal_form_four_six(self):
-        assert rewrite_42(SegmentSum([4, 6])).parts == (2, 4, 4)
+    def test_normal_form_four_six(self, engine):
         # the split manufactures an equal even pair, which then cancels
-        assert normal_form(SegmentSum([4, 6])).parts == (2,)
+        assert engine._reduce([4, 6]) == ((2,), 0)
 
-    def test_normal_form_without_rewrite(self):
-        assert normal_form(SegmentSum([6]), use_rewrite=False).parts == (6,)
+    def test_normal_form_without_rewrite(self, oracle):
+        assert oracle._reduce([6]) == ((6,), 0)
+        assert oracle._reduce([10]) == ((10,), 0)
+        assert oracle._reduce([4, 6]) == ((4, 6), 0)
 
 
 class TestMoveArithmetic:
@@ -143,11 +148,11 @@ class TestMoveArithmetic:
 
     def test_pruning_drops_extremities(self):
         full = segment_moves(7, True)
-        pruned = segment_moves_pruned(7, True)
+        pruned = segment_moves(7, True, prune=True)
         assert set(pruned) <= set(full)
         assert len(pruned) < len(full)
         # short segments keep everything
-        assert segment_moves_pruned(3, True) == segment_moves(3, True)
+        assert segment_moves(3, True, prune=True) == segment_moves(3, True)
 
     def test_pruned_engine_scores_match(self, engine, rng):
         lazy = SegmentEngine(prune=False)
@@ -312,6 +317,19 @@ class TestCache:
         warm.save(path)
         with pytest.raises(ValueError, match="rewrite"):
             SegmentEngine().load(path)
+
+    def test_malformed_entries_leave_memo_untouched(self, tmp_path):
+        import json
+
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "format": CACHE_FORMAT, "version": 1, "rewrite": True,
+            "entries": [[[2, 4], 2], [[5], "x"]],
+        }))
+        eng = SegmentEngine()
+        with pytest.raises(ValueError, match="malformed"):
+            eng.load(path)
+        assert eng.memo == {}
 
     def test_format_constant_in_payload(self, tmp_path):
         warm = SegmentEngine()

@@ -1,5 +1,7 @@
 """Mirror mappings: verification, search, simulation, certificates."""
 
+from collections import deque
+
 import pytest
 
 from bipartite_influence.graphs import (
@@ -14,13 +16,26 @@ from conftest import random_ground
 
 from bipartite_influence.solver import Solver
 from bipartite_influence.symmetry import (
-    breadth_first_distances,
     bw_condition_report,
     certify_draw,
     find_bw,
     mirror_strategy_audit,
     verify_bw,
 )
+
+
+def breadth_first_distances(g: GroundGraph, source: int) -> list:
+    """Plain BFS distances, None for unreachable vertices."""
+    dist = [None] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if dist[u] is None:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 def antipodal_3(n):
