@@ -23,7 +23,6 @@ from .graphs import (
     removal_closure,
     segment_value,
     strip_isolated,
-    twin_classes,
 )
 from .solver import (
     ScorePair,

@@ -36,8 +36,8 @@ from .segments import (
     segment_union_tree,
     write_table_csv,
 )
-from .solver import SearchBudgetError, Solver, milnor_audit
-from .symmetry import certify_draw
+from .solver import DEFAULT_NODE_BUDGET, SearchBudgetError, Solver, milnor_audit
+from .symmetry import DEFAULT_SEARCH_BUDGET, certify_draw
 from .thermo import thermograph, thermograph_csv_rows, thermograph_to_json
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def graph_from_args(args) -> GroundGraph:
 
 
 def cmd_solve(args, settings) -> int:
-    budget = _int_setting(args.node_budget, settings, "node_budget", 100_000_000)
+    budget = _int_setting(args.node_budget, settings, "node_budget", DEFAULT_NODE_BUDGET)
     solver = Solver(node_budget=budget, prune=not args.no_prune)
     if args.segments is not None:
         parts = parse_segment_list(args.segments)
@@ -270,7 +270,7 @@ def cmd_equiv(args, settings) -> int:
 
 def cmd_symmetry(args, settings) -> int:
     g = graph_from_args(args)
-    budget = _int_setting(args.budget, settings, "search_budget", 2_000_000)
+    budget = _int_setting(args.budget, settings, "search_budget", DEFAULT_SEARCH_BUDGET)
     report = certify_draw(g, budget=budget,
                           solve_limit=0 if args.no_solve else args.solve_limit)
     payload = {

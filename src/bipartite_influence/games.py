@@ -335,6 +335,8 @@ def leaf_values(g: Game) -> set[Fraction]:
 # ---------------------------------------------------------------------------
 # notation
 
+MAX_GAME_DEPTH = 100
+
 
 def format_game(g: Game) -> str:
     if g.is_number:
@@ -345,7 +347,7 @@ def format_game(g: Game) -> str:
 
 
 def parse_game(text: str) -> Game:
-    """Parse the notation produced by :func:`format_game`."""
+    """Parse :func:`format_game` notation, at most ``MAX_GAME_DEPTH`` deep."""
     pos = 0
 
     def skip_ws():
@@ -353,27 +355,29 @@ def parse_game(text: str) -> Game:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse_g() -> Game:
+    def parse_g(depth: int) -> Game:
         nonlocal pos
         skip_ws()
         if pos >= len(text):
             raise ValueError("unexpected end of game notation")
         if text[pos] == "<":
+            if depth == MAX_GAME_DEPTH:
+                raise ValueError(f"game nested deeper than {MAX_GAME_DEPTH} levels")
             pos += 1
-            lefts = parse_options("|")
+            lefts = parse_options("|", depth + 1)
             pos += 1  # consume '|'
-            rights = parse_options(">")
+            rights = parse_options(">", depth + 1)
             pos += 1  # consume '>'
             return node(lefts, rights)
         return parse_number()
 
-    def parse_options(stop: str) -> list[Game]:
+    def parse_options(stop: str, depth: int) -> list[Game]:
         nonlocal pos
-        out = [parse_g()]
+        out = [parse_g(depth)]
         skip_ws()
         while pos < len(text) and text[pos] == ",":
             pos += 1
-            out.append(parse_g())
+            out.append(parse_g(depth))
             skip_ws()
         if pos >= len(text) or text[pos] != stop:
             raise ValueError(f"expected {stop!r} at position {pos}")
@@ -393,7 +397,7 @@ def parse_game(text: str) -> Game:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator at position {start}") from None
 
-    g = parse_g()
+    g = parse_g(0)
     skip_ws()
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}")

@@ -168,7 +168,7 @@ def graph_from_json(data: dict) -> GroundGraph:
         raise ValueError(f"graph object missing field: {exc}") from exc
     try:
         ids = [v["id"] for v in vertices]
-        ids_ok = sorted(ids) == list(range(len(ids)))
+        ids_ok = all(type(i) is int for i in ids) and sorted(ids) == list(range(len(ids)))
     except (TypeError, KeyError) as exc:
         raise ValueError(f"bad graph vertex: {exc!r}") from exc
     if not ids_ok:
@@ -179,6 +179,9 @@ def graph_from_json(data: dict) -> GroundGraph:
         if raw not in ("B", "W"):
             raise ValueError(f"bad color {raw!r} (expected 'B' or 'W')")
         colors[v["id"]] = BLACK if raw == "B" else WHITE
+    if not isinstance(edges, list) or any(
+            not isinstance(e, list) or [type(x) for x in e] != [int, int] for e in edges):
+        raise ValueError("edges must be a list of [u, v] integer pairs")
     return GroundGraph(colors, [tuple(e) for e in edges], name=data.get("name", ""))
 
 
@@ -449,6 +452,20 @@ def segment_value(position: Position) -> int | None:
     return n if g.colors[ends[0]] is BLACK else -n
 
 
+def disjoint_union(parts: Iterable[Position]) -> GroundGraph:
+    """One ground graph of the alive vertices of ``parts``, renumbered in
+    order.  Offsets are dropped."""
+    colors: list[VertexColor] = []
+    edges = []
+    for p in parts:
+        g, base = p.ground, len(colors)
+        index = {v: base + i for i, v in enumerate(_bits(p.alive))}
+        colors.extend(g.colors[v] for v in index)
+        for v, i in index.items():
+            edges.extend((i, index[w]) for w in _bits(g.adj[v] & p.alive) if w > v)
+    return GroundGraph(colors, edges)
+
+
 def canonical_key(position: Position) -> tuple:
     """Hashable key identifying a connected position up to isomorphism for
     path components, and exactly otherwise.  Equal keys imply equal scores.
@@ -457,17 +474,3 @@ def canonical_key(position: Position) -> tuple:
     if seg is not None:
         return ("seg", seg)
     return ("g", position.ground.uid, position.alive)
-
-
-def twin_classes(position: Position) -> list[list[int]]:
-    """Group alive vertices by color and alive neighborhood.
-
-    Twins are interchangeable: any removal set containing one contains the
-    whole class, so they index symmetric moves.
-    """
-    g = position.ground
-    groups: dict[tuple, list[int]] = {}
-    for v in _bits(position.alive):
-        key = (g.colors[v].value, g.adj[v] & position.alive)
-        groups.setdefault(key, []).append(v)
-    return sorted(groups.values())

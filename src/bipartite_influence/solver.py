@@ -4,9 +4,9 @@ Left score Ls is the best final score (Left points minus Right points) when
 Left moves first and both players play perfectly; Rs is the same with Right
 moving first.  The solver runs a memoized minimax over sums of connected
 components.  Transposition keys bring path components to canonical form,
-and exact negative pairs of components cancel out of the sum before
-lookup, which is score-preserving because every position here is dicotic
-and free of zugzwang, so a game plus its negative is equivalent to zero.
+and pairs of components cancel before lookup when a mirror certificate on
+their union (``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe
+(dicotic, free of zugzwang, as every position here) such a game is zero.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from .graphs import (
     apply_move,
     canonical_key,
     components,
+    disjoint_union,
     legal_moves,
     segment_value,
     strip_isolated,
 )
+from .symmetry import find_bw
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -101,7 +103,14 @@ def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
 
 
 def _negated_pair(a: Position, b: Position, cache: dict) -> bool:
-    """True when component ``b`` is the negative of component ``a``."""
+    """True when components ``a`` and ``b`` cancel: ``a + b = 0``.
+
+    Paths compare segment values.  ``b = a.negated()`` cancels at any size.
+    Other equal-size pairs of at most ten vertices cancel when their union
+    has a mirror certificate: mirroring gives Ls = Rs = 0 on ``a + b``.
+    This accepts every negative pair: swapping ``a`` and ``b`` is a
+    certificate whose pairs lie in different components.
+    """
     sa, sb = segment_value(a), segment_value(b)
     if sa is not None or sb is not None:
         if sa is None or sb is None:
@@ -109,70 +118,16 @@ def _negated_pair(a: Position, b: Position, cache: dict) -> bool:
         if sa % 2 == 0:
             return sa == sb  # even paths are their own negatives
         return sa == -sb
+    if b.alive == a.alive and b.ground is a.ground.color_swapped():
+        return True
     if a.vertex_count != b.vertex_count or a.vertex_count > 10:
         return False
     key = (canonical_key(a), canonical_key(b))
     hit = cache.get(key)
     if hit is None:
-        hit = _color_swap_isomorphic(a, b)
+        hit = find_bw(disjoint_union((a, b))).status == "found"
         cache[key] = hit
     return hit
-
-
-def _color_swap_isomorphic(a: Position, b: Position) -> bool:
-    """Exhaustive matching of ``a`` onto ``b`` with colors exchanged."""
-    ga, gb = a.ground, b.ground
-    va = a.alive_vertices()
-    vb = b.alive_vertices()
-    if len(va) != len(vb):
-        return False
-
-    def profile(pos, v):
-        g = pos.ground
-        return (
-            g.colors[v].value,
-            (g.adj[v] & pos.alive).bit_count(),
-        )
-
-    from collections import Counter
-
-    ca = Counter(profile(a, v) for v in va)
-    cb = Counter((("B", d) if c == "W" else ("W", d)) for (c, d) in
-                 (profile(b, v) for v in vb))
-    if ca != cb:
-        return False
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(va):
-            return True
-        u = va[i]
-        for w in vb:
-            if w in used:
-                continue
-            if ga.colors[u] is gb.colors[w]:
-                continue
-            if (ga.adj[u] & a.alive).bit_count() != (gb.adj[w] & b.alive).bit_count():
-                continue
-            ok = True
-            for prev_u, prev_w in mapping.items():
-                adj_a = bool(ga.adj[u] & (1 << prev_u))
-                adj_b = bool(gb.adj[w] & (1 << prev_w))
-                if adj_a != adj_b:
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[u]
-                used.discard(w)
-        return False
-
-    return extend(0)
 
 
 class Solver:
@@ -183,7 +138,7 @@ class Solver:
         self.node_budget = node_budget
         self.prune = prune
         self.nodes = 0
-        self._iso_cache: dict = {}
+        self._pair_cache: dict = {}
 
     # -- public API --------------------------------------------------------
 
@@ -216,7 +171,7 @@ class Solver:
         out: list[Position] = []
         for c in comps:
             for i, other in enumerate(out):
-                if _negated_pair(other, c, self._iso_cache):
+                if _negated_pair(other, c, self._pair_cache):
                     del out[i]
                     break
             else:

@@ -10,13 +10,13 @@ The finder runs an exhaustive backtracking search over Black-to-White
 pairings.  Deciding existence of such a mapping is as hard as graph
 isomorphism in general, so the search carries an explicit node budget and
 reports honestly when it runs out: found, proven absent, or budget
-exhausted.
+exhausted.  The solver also uses it to decide which components cancel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .graphs import (
     BLACK,
@@ -27,7 +27,9 @@ from .graphs import (
     legal_moves,
     removal_closure,
 )
-from .solver import ScorePair, Solver
+
+if TYPE_CHECKING:
+    from .solver import ScorePair, Solver
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -281,6 +283,8 @@ def certify_draw(
     The solver confirmation runs only when the graph is small enough to
     solve exactly; the certificate alone already proves the draw.
     """
+    from .solver import Solver
+
     outcome = find_bw(g, budget)
     conditions = None
     scores = None

@@ -83,6 +83,20 @@ def random_position(rng: random.Random, max_n: int = 10, p: float = 0.4) -> Posi
     return Position.make(g, alive)
 
 
+def twin_classes(position: Position) -> list[list[int]]:
+    """Group alive vertices by color and alive neighborhood.
+
+    Twins are interchangeable: any removal set containing one contains the
+    whole class, so they index symmetric moves.
+    """
+    g = position.ground
+    groups: dict[tuple, list[int]] = {}
+    for v in _bits(position.alive):
+        key = (g.colors[v].value, g.adj[v] & position.alive)
+        groups.setdefault(key, []).append(v)
+    return sorted(groups.values())
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260819)

@@ -27,6 +27,7 @@ from conftest import (
     FROZEN_TABLE_38,
     random_position,
     record_verdict,
+    twin_classes,
 )
 
 from bipartite_influence.cli import main
@@ -49,7 +50,6 @@ from bipartite_influence.graphs import (
     build_hypercube,
     build_segment,
     build_torus,
-    twin_classes,
 )
 from bipartite_influence.reduction import (
     PosCnf,

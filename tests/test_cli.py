@@ -84,10 +84,22 @@ class TestSolve:
     @pytest.mark.parametrize("vertices", [
         [{"color": "B"}],
         [{"id": 0, "color": "B"}, {"id": "a", "color": "W"}],
-    ], ids=["no-id", "mixed-ids"])
+        [{"id": False, "color": "B"}, {"id": True, "color": "W"}],
+    ], ids=["no-id", "mixed-ids", "bool-ids"])
     def test_bad_vertex(self, capsys, tmp_path, vertices):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"vertices": vertices, "edges": []}))
+        rc, out, err = run(capsys, "solve", "--file", str(path))
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edges", [None, [[0, "a"]], [[0, 1.5]], [0]],
+                             ids=["null", "string", "float", "bare-int"])
+    def test_bad_edges(self, capsys, tmp_path, edges):
+        path = tmp_path / "g.json"
+        vertices = [{"id": 0, "color": "B"}, {"id": 1, "color": "W"}]
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
         rc, out, err = run(capsys, "solve", "--file", str(path))
         assert rc == EXIT_INPUT
         assert out == ""
@@ -225,6 +237,25 @@ class TestThermo:
 
     def test_zero_denominator(self, capsys):
         rc, out, err = run(capsys, "thermo", "--game", "<1/0|0>")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def nested_game(depth):
+    """``<<..<0|0>..|0>|0>``: a game ``depth`` levels deep, all scores 0."""
+    return "<" * depth + "0" + "|0>" * depth
+
+
+class TestDeepGames:
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "--game"],
+        ["equiv", "--game-b", "0", "--game-a"],
+    ], ids=["thermo", "equiv"])
+    def test_depth_cap(self, capsys, argv):
+        rc, out, _ = run(capsys, *argv, nested_game(100))
+        assert rc == EXIT_OK and out
+        rc, out, err = run(capsys, *argv, nested_game(101))
         assert rc == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1

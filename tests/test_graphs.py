@@ -17,15 +17,15 @@ from bipartite_influence.graphs import (
     build_torus,
     canonical_key,
     components,
+    disjoint_union,
     graph_from_json,
     legal_moves,
     removal_closure,
     segment_value,
     strip_isolated,
-    twin_classes,
 )
 
-from conftest import random_ground
+from conftest import random_ground, twin_classes
 
 
 def closure_at(ground, v):
@@ -217,6 +217,16 @@ class TestPositions:
         assert len(comps) == 1
         assert comps[0].offset == 0
         assert comps[0].alive == pos.alive
+
+    def test_disjoint_union_renumbers_alive_vertices(self):
+        # the middle vertex of a 5-path removed: two edges, then a 4-path
+        # negated, read in order as one graph of 8 vertices
+        a = Position.make(build_segment(5), 0b11011)
+        b = Position.make(build_segment(4)).negated()
+        g = disjoint_union((a, b))
+        assert g.n == 8
+        assert g.colors == (BLACK, WHITE, WHITE, BLACK, WHITE, BLACK, WHITE, BLACK)
+        assert g.edges == ((0, 1), (2, 3), (4, 5), (5, 6), (6, 7))
 
 
 class TestSegmentRecognition:

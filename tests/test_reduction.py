@@ -4,14 +4,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import random_ground
+from conftest import random_ground, twin_classes
 
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
     GroundGraph,
     Position,
-    twin_classes,
 )
 from bipartite_influence.reduction import (
     MAX_BRUTE_FORCE_VARS,

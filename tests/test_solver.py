@@ -11,11 +11,16 @@ from bipartite_influence.graphs import (
     Position,
     build_grid,
     build_segment,
+    build_torus,
+    canonical_key,
+    components,
     legal_moves,
+    segment_value,
 )
 from bipartite_influence.solver import (
     SearchBudgetError,
     Solver,
+    _negated_pair,
     gift_bounds_check,
     milnor_audit,
     prune_dominated,
@@ -126,6 +131,90 @@ class TestSumChain:
         assert (pair.ls, pair.rs) == (2, 2)
         pair = solver.score_of_sum([s9, s2])
         assert (pair.ls, pair.rs) == (1, 1)
+
+
+def _torus_cells(rows, cols, cells, dr=0, dc=0):
+    """Alive mask of ``cells`` translated by ``(dr, dc)`` on a torus.  An
+    odd ``dr + dc`` swaps the colours."""
+    return sum(1 << (((i + dr) % rows) * cols + (j + dc) % cols) for i, j in cells)
+
+
+def _grow_piece(rng, g, size):
+    """A random connected vertex set of at most ``size`` vertices."""
+    piece = 1 << rng.randrange(g.n)
+    for _ in range(size - 1):
+        rim = [v for v in range(g.n) if g.adj[v] & piece and not piece >> v & 1]
+        if not rim:
+            break
+        piece |= 1 << rng.choice(rim)
+    return piece
+
+
+# A balanced piece whose colour-swapped degree profile equals its own, so
+# only a full search can tell that two copies of it do not cancel.
+BALANCED_PIECE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3), (2, 1)]
+
+
+class TestCancellation:
+    @pytest.mark.parametrize("board", [(build_grid, 4, 4), (build_torus, 4, 6)],
+                             ids=["grid4x4", "torus4x6"])
+    def test_large_negated_twin_cancels_without_search(self, board):
+        build, rows, cols = board
+        p = Position.make(build(rows, cols))
+        solver = Solver(node_budget=1000)
+        pair = solver.score_of_sum([p, p.negated()])
+        assert (pair.ls, pair.rs) == (0, 0)
+        assert solver.nodes == 0
+
+    def test_mirror_pieces_on_one_board_cancel(self):
+        g = build_torus(8, 8)
+        piece = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2)]
+        alive = _torus_cells(8, 8, piece) | _torus_cells(8, 8, piece, 4, 3)
+        a, b = components(Position.make(g, alive))
+        assert a.vertex_count == b.vertex_count == 6
+        assert _negated_pair(a, b, {}) and _negated_pair(b, a, {})
+        solver = Solver(node_budget=1000)
+        pair = solver.scores(Position.make(g, alive))
+        assert (pair.ls, pair.rs) == (0, 0) == raw_scores(g, alive)
+        assert solver.nodes == 0
+
+    @pytest.mark.parametrize("piece", [
+        [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2)],
+        BALANCED_PIECE,
+    ], ids=["unbalanced", "balanced"])
+    def test_equal_size_non_mirror_pieces_stay(self, piece):
+        # the translate by (4, 4) keeps the colours: a copy, not a negative
+        g = build_torus(8, 8)
+        alive = _torus_cells(8, 8, piece) | _torus_cells(8, 8, piece, 4, 4)
+        a, b = components(Position.make(g, alive))
+        assert a.vertex_count == b.vertex_count
+        assert not _negated_pair(a, b, {})
+        assert Solver()._cancel([a, b]) == sorted([a, b], key=canonical_key)
+        assert raw_scores(g, alive) != (0, 0)
+
+    def test_accepted_pairs_score_zero(self, rng):
+        # random pieces, each with a colour-swapped translate and a random
+        # neighbour piece; every pair the solver would cancel must be a draw
+        cache: dict = {}
+        searched = rejected = 0
+        for _ in range(400):
+            rows, cols = rng.choice([(8, 8), (6, 10)])
+            g = build_torus(rows, cols)
+            piece = _grow_piece(rng, g, rng.randint(3, 8))
+            cells = [divmod(v, cols) for v in range(g.n) if piece >> v & 1]
+            dr = rows // 2 + rng.choice([-1, 0, 1])
+            dc = cols // 2 + (dr + cols // 2 + 1) % 2  # dr + dc odd
+            alive = (piece | _torus_cells(rows, cols, cells, dr, dc)
+                     | _grow_piece(rng, g, rng.randint(2, 6)))
+            comps = components(Position.make(g, alive))
+            for i, a in enumerate(comps):
+                for b in comps[i + 1:]:
+                    if not _negated_pair(a, b, cache):
+                        rejected += 1
+                        continue
+                    assert raw_scores(g, a.alive | b.alive) == (0, 0)
+                    searched += segment_value(a) is None
+        assert searched >= 40 and rejected >= 100
 
 
 class TestPruning:
