@@ -405,7 +405,7 @@ def apply_move(position: Position, move: RemovalSet) -> Position:
 
 
 def components(position: Position) -> list[Position]:
-    """Connected components as offset-free positions, canonically ordered."""
+    """Connected components as offset-free positions."""
     g = position.ground
     rest = position.alive
     out = []
@@ -421,7 +421,6 @@ def components(position: Position) -> list[Position]:
             comp |= frontier
         out.append(Position(g, comp, 0))
         rest &= ~comp
-    out.sort(key=canonical_key)
     return out
 
 

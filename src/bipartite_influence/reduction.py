@@ -226,7 +226,7 @@ def reduction_soundness_check(
     """Confirm the winner of the picking game against the board's score."""
     g = gadget_graph(f)
     solver = solver or Solver()
-    left = solver.left_score(Position.make(g))
+    left = solver.scores(Position.make(g)).ls
     return SoundnessReport(
         f.num_vars,
         f.num_clauses,

@@ -344,6 +344,8 @@ def periodicity_scan(
     """
     if period < 1:
         raise ValueError("period must be positive")
+    if preperiod < 0:
+        raise ValueError("preperiod must be at least 0")
     by_n = {n: (a, b) for n, a, b in rows}
     max_n = max(by_n)
     out = []

@@ -12,6 +12,7 @@ their union (``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graphs import (
     BLACK,
@@ -24,7 +25,6 @@ from .graphs import (
     components,
     disjoint_union,
     legal_moves,
-    segment_value,
     strip_isolated,
 )
 from .symmetry import find_bw
@@ -102,31 +102,38 @@ def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
     return kept
 
 
-def _negated_pair(a: Position, b: Position, cache: dict) -> bool:
-    """True when components ``a`` and ``b`` cancel: ``a + b = 0``.
+Keyed = tuple[tuple, Position]
 
-    Paths compare segment values.  ``b = a.negated()`` cancels at any size.
-    Other equal-size pairs of at most ten vertices cancel when their union
-    has a mirror certificate: mirroring gives Ls = Rs = 0 on ``a + b``.
-    This accepts every negative pair: swapping ``a`` and ``b`` is a
-    certificate whose pairs lie in different components.
+
+def _keyed(position: Position) -> list[Keyed]:
+    """The components of ``position``, each paired with its canonical key."""
+    return [(canonical_key(c), c) for c in components(position)]
+
+
+def _negated_pair(a: Keyed, b: Keyed, cache: dict) -> bool:
+    """True when keyed components ``a`` and ``b`` cancel: ``a + b = 0``.
+
+    Paths compare the segment values in their keys.  ``b = a.negated()``
+    cancels at any size.  Other equal-size pairs of at most ten vertices
+    cancel when their union has a mirror certificate: mirroring gives
+    Ls = Rs = 0 on ``a + b``.  This accepts every negative pair: swapping
+    ``a`` and ``b`` is a certificate whose pairs lie in different components.
     """
-    sa, sb = segment_value(a), segment_value(b)
-    if sa is not None or sb is not None:
-        if sa is None or sb is None:
+    (ka, pa), (kb, pb) = a, b
+    if ka[0] == "seg" or kb[0] == "seg":
+        if ka[0] != kb[0]:
             return False
-        if sa % 2 == 0:
-            return sa == sb  # even paths are their own negatives
-        return sa == -sb
-    if b.alive == a.alive and b.ground is a.ground.color_swapped():
+        if ka[1] % 2 == 0:
+            return ka == kb  # even paths are their own negatives
+        return ka[1] == -kb[1]
+    if pb.alive == pa.alive and pb.ground is pa.ground.color_swapped():
         return True
-    if a.vertex_count != b.vertex_count or a.vertex_count > 10:
+    if pa.vertex_count != pb.vertex_count or pa.vertex_count > 10:
         return False
-    key = (canonical_key(a), canonical_key(b))
-    hit = cache.get(key)
+    hit = cache.get((ka, kb))
     if hit is None:
-        hit = find_bw(disjoint_union((a, b))).status == "found"
-        cache[key] = hit
+        hit = find_bw(disjoint_union((pa, pb))).status == "found"
+        cache[ka, kb] = hit
     return hit
 
 
@@ -145,73 +152,63 @@ class Solver:
     def scores(self, position: Position) -> ScorePair:
         return self.score_of_sum([position])
 
-    def left_score(self, position: Position) -> int:
-        return self.score_of_sum([position]).ls
-
-    def right_score(self, position: Position) -> int:
-        return self.score_of_sum([position]).rs
-
     def score_of_sum(self, parts: list[Position]) -> ScorePair:
         offset = 0
-        comps: list[Position] = []
+        comps: list[Keyed] = []
         for part in parts:
             part = strip_isolated(part)
             offset += part.offset
-            comps.extend(components(part))
+            comps.extend(_keyed(part))
         comps = self._cancel(comps)
         return ScorePair(
-            offset + self._score(tuple(comps), BLACK),
-            offset + self._score(tuple(comps), WHITE),
+            offset + self._score(comps, BLACK),
+            offset + self._score(comps, WHITE),
         )
 
     # -- internals ---------------------------------------------------------
 
-    def _cancel(self, comps: list[Position]) -> list[Position]:
-        comps = sorted(comps, key=canonical_key)
-        out: list[Position] = []
-        for c in comps:
+    def _cancel(self, comps: list[Keyed]) -> tuple[Keyed, ...]:
+        """Drop cancelling pairs; the rest sorted by key."""
+        out: list[Keyed] = []
+        for c in sorted(comps, key=itemgetter(0)):
             for i, other in enumerate(out):
                 if _negated_pair(other, c, self._pair_cache):
                     del out[i]
                     break
             else:
                 out.append(c)
-        return out
+        return tuple(out)
 
-    def _score(self, comps: tuple[Position, ...], mover: VertexColor) -> int:
-        """Offset-free score of a canceled, sorted component multiset."""
+    def _score(self, comps: tuple[Keyed, ...], mover: VertexColor) -> int:
+        """Offset-free score of a canceled component multiset from ``_cancel``."""
         if not comps:
             return 0
-        key = tuple(canonical_key(c) for c in comps)
+        keys = tuple(k for k, _ in comps)
         slot = 0 if mover is BLACK else 1
-        entry = self.table.entry(key)
+        entry = self.table.entry(keys)
         if entry[slot] is not None:
             return entry[slot]
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise SearchBudgetError(self.node_budget)
         best = None
-        seen_keys = set()
         seen_succ = set()
-        for idx, comp in enumerate(comps):
-            ckey = canonical_key(comp)
-            if ckey in seen_keys:
+        for idx, (key, comp) in enumerate(comps):
+            if idx and key == keys[idx - 1]:
                 continue  # identical component, symmetric moves
-            seen_keys.add(ckey)
-            rest = comps[:idx] + comps[idx + 1 :]
+            rest = list(comps[:idx] + comps[idx + 1 :])
             moves = legal_moves(comp, mover)
             if self.prune:
                 moves = prune_dominated(moves)
-            moves.sort(key=lambda m: -m.removed.bit_count())
             for move in moves:
                 succ = apply_move(comp, move)
                 delta = succ.offset
-                merged = self._cancel(list(rest) + components(succ))
-                mkey = (delta, tuple(canonical_key(c) for c in merged))
+                merged = self._cancel(rest + _keyed(succ))
+                mkey = (delta, tuple(k for k, _ in merged))
                 if mkey in seen_succ:
                     continue
                 seen_succ.add(mkey)
-                val = delta + self._score(tuple(merged), mover.opponent)
+                val = delta + self._score(merged, mover.opponent)
                 if best is None:
                     best = val
                 elif mover is BLACK:
@@ -243,6 +240,8 @@ def milnor_audit(position: Position, depth: int = 3, solver: Solver | None = Non
     """Check the universe conditions on every position reachable in
     ``depth`` moves: both players can move iff the position is nonempty
     (dicotic) and Ls >= Rs (no zugzwang)."""
+    if depth < 0:
+        raise ValueError("audit depth must be at least 0")
     solver = solver or Solver()
     seen: set[tuple] = set()
     report = AuditReport(0, True, True)

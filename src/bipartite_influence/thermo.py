@@ -55,13 +55,7 @@ class PiecewiseLinear:
         t = Fraction(t)
         if t < 0:
             raise ValueError("domain is t >= 0")
-        chosen = self.pieces[0]
-        for piece in self.pieces:
-            if piece[0] <= t:
-                chosen = piece
-            else:
-                break
-        _, a, b = chosen
+        _, a, b = self._piece_at(t)
         return a + b * t
 
     def breakpoints(self) -> list[Fraction]:

@@ -153,6 +153,13 @@ class TestTable:
                            "--check-period", "8", "13")
         assert "no violations" in err
 
+    def test_negative_preperiod_rejected(self, capsys):
+        rc, out, err = run(capsys, "table", "--max", "10", "--no-cache",
+                           "--check-period", "2", "-5")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "preperiod" in err
+
     def test_max_zero_rejected(self, capsys):
         rc, out, err = run(capsys, "table", "--max", "0", "--no-cache")
         assert rc == EXIT_INPUT
@@ -391,6 +398,16 @@ class TestAudit:
         assert rc == EXIT_OK
         assert "clean" in out
 
+    def test_depth_must_be_at_least_zero(self, capsys):
+        rc, out, err = run(capsys, "audit", "--segment", "4", "--depth", "-1")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "depth" in err
+        # depth 0 checks the start alone
+        rc, out, _ = run(capsys, "audit", "--segment", "6", "--depth", "0", "--json")
+        assert rc == EXIT_OK
+        assert json.loads(out)["positions_checked"] == 1
+
 
 class TestConfig:
     def test_config_file_sets_budget(self, capsys, tmp_path):
@@ -442,3 +459,116 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.strip()
+
+
+# Edge and malformed values for every flag.  Boards stay tiny so that the
+# whole fuzz run takes about a second.
+_SOURCES = {
+    "--segment": ["0", "1", "-1", "3", "-6", "x", ""],
+    "--segments": ["", ",", "0", "3,", "2,-3", "a,b", "1,1,1"],
+    "--grid": ["0x3", "1x1", "2x3", "3x3", "-2x3", "2x", "x", "RxC", "2x3x4", ""],
+    "--cylinder": ["4x1", "4x2", "3x2", "0x0", "-4x2"],
+    "--torus": ["4x4", "3x4", "4x-4", "2x2"],
+    "--hypercube": ["-1", "0", "1", "3", "21", "99", "x"],
+    "--file": ["missing.json", "bad.json", "empty.json", "null.json", "good.json"],
+}
+_FILES = {
+    "bad.json": "{not json",
+    "empty.json": "",
+    "null.json": "null",
+    "good.json": '{"vertices": [{"id": 0, "color": "B"}, {"id": 1, "color": "W"}], '
+                 '"edges": [[0, 1]]}',
+    "empty.cnf": "",
+    "one.cnf": "1 2 0\n",
+    "header.cnf": "p cnf 2 2\n1 0\n2 0\n",
+    "negative.cnf": "1 -2 0\n",
+    "open.cnf": "1 2\n",
+    "zero.cnf": "0\n",
+    "words.cnf": "x y 0\n",
+    "cfg": "node_budget = 1\n",
+    "badcfg": "just words\n",
+}
+_NUMBERS = ["-5", "-1", "0", "1", "2", "x", "", str(10**30)]
+_GAMES = ["", "0", "5", "<|>", "<1|0>", "<1/0|0>", "<5|<-1|-5>>", "<", "0|", "<<|>|>"]
+_LISTS = ["", ",", "0", "3", "2,-3", "5,5", "a"]
+_PERIODS = [("0", "0"), ("1", "-1"), ("2", "0"), ("-2", "3"), ("40", "30"), ("x", "1")]
+
+
+def _fuzz_argv(rng, tmp_path):
+    """One random command line: mostly well-shaped with edge values in it,
+    sometimes with flags missing, doubled or in conflict."""
+    def path(name):
+        return str(tmp_path / name)
+
+    def pick(*options):
+        """One option most of the time, otherwise none or two."""
+        n = rng.choice([1, 1, 1, 1, 0, 2])
+        return [x for opt in rng.sample(options, min(n, len(options))) for x in opt()]
+
+    def flag(name, values):
+        return lambda: [name, rng.choice(values)]
+
+    def maybe(name, values):
+        return [name, rng.choice(values)] if rng.random() < 0.5 else []
+
+    def switch(name):
+        return [name] if rng.random() < 0.5 else []
+
+    def source():
+        return pick(*(flag(name, [path(v) for v in values] if name == "--file" else values)
+                      for name, values in _SOURCES.items()))
+
+    command = rng.choice(["solve", "table", "thermo", "equiv", "symmetry",
+                          "reduce", "audit"])
+    argv = [command]
+    if command == "solve":
+        argv += source() + maybe("--node-budget", _NUMBERS)
+        argv += switch("--no-prune") + switch("--json")
+    elif command == "table":
+        argv += pick(flag("--max", ["-3", "0", "1", "12", "x", ""]))
+        argv += rng.choice([["--no-cache"], ["--cache-dir", path("cache")],
+                            ["--cache-dir", path("one.cnf")]])
+        if rng.random() < 0.5:
+            argv += ["--check-period", *rng.choice(_PERIODS)]
+        argv += maybe("--out", [path("out.csv"), str(tmp_path)])
+    elif command == "thermo":
+        argv += pick(flag("--segment", ["0", "1", "-4", "7", "x"]),
+                     flag("--segments", _LISTS), flag("--game", _GAMES))
+        argv += switch("--raw") + switch("--json")
+        argv += maybe("--csv", [path("t.csv"), str(tmp_path)])
+    elif command == "equiv":
+        if rng.random() < 0.2:
+            argv += [x for _ in range(rng.randint(1, 3)) for x in ("--sum", rng.choice(_LISTS))]
+        else:
+            argv += pick(flag("--sum-a", _LISTS), flag("--game-a", _GAMES))
+            argv += pick(flag("--sum-b", _LISTS), flag("--game-b", _GAMES))
+        argv += maybe("--offset-a", _NUMBERS) + maybe("--offset-b", _NUMBERS)
+        argv += switch("--json")
+    elif command == "symmetry":
+        argv += source() + maybe("--budget", _NUMBERS)
+        argv += maybe("--solve-limit", _NUMBERS) + switch("--no-solve") + switch("--json")
+    elif command == "reduce":
+        cnfs = [path(name) for name in _FILES if name.endswith(".cnf")]
+        argv += pick(flag("--cnf", cnfs + [path("missing.cnf")]))
+        argv += maybe("--out", [path("r.json"), str(tmp_path)]) + switch("--check")
+    else:
+        argv += source() + maybe("--depth", ["-1", "0", "1", "2", "x"]) + switch("--json")
+    if rng.random() < 0.1:
+        argv = ["--config", path(rng.choice(["cfg", "badcfg", "missing"]))] + argv
+    return argv
+
+
+def test_fuzz_every_subcommand_exits_with_a_contract_code(capsys, tmp_path):
+    import random
+
+    for name, text in _FILES.items():
+        (tmp_path / name).write_text(text)
+    rng = random.Random(2022)
+    for _ in range(300):
+        argv = _fuzz_argv(rng, tmp_path)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected the flags
+            rc = exc.code
+        capsys.readouterr()
+        assert rc in (EXIT_OK, 1, EXIT_INPUT, EXIT_BUDGET), argv

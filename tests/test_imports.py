@@ -1,4 +1,5 @@
-"""Each package module imports by itself in a fresh interpreter.
+"""Each package module imports by itself in a fresh interpreter, and
+uses every name it imports.
 
 ``solver`` imports ``symmetry``, so ``symmetry`` imports ``Solver`` only
 inside ``certify_draw``: a module-level import would be a cycle.  A fresh
@@ -6,6 +7,7 @@ interpreter per module checks each import path without the modules the
 test session has already loaded.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +27,35 @@ def test_module_imports_alone(module):
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import and never read anywhere in the module."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+# ``__init__`` imports names to export them.
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_module_uses_every_import(module):
+    path = SRC / "bipartite_influence" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == []
+
+
+def test_unused_import_is_caught():
+    tree = ast.parse("from .graphs import canonical_key, segment_value\n"
+                     "import os.path\n"
+                     "def f(p):\n    return canonical_key(p)\n")
+    assert _unused_imports(tree) == ["segment_value (line 1)", "os (line 2)"]
