@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .games import Game, parse_game, format_game, simplify
+from .games import Game, add, equivalent, format_game, number, parse_game, simplify
 from .graphs import (
     GroundGraph,
     Position,
@@ -31,6 +31,7 @@ from .reduction import (
 )
 from .segments import (
     SegmentEngine,
+    check_period_args,
     periodicity_scan,
     segment_table,
     segment_union_tree,
@@ -92,8 +93,6 @@ def add_source_args(p: argparse.ArgumentParser) -> None:
     src = p.add_argument_group("graph source (pick one)")
     src.add_argument("--segment", type=int, metavar="N",
                      help="path on |N| vertices, Black end iff N > 0")
-    src.add_argument("--segments", metavar="LIST",
-                     help="comma-separated union of segments, e.g. 5,5,2")
     src.add_argument("--grid", metavar="RxC", help="grid, e.g. 2x3")
     src.add_argument("--cylinder", metavar="RxC", help="grid with wrapped rows")
     src.add_argument("--torus", metavar="RxC", help="grid wrapped both ways")
@@ -115,22 +114,18 @@ def parse_segment_list(text: str) -> list[int]:
         raise ValueError(f"bad segment list {text!r}") from exc
 
 
+def _graph_sources(args) -> int:
+    """How many graph source flags were given."""
+    flags = (args.segment, args.grid, args.cylinder, args.torus,
+             args.hypercube, args.file)
+    return sum(flag is not None for flag in flags)
+
+
 def graph_from_args(args) -> GroundGraph:
-    picks = [
-        args.segment is not None,
-        getattr(args, "segments", None) is not None,
-        args.grid is not None,
-        args.cylinder is not None,
-        args.torus is not None,
-        args.hypercube is not None,
-        args.file is not None,
-    ]
-    if sum(picks) != 1:
+    if _graph_sources(args) != 1:
         raise ValueError("pick exactly one graph source")
     if args.segment is not None:
         return build_segment(args.segment)
-    if getattr(args, "segments", None) is not None:
-        raise ValueError("--segments only applies to solve and thermo")
     if args.grid is not None:
         return build_grid(*_parse_dims(args.grid))
     if args.cylinder is not None:
@@ -150,6 +145,8 @@ def cmd_solve(args, settings) -> int:
     budget = _int_setting(args.node_budget, settings, "node_budget", DEFAULT_NODE_BUDGET)
     solver = Solver(node_budget=budget, prune=not args.no_prune)
     if args.segments is not None:
+        if _graph_sources(args):
+            raise ValueError("pick exactly one graph source")
         parts = parse_segment_list(args.segments)
         positions = [Position.make(build_segment(p)) for p in parts]
         pair = solver.score_of_sum(positions)
@@ -174,6 +171,8 @@ def cmd_solve(args, settings) -> int:
 
 
 def cmd_table(args, settings) -> int:
+    if args.check_period:
+        check_period_args(*args.check_period)
     engine = SegmentEngine()
     cache_file = None
     if not args.no_cache:
@@ -207,7 +206,7 @@ def game_from_args(args) -> Game:
     sources = [
         args.game is not None,
         args.segment is not None,
-        getattr(args, "segments", None) is not None,
+        args.segments is not None,
     ]
     if sum(sources) != 1:
         raise ValueError("pick exactly one of --game, --segment, --segments")
@@ -237,8 +236,6 @@ def cmd_thermo(args, settings) -> int:
 
 
 def cmd_equiv(args, settings) -> int:
-    from .games import add, number, equivalent
-
     def side(sum_text, game_text, offset):
         if (sum_text is None) == (game_text is None):
             raise ValueError("give each side exactly one of a sum or a game")
@@ -353,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="exact Left and Right scores")
     add_source_args(ps)
+    ps.add_argument("--segments", metavar="LIST",
+                    help="comma-separated union of segments, e.g. 5,5,2")
     ps.add_argument("--node-budget", type=int)
     ps.add_argument("--no-prune", action="store_true",
                     help="keep dominated moves (for cross-checking)")

@@ -14,10 +14,13 @@ both players (true by construction here) and no position is zugzwang
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import count
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import BLACK, WHITE, Position, apply_move, legal_moves, strip_isolated
+from .solver import Keyed, keyed_components
 
 
 class ExpansionLimitError(RuntimeError):
@@ -160,10 +163,7 @@ def add(g: Game, h: Game) -> Game:
 
 
 def add_all(games: Sequence[Game]) -> Game:
-    total = number(0)
-    for g in games:
-        total = add(total, g)
-    return total
+    return reduce(add, games) if games else number(0)
 
 
 def repeated(g: Game, n: int) -> Game:
@@ -241,28 +241,21 @@ def simplify(g: Game) -> Game:
     else:
         lefts = [simplify(o) for o in g.left]
         rights = [simplify(o) for o in g.right]
-        out = node(_maximal(lefts), _minimal(rights))
+        out = node(_undominated(lefts, dominates),
+                   _undominated(rights, lambda a, b: dominates(b, a)))
     _simplify_cache[g.uid] = out
     _simplify_cache[out.uid] = out
     return out
 
 
-def _maximal(options: list[Game]) -> list[Game]:
+def _undominated(options: list[Game], better) -> list[Game]:
+    """The options no other option beats, where ``better(a, b)`` says
+    ``a`` is at least as good as ``b`` for the mover; ties keep the first."""
     kept: list[Game] = []
     for opt in options:
-        if any(dominates(k, opt) for k in kept):
+        if any(better(k, opt) for k in kept):
             continue
-        kept = [k for k in kept if not dominates(opt, k)]
-        kept.append(opt)
-    return kept
-
-
-def _minimal(options: list[Game]) -> list[Game]:
-    kept: list[Game] = []
-    for opt in options:
-        if any(dominates(opt, k) for k in kept):
-            continue
-        kept = [k for k in kept if not dominates(k, opt)]
+        kept = [k for k in kept if not better(opt, k)]
         kept.append(opt)
     return kept
 
@@ -272,7 +265,7 @@ def _minimal(options: list[Game]) -> list[Game]:
 
 DEFAULT_EXPANSION_LIMIT = 16
 
-_tree_cache: dict[tuple[int, int], Game] = {}
+_tree_cache: dict[tuple[tuple, ...], Game] = {}
 
 
 def from_position(position: Position, limit: int = DEFAULT_EXPANSION_LIMIT) -> Game:
@@ -287,29 +280,52 @@ def from_position(position: Position, limit: int = DEFAULT_EXPANSION_LIMIT) -> G
         raise ExpansionLimitError(
             f"position has {position.vertex_count} vertices, limit is {limit}"
         )
-    return add(number(position.offset), _tree(position))
+    return tree_of_sum([position])
 
 
-def _tree(position: Position) -> Game:
-    """Offset-free game tree of the alive set."""
-    key = (position.ground.uid, position.alive)
-    hit = _tree_cache.get(key)
+def tree_of_sum(parts: Iterable[Position]) -> Game:
+    """The full game tree of a sum of stripped positions (as
+    :meth:`Position.make` builds them), with no expansion limit.
+
+    Adding a zero offset would only walk the tree to rebuild it, so a sum
+    with no banked points returns the tree as it is.
+    """
+    offset = 0
+    comps: list[Keyed] = []
+    for part in parts:
+        offset += part.offset
+        comps.extend(keyed_components(part))
+    comps.sort(key=itemgetter(0))
+    tree = _tree(tuple(comps))
+    return add(number(offset), tree) if offset else tree
+
+
+def _tree(comps: tuple[Keyed, ...]) -> Game:
+    """Offset-free game tree of a sum of keyed components sorted by key.
+
+    Equal keys mean isomorphic components, hence equal trees, so trees are
+    cached by the keys alone and path components share trees across boards.
+    """
+    keys = tuple(k for k, _ in comps)
+    hit = _tree_cache.get(keys)
     if hit is not None:
         return hit
-    if position.alive == 0:
+    if not comps:
         out = number(0)
     else:
-        base = Position(position.ground, position.alive, 0)
-        lefts = []
-        for move in legal_moves(base, BLACK):
-            succ = apply_move(base, move)
-            lefts.append(add(number(succ.offset), _tree(succ)))
-        rights = []
-        for move in legal_moves(base, WHITE):
-            succ = apply_move(base, move)
-            rights.append(add(number(succ.offset), _tree(succ)))
+        lefts: list[Game] = []
+        rights: list[Game] = []
+        for idx, (key, comp) in enumerate(comps):
+            if idx and key == keys[idx - 1]:
+                continue  # identical component, identical options
+            rest = list(comps[:idx] + comps[idx + 1 :])
+            for color, bucket in ((BLACK, lefts), (WHITE, rights)):
+                for move in legal_moves(comp, color):
+                    succ = apply_move(comp, move)
+                    merged = sorted(rest + keyed_components(succ), key=itemgetter(0))
+                    bucket.append(add(number(succ.offset), _tree(tuple(merged))))
         out = node(lefts, rights)
-    _tree_cache[key] = out
+    _tree_cache[keys] = out
     return out
 
 

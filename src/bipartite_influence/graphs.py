@@ -81,26 +81,23 @@ class GroundGraph:
             )
         self.name = name
         self.n = n
-        self.colors = tuple(colors)
+        self.colors = colors = tuple(colors)
         adj = [0] * n
         edge_list = []
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if self.colors[u] is self.colors[v]:
+            if colors[u] is colors[v]:
                 raise ValueError(
-                    f"edge ({u}, {v}) joins two {self.colors[u].value} vertices"
+                    f"edge ({u}, {v}) joins two {colors[u].value} vertices"
                 )
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
+            if adj[u] >> v & 1:
+                continue  # duplicate edge
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            edge_list.append(key)
+            edge_list.append((u, v) if u < v else (v, u))
         self.adj = tuple(adj)
         self._edge_list = tuple(sorted(edge_list))
         black = 0
@@ -200,7 +197,7 @@ def build_segment(n: int) -> GroundGraph:
         raise ValueError("segment length must be nonzero")
     length = abs(n)
     first = BLACK if n > 0 else WHITE
-    colors = [first if i % 2 == 0 else first.opponent for i in range(length)]
+    colors = ([first, first.opponent] * length)[:length]
     edges = [(i, i + 1) for i in range(length - 1)]
     return GroundGraph(colors, edges, name=f"S_{n}")
 
@@ -407,18 +404,16 @@ def apply_move(position: Position, move: RemovalSet) -> Position:
 def components(position: Position) -> list[Position]:
     """Connected components as offset-free positions."""
     g = position.ground
+    adj = g.adj
     rest = position.alive
     out = []
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= g.adj[v] & rest
-            frontier = grow & ~comp
-            comp |= frontier
+        comp = frontier = rest & -rest
+        while frontier:  # take one frontier vertex at a time
+            v = frontier.bit_length() - 1
+            grow = adj[v] & rest & ~comp
+            comp |= grow
+            frontier ^= (1 << v) | grow
         out.append(Position(g, comp, 0))
         rest &= ~comp
     return out
@@ -431,24 +426,23 @@ def segment_value(position: Position) -> int | None:
     normalized to a positive value.  Returns None for non-paths.
     """
     g = position.ground
+    adj = g.adj
     alive = position.alive
     n = alive.bit_count()
     if n < 2:
         return None
-    ends = []
     edge_bits = 0
     for v in _bits(alive):
-        d = (g.adj[v] & alive).bit_count()
+        d = (adj[v] & alive).bit_count()
         if d > 2:
             return None
-        if d == 1:
-            ends.append(v)
         edge_bits += d
-    if len(ends) != 2 or edge_bits != 2 * (n - 1):
-        return None
+    if edge_bits != 2 * (n - 1):
+        return None  # a cycle, not a tree
     if n % 2 == 0:
         return n
-    return n if g.colors[ends[0]] is BLACK else -n
+    # both ends of an odd path have its majority color
+    return n if 2 * (alive & g.black_mask).bit_count() > n else -n
 
 
 def disjoint_union(parts: Iterable[Position]) -> GroundGraph:

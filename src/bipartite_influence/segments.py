@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .games import Game, add, number
+from .games import Game, add, number, tree_of_sum
+from .graphs import Position, build_segment
 from .solver import ScorePair
 
 CACHE_FORMAT = "bipartite-influence-segment-cache"
@@ -334,6 +335,14 @@ def write_table_csv(rows, fh) -> None:
         fh.write(f"{n},{ls_val},{rs_val}\n")
 
 
+def check_period_args(period: int, preperiod: int) -> None:
+    """Reject a period below 1 or a preperiod below 0."""
+    if period < 1:
+        raise ValueError("period must be positive")
+    if preperiod < 0:
+        raise ValueError("preperiod must be at least 0")
+
+
 def periodicity_scan(
     rows: Sequence[tuple[int, int, int]], period: int, preperiod: int
 ) -> list[int]:
@@ -342,10 +351,7 @@ def periodicity_scan(
     An empty result means the table is consistent with eventual periodicity
     at the given parameters, as far as it extends.
     """
-    if period < 1:
-        raise ValueError("period must be positive")
-    if preperiod < 0:
-        raise ValueError("preperiod must be at least 0")
+    check_period_args(period, preperiod)
     by_n = {n: (a, b) for n, a, b in rows}
     max_n = max(by_n)
     out = []
@@ -401,54 +407,11 @@ def sum_bound_check(
 # exact game trees of segment unions
 
 
-_tree_memo: dict[tuple[int, ...], Game] = {}
-
-
 def segment_union_tree(parts: Iterable[int], offset: int = 0) -> Game:
     """The full game tree of a union of segments.
 
-    States are keyed up to isomorphism only (even parts oriented positive),
-    so the tree is structurally the one the generic expander builds from
-    the path graphs; no score-preserving rewrites are applied.
+    Built by :func:`games.tree_of_sum` on the path graphs, with no
+    score-preserving rewrites.
     """
-    clean: list[int] = []
-    shift = offset
-    for p in parts:
-        if p == 0:
-            raise ValueError("segment parts must be nonzero")
-        if p == 1:
-            shift += 1
-        elif p == -1:
-            shift -= 1
-        else:
-            clean.append(abs(p) if p % 2 == 0 else p)
-    return add(number(shift), _union_tree(tuple(sorted(clean))))
-
-
-def _union_tree(parts: tuple[int, ...]) -> Game:
-    hit = _tree_memo.get(parts)
-    if hit is not None:
-        return hit
-    if not parts:
-        out = number(0)
-    else:
-        from .games import node
-
-        lefts = []
-        rights = []
-        for black, bucket in ((True, lefts), (False, rights)):
-            for i, part in enumerate(parts):
-                if i > 0 and parts[i - 1] == part:
-                    continue
-                rest = parts[:i] + parts[i + 1 :]
-                for count, remnants in segment_moves(part, black):
-                    succ = tuple(
-                        sorted(rest + tuple(
-                            abs(r) if r % 2 == 0 else r for r in remnants
-                        ))
-                    )
-                    gain = count if black else -count
-                    bucket.append(add(number(gain), _union_tree(succ)))
-        out = node(lefts, rights)
-    _tree_memo[parts] = out
-    return out
+    tree = tree_of_sum([Position.make(build_segment(p)) for p in parts])
+    return add(number(offset), tree) if offset else tree

@@ -105,7 +105,7 @@ def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
 Keyed = tuple[tuple, Position]
 
 
-def _keyed(position: Position) -> list[Keyed]:
+def keyed_components(position: Position) -> list[Keyed]:
     """The components of ``position``, each paired with its canonical key."""
     return [(canonical_key(c), c) for c in components(position)]
 
@@ -158,7 +158,7 @@ class Solver:
         for part in parts:
             part = strip_isolated(part)
             offset += part.offset
-            comps.extend(_keyed(part))
+            comps.extend(keyed_components(part))
         comps = self._cancel(comps)
         return ScorePair(
             offset + self._score(comps, BLACK),
@@ -203,7 +203,7 @@ class Solver:
             for move in moves:
                 succ = apply_move(comp, move)
                 delta = succ.offset
-                merged = self._cancel(rest + _keyed(succ))
+                merged = self._cancel(rest + keyed_components(succ))
                 mkey = (delta, tuple(k for k, _ in merged))
                 if mkey in seen_succ:
                     continue

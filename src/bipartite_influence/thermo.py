@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Game, audit_universe, ls, repeated, rs
+from .games import Game, add, audit_universe, ls, repeated, rs
 
 
 class PiecewiseLinear:
@@ -323,8 +323,6 @@ def sum_temperature_check(g: Game, h: Game) -> SumTemperatureReport:
     """Temperature of a sum never exceeds the hottest summand (with equality
     when the summands' temperatures differ), means add, and both scores of
     the sum stay within the hottest temperature of the total mean."""
-    from .games import add
-
     tg, th = thermograph(g), thermograph(h)
     total = add(g, h)
     tsum = thermograph(total)
@@ -344,22 +342,17 @@ def sum_temperature_check(g: Game, h: Game) -> SumTemperatureReport:
 # export
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _pl_to_json(f: PiecewiseLinear) -> list[dict]:
     return [
-        {"start": _frac_str(s), "value_at_start": _frac_str(a + b * s),
-         "slope": _frac_str(b)}
+        {"start": str(s), "value_at_start": str(a + b * s), "slope": str(b)}
         for s, a, b in f.pieces
     ]
 
 
 def thermograph_to_json(tg: Thermograph) -> dict:
     return {
-        "sigma": _frac_str(tg.sigma),
-        "mast": _frac_str(tg.mast),
+        "sigma": str(tg.sigma),
+        "mast": str(tg.mast),
         "ls_trajectory": _pl_to_json(tg.ls_trajectory),
         "rs_trajectory": _pl_to_json(tg.rs_trajectory),
     }
@@ -374,9 +367,9 @@ def thermograph_csv_rows(tg: Thermograph) -> list[tuple[str, str, str]]:
     )
     return [
         (
-            _frac_str(t),
-            _frac_str(tg.ls_trajectory.value(t)),
-            _frac_str(tg.rs_trajectory.value(t)),
+            str(t),
+            str(tg.ls_trajectory.value(t)),
+            str(tg.rs_trajectory.value(t)),
         )
         for t in cuts
     ]

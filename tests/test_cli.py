@@ -64,6 +64,9 @@ class TestSolve:
     def test_two_sources_is_an_input_error(self, capsys):
         rc, _, _ = run(capsys, "solve", "--segment", "3", "--grid", "2x2")
         assert rc == EXIT_INPUT
+        rc, out, err = run(capsys, "solve", "--segments", "2,2", "--grid", "2x2")
+        assert rc == EXIT_INPUT
+        assert out == "" and "exactly one" in err
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "solve", "--file", str(tmp_path / "no.json"))
@@ -159,6 +162,15 @@ class TestTable:
         assert rc == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and "preperiod" in err
+
+    @pytest.mark.parametrize("period", [("2", "-5"), ("0", "3")])
+    def test_bad_period_rejected_before_building(self, capsys, tmp_path, period):
+        cache = tmp_path / "cache"
+        rc, out, err = run(capsys, "table", "--max", "10", "--cache-dir", str(cache),
+                           "--check-period", *period)
+        assert rc == EXIT_INPUT
+        assert out == "" and err.startswith("error:")
+        assert not (cache / "segment-scores.json").exists()
 
     def test_max_zero_rejected(self, capsys):
         rc, out, err = run(capsys, "table", "--max", "0", "--no-cache")
@@ -383,6 +395,14 @@ class TestReduce:
         cnf.write_text("1 -2 0\n")
         rc, _, err = run(capsys, "reduce", "--cnf", str(cnf))
         assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["symmetry", "audit"])
+def test_segments_flag_only_on_solve_and_thermo(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--segments", "2,2"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--segments" in capsys.readouterr().err
 
 
 class TestAudit:

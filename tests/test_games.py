@@ -26,6 +26,7 @@ from bipartite_influence.games import (
     repeated,
     rs,
     simplify,
+    tree_of_sum,
 )
 from bipartite_influence.graphs import (
     BLACK,
@@ -33,6 +34,7 @@ from bipartite_influence.graphs import (
     GroundGraph,
     Position,
     build_segment,
+    disjoint_union,
 )
 
 from conftest import random_ground
@@ -123,6 +125,8 @@ class TestArithmetic:
         g = seg_tree(2)
         assert add_all([g, g, g]) is repeated(g, 3)
         assert add_all([]) is number(0)
+        assert add_all([g]) is g
+        assert add_all([number(3), g]) is add(g, number(3))
         with pytest.raises(ValueError):
             repeated(g, 0)
 
@@ -179,6 +183,15 @@ class TestFromPosition:
         for n in range(1, 9):
             pos = Position.make(build_segment(n))
             assert length(from_position(pos)) == longest_line(pos)
+
+    def test_sum_is_the_tree_of_the_union(self, rng):
+        # random pieces, most of them not paths, summed with their offsets
+        for _ in range(60):
+            pieces = [Position.make(random_ground(rng, max_n=5), offset=rng.randint(-2, 2))
+                      for _ in range(rng.randint(0, 3))]
+            offset = sum(p.offset for p in pieces)
+            board = Position.make(disjoint_union(pieces), offset=offset)
+            assert tree_of_sum(pieces) is from_position(board)
 
     def test_length_of_segment_5(self):
         # every line of play on the 5-segment ends by the second move

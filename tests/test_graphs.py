@@ -250,6 +250,24 @@ class TestSegmentRecognition:
         )
         assert segment_value(Position.make(cyc)) is None
 
+    def test_odd_path_sign_is_its_end_color(self, rng):
+        # induced paths of a grid, each read from a degree-one end
+        g = build_grid(4, 5)
+        for _ in range(400):
+            pos = Position.make(g, rng.getrandbits(g.n))
+            for comp in components(pos):
+                degrees = {v: (g.adj[v] & comp.alive).bit_count()
+                           for v in range(g.n) if comp.alive >> v & 1}
+                n = len(degrees)
+                ends = [v for v, d in degrees.items() if d == 1]
+                is_path = max(degrees.values()) <= 2 and len(ends) == 2
+                if not is_path:
+                    assert segment_value(comp) is None
+                elif n % 2 == 0:
+                    assert segment_value(comp) == n
+                else:
+                    assert segment_value(comp) == (n if g.colors[ends[0]] is BLACK else -n)
+
     def test_sub_path_of_grid(self):
         g = build_grid(2, 3)
         pos = Position.make(g, 0b000111)  # the top row

@@ -1,5 +1,5 @@
 """Each package module imports by itself in a fresh interpreter, and
-uses every name it imports.
+uses every name it imports; every function the benchmark traces exists.
 
 ``solver`` imports ``symmetry``, so ``symmetry`` imports ``Solver`` only
 inside ``certify_draw``: a module-level import would be a cycle.  A fresh
@@ -8,6 +8,7 @@ test session has already loaded.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -52,6 +53,25 @@ def test_module_uses_every_import(module):
     path = SRC / "bipartite_influence" / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's tracer wraps exists in the package.
+
+    A name the tracer cannot find turns its per-layer metrics into
+    ``missing`` without failing the benchmark run.
+    """
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    entries = ast.literal_eval(traced)
+    assert entries
+    for stat, module, cls, attr in entries:
+        owner = importlib.import_module(f"bipartite_influence.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        assert callable(getattr(owner, attr, None)), stat
 
 
 def test_unused_import_is_caught():

@@ -3,13 +3,18 @@
 import pytest
 
 from bipartite_influence.graphs import (
+    BLACK,
+    WHITE,
     Position,
     VertexColor,
     apply_move,
+    build_grid,
     build_segment,
     components,
+    disjoint_union,
     legal_moves,
     segment_value,
+    strip_isolated,
 )
 from bipartite_influence.segments import (
     CACHE_FORMAT,
@@ -25,7 +30,7 @@ from bipartite_influence.segments import (
     sum_bound_check,
     write_table_csv,
 )
-from bipartite_influence.games import from_position
+from bipartite_influence.games import add, add_all, from_position, node, number
 from bipartite_influence.solver import ScorePair
 
 # Exact scores of single segments, frozen after cross-checking the engine
@@ -341,10 +346,75 @@ class TestCache:
         assert json.loads(path.read_text())["format"] == CACHE_FORMAT
 
 
+def whole_position_tree(position: Position):
+    """Game tree expanded move by move on the whole alive set, with no
+    split into components: an independent reference for ``from_position``.
+    Hash-consing makes equal trees the same object."""
+    ground = position.ground
+    memo = {}
+
+    def tree(alive):
+        if alive not in memo:
+            base = Position(ground, alive, 0)
+            sides = [
+                [add(number(s.offset), tree(s.alive))
+                 for s in (apply_move(base, m) for m in legal_moves(base, color))]
+                for color in (BLACK, WHITE)
+            ]
+            memo[alive] = node(*sides) if alive else number(0)
+        return memo[alive]
+
+    position = strip_isolated(position)
+    return add(number(position.offset), tree(position.alive))
+
+
+# Sums of up to 16 vertices with banked +-1 parts, negative odd and even
+# parts, repeated parts and a part with its negative.
+UNION_SUMS = [
+    ((2, 3), 0),
+    ((1, -1, 5), 0),
+    ((-3, 4, 1), 2),
+    ((-5, -4, 2), -3),
+    ((3, 3, -3, 1), 1),
+    ((7, -6, 1, -1), -1),
+    ((2, 2, 2, 4, 6), 4),
+    ((5, -5, 6), 0),
+    ((-1, -1, 9, 5), 7),
+]
+
+
 class TestUnionTrees:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_interned_with_graph_expansion(self, n):
         assert segment_union_tree([n]) is from_position(Position.make(build_segment(n)))
+
+    @pytest.mark.parametrize("parts, offset", UNION_SUMS)
+    def test_sum_matches_the_union_board(self, parts, offset):
+        pieces = [Position.make(build_segment(p)) for p in parts]
+        banked = offset + sum(p.offset for p in pieces)
+        board = Position.make(disjoint_union(pieces), offset=banked)
+        assert board.vertex_count <= 16
+        tree = segment_union_tree(parts, offset)
+        assert tree is from_position(board)
+        assert tree is whole_position_tree(board)
+        singles = [from_position(Position.make(build_segment(p))) for p in parts]
+        assert tree is add_all([number(offset)] + singles)
+
+    # Induced paths in a 4x4 grid (vertex i * 4 + j, Black on even i + j):
+    # a staircase from the Black corner, one from a White vertex, an even
+    # one, and two separate paths.
+    @pytest.mark.parametrize("alive, parts", [
+        ((0, 1, 5, 6, 10, 11, 15), [7]),
+        ((1, 2, 6, 7, 11), [-5]),
+        ((0, 1, 5, 6, 10, 11), [6]),
+        ((0, 1, 2, 8, 9, 10, 11), [3, 4]),
+    ])
+    def test_path_inside_a_grid(self, alive, parts):
+        grid = build_grid(4, 4)
+        position = Position.make(grid, sum(1 << v for v in alive))
+        assert position.vertex_count == len(alive)
+        assert from_position(position) is segment_union_tree(parts)
+        assert from_position(position) is whole_position_tree(position)
 
     def test_offset_and_singles_absorbed(self):
         assert segment_union_tree([1, 1, 3], offset=-2) is segment_union_tree([3])
