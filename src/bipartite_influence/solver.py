@@ -2,11 +2,17 @@
 
 Left score Ls is the best final score (Left points minus Right points) when
 Left moves first and both players play perfectly; Rs is the same with Right
-moving first.  The solver runs a memoized minimax over sums of connected
-components.  Transposition keys bring path components to canonical form,
-and pairs of components cancel before lookup when a mirror certificate on
-their union (``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe
-(dicotic, free of zugzwang, as every position here) such a game is zero.
+moving first.  The solver runs MTD(f) over sums of connected components
+(Plaat, Schaeffer, Pijls and de Bruin, "Best-first fixed-depth minimax
+algorithms", AI 87, 1996): repeated zero-window, fail-soft alpha-beta passes
+that narrow a (lower, upper) bound pair until it is exact.  A memo keeps
+those bounds per position and mover across passes and queries.  Moves are
+tried in order of immediate gain, and each successor is built only when
+the search reaches it.  Transposition keys bring path components to
+canonical form, and pairs of components cancel before lookup when a mirror
+certificate on their union (``symmetry.find_bw``) gives Ls = Rs = 0: in
+Milnor's universe (dicotic, free of zugzwang, as every position here) such
+a game is zero.
 """
 
 from __future__ import annotations
@@ -47,25 +53,30 @@ class ScorePair:
 
 
 class TranspositionTable:
-    """Score store keyed by canonical component multisets.
+    """Score bounds keyed by canonical component multisets.
 
-    Entries are final once written; concurrent inserts of the same key are
-    idempotent, so the table can be shared freely.
+    An entry is ``[lower, upper]`` for Left to move followed by the same
+    pair for Right to move.  Each pair only narrows: a later search pass
+    raises a lower bound or lowers an upper bound, and a pair whose bounds
+    meet is the exact score.
     """
 
     def __init__(self):
-        self._data: dict[tuple, list] = {}
+        self._data: dict[tuple, list[int]] = {}
         self.hits = 0
         self.lookups = 0
 
-    def entry(self, key: tuple) -> list:
+    def get(self, key: tuple) -> list[int] | None:
         self.lookups += 1
         e = self._data.get(key)
-        if e is None:
-            e = [None, None]
-            self._data[key] = e
-        else:
+        if e is not None:
             self.hits += 1
+        return e
+
+    def new(self, key: tuple, n: int) -> list[int]:
+        """A fresh entry for a position of ``n`` alive vertices, whose
+        score lies in ``[-n, n]`` for either mover."""
+        e = self._data[key] = [-n, n, -n, n]
         return e
 
     def __len__(self) -> int:
@@ -138,7 +149,7 @@ def _negated_pair(a: Keyed, b: Keyed, cache: dict) -> bool:
 
 
 class Solver:
-    """Memoized exact minimax over sums of components."""
+    """Exact MTD(f) search over sums of components, with a bounds memo."""
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
         self.table = TranspositionTable()
@@ -160,10 +171,8 @@ class Solver:
             offset += part.offset
             comps.extend(keyed_components(part))
         comps = self._cancel(comps)
-        return ScorePair(
-            offset + self._score(comps, BLACK),
-            offset + self._score(comps, WHITE),
-        )
+        ls = self._score(comps, BLACK)
+        return ScorePair(offset + ls, offset + self._score(comps, WHITE, guess=ls))
 
     # -- internals ---------------------------------------------------------
 
@@ -179,44 +188,71 @@ class Solver:
                 out.append(c)
         return tuple(out)
 
-    def _score(self, comps: tuple[Keyed, ...], mover: VertexColor) -> int:
-        """Offset-free score of a canceled component multiset from ``_cancel``."""
+    def _score(self, comps: tuple[Keyed, ...], mover: VertexColor, guess: int = 0) -> int:
+        """Offset-free score of a canceled component multiset from ``_cancel``.
+
+        MTD(f): each pass asks whether the score reaches ``beta`` and turns
+        the fail-soft answer into a lower or an upper bound, starting from
+        ``guess``, until the bounds meet.
+        """
+        lo = -sum(c.vertex_count for _, c in comps)
+        hi = -lo
+        g = min(max(guess, lo), hi)
+        while lo < hi:
+            beta = g + 1 if g == lo else g
+            g = self._test(comps, mover, beta)
+            if g < beta:
+                hi = g
+            else:
+                lo = g
+        return lo
+
+    def _test(self, comps: tuple[Keyed, ...], mover: VertexColor, beta: int) -> int:
+        """Fail-soft zero-window search: a value ``v >= beta`` is a lower
+        bound on the score, a value ``v < beta`` an upper bound."""
         if not comps:
             return 0
         keys = tuple(k for k, _ in comps)
-        slot = 0 if mover is BLACK else 1
-        entry = self.table.entry(keys)
-        if entry[slot] is not None:
-            return entry[slot]
+        slot = 0 if mover is BLACK else 2
+        entry = self.table.get(keys)
+        if entry is not None:
+            if entry[slot] >= beta:
+                return entry[slot]
+            if entry[slot + 1] < beta:
+                return entry[slot + 1]
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise SearchBudgetError(self.node_budget)
-        best = None
-        seen_succ = set()
+        moves = []
         for idx, (key, comp) in enumerate(comps):
             if idx and key == keys[idx - 1]:
                 continue  # identical component, symmetric moves
-            rest = list(comps[:idx] + comps[idx + 1 :])
-            moves = legal_moves(comp, mover)
+            found = legal_moves(comp, mover)
             if self.prune:
-                moves = prune_dominated(moves)
-            for move in moves:
-                succ = apply_move(comp, move)
-                delta = succ.offset
-                merged = self._cancel(rest + keyed_components(succ))
-                mkey = (delta, tuple(k for k, _ in merged))
-                if mkey in seen_succ:
-                    continue
-                seen_succ.add(mkey)
-                val = delta + self._score(merged, mover.opponent)
-                if best is None:
-                    best = val
-                elif mover is BLACK:
-                    best = max(best, val)
-                else:
-                    best = min(best, val)
+                found = prune_dominated(found)
+            moves.extend((idx, m) for m in found)
+        left = mover is BLACK
+        moves.sort(key=lambda im: -im[1].gain if left else im[1].gain)
+        best = None
+        seen_succ = set()
+        for idx, move in moves:
+            succ = apply_move(comps[idx][1], move)
+            delta = succ.offset
+            merged = self._cancel(list(comps[:idx] + comps[idx + 1 :]) + keyed_components(succ))
+            mkey = (delta, tuple(k for k, _ in merged))
+            if mkey in seen_succ:
+                continue
+            seen_succ.add(mkey)
+            val = delta + self._test(merged, mover.opponent, beta - delta)
+            if best is None or (val > best if left else val < best):
+                best = val
+                if (best >= beta) == left:
+                    break  # Left reached beta, or Right held the score below it
         assert best is not None, "nonempty stripped position always has moves"
-        entry[slot] = best
+        if entry is None:
+            entry = self.table.new(keys, sum(c.vertex_count for _, c in comps))
+        # the stored bounds did not decide the test, so ``best`` narrows them
+        entry[slot if best >= beta else slot + 1] = best
         return best
 
 

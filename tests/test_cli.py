@@ -80,6 +80,12 @@ class TestSolve:
             assert rc == EXIT_BUDGET
             assert "budget" in err
 
+    def test_grid_3x12_fits_a_small_budget(self, capsys):
+        rc, out, _ = run(capsys, "solve", "--grid", "3x12", "--node-budget", "5000", "--json")
+        assert rc == EXIT_OK
+        data = json.loads(out)
+        assert (data["ls"], data["rs"]) == (4, -4)
+
     def test_bad_dims(self, capsys):
         rc, _, err = run(capsys, "solve", "--grid", "2by2")
         assert rc == EXIT_INPUT

@@ -9,11 +9,14 @@ from bipartite_influence.graphs import (
     WHITE,
     GroundGraph,
     Position,
+    build_cylinder,
     build_grid,
+    build_hypercube,
     build_segment,
     build_torus,
     canonical_key,
     components,
+    disjoint_union,
     legal_moves,
     segment_value,
 )
@@ -153,6 +156,66 @@ def _grow_piece(rng, g, size):
 # A balanced piece whose colour-swapped degree profile equals its own, so
 # only a full search can tell that two copies of it do not cancel.
 BALANCED_PIECE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3), (2, 1)]
+
+
+# Boards of the null-window property test, and the most alive vertices
+# per case: the reference solver's limit.
+PROPERTY_BOARDS = [build_grid(4, 6), build_grid(5, 5), build_grid(3, 9),
+                   build_torus(4, 6), build_cylinder(4, 6), build_hypercube(4)]
+PROPERTY_MAX_ALIVE = 22
+
+
+def _random_alive(rng, g, most):
+    """A random alive mask of 2 to ``most`` vertices of ``g``."""
+    return sum(1 << v for v in rng.sample(range(g.n), rng.randint(2, min(most, g.n))))
+
+
+def _property_cases(rng, count):
+    """``count`` pairs of (parts, reference (Ls, Rs)).  Two in three are one
+    random alive set; the rest are sums of two positions on random boards,
+    scored by the reference on their disjoint union plus their offsets."""
+    cases = []
+    for i in range(count):
+        g = rng.choice(PROPERTY_BOARDS)
+        if i % 3:
+            alive = _random_alive(rng, g, PROPERTY_MAX_ALIVE)
+            cases.append(([Position.make(g, alive)], raw_scores(g, alive)))
+            continue
+        a = Position.make(g, _random_alive(rng, g, PROPERTY_MAX_ALIVE // 2))
+        h = rng.choice(PROPERTY_BOARDS)
+        b = Position.make(h, _random_alive(rng, h, PROPERTY_MAX_ALIVE - a.vertex_count))
+        ls, rs = raw_scores(disjoint_union([a, b]))
+        offset = a.offset + b.offset
+        cases.append(([a, b], (ls + offset, rs + offset)))
+    return cases
+
+
+class TestNullWindowSearch:
+    """The MTD(f) search against the reference solver.  A shared solver
+    answers later queries from bounds that earlier queries stored under
+    other windows."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _property_cases(random.Random(6), 330)
+
+    def test_fresh_solver_matches_reference(self, cases):
+        for parts, want in cases:
+            pair = Solver().score_of_sum(parts)
+            assert (pair.ls, pair.rs) == want, parts
+
+    def test_shared_solver_matches_reference(self, cases):
+        shared = Solver()
+        for parts, want in cases:
+            pair = shared.score_of_sum(parts)
+            assert (pair.ls, pair.rs) == want, parts
+
+    def test_grid_3x12_search_stays_small(self):
+        # a guard on the node count of the search, not on its time
+        solver = Solver()
+        pair = solver.scores(Position.make(build_grid(3, 12)))
+        assert (pair.ls, pair.rs) == (4, -4)
+        assert solver.nodes < 3000
 
 
 class TestCancellation:
