@@ -41,8 +41,6 @@ from .games import (
     equivalent,
     format_game,
     from_position,
-    leaf_values,
-    length,
     ls,
     negate,
     node,

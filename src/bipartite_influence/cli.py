@@ -13,7 +13,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .games import Game, add, equivalent, format_game, number, parse_game, simplify
+from .games import (
+    Game,
+    add,
+    audit_universe,
+    equivalent,
+    format_game,
+    number,
+    parse_game,
+    simplify,
+)
 from .graphs import (
     GroundGraph,
     Position,
@@ -219,6 +228,9 @@ def game_from_args(args) -> Game:
 
 def cmd_thermo(args, settings) -> int:
     g = game_from_args(args)
+    bad = audit_universe(g)
+    if bad:
+        raise ValueError(f"cannot cool a game outside the universe: {bad}")
     if not args.raw:
         g = simplify(g)
     tg = thermograph(g)

@@ -102,21 +102,6 @@ def rs(g: Game) -> Fraction:
     return g._rs
 
 
-_length_cache: dict[int, int] = {}
-
-
-def length(g: Game) -> int:
-    """Number of moves in the longest line of play."""
-    hit = _length_cache.get(g.uid)
-    if hit is not None:
-        return hit
-    val = 0 if g.is_number else 1 + max(
-        length(o) for o in g.left + g.right
-    )
-    _length_cache[g.uid] = val
-    return val
-
-
 # ---------------------------------------------------------------------------
 # algebra
 
@@ -206,22 +191,79 @@ def audit_universe(g: Game) -> str | None:
 def equivalent(g: Game, h: Game, audit: bool = True) -> bool:
     """Whether the two games are interchangeable in any sum.
 
-    Tests Ls = Rs = 0 on their difference, which characterizes equality in
-    the zugzwang-free dicotic universe.  The universe audit can be waived
-    when inputs are known good.
+    Tests ``g >= h`` and ``h >= g``, which inside the zugzwang-free dicotic
+    universe is Ls = Rs = 0 on their difference.  The universe audit can be
+    waived when inputs are known good.
     """
     if audit:
         for side in (g, h):
             bad = audit_universe(side)
             if bad:
                 raise ValueError(f"input outside the universe: {bad}")
-    diff = add(g, negate(h))
-    return ls(diff) == 0 and rs(diff) == 0
+    return _rs_diff_nonneg(g, h) and _rs_diff_nonneg(h, g)
 
 
 def dominates(g: Game, h: Game) -> bool:
-    """Whether ``g >= h`` as games (Right cannot profit from the swap)."""
-    return rs(add(g, negate(h))) >= 0
+    """Whether ``g >= h`` as games: Rs(g - h) >= 0, so Right cannot profit
+    from the swap.  Decided without building ``g - h``."""
+    return _rs_diff_nonneg(g, h)
+
+
+# Milnor's comparison as a mutual recursion on the options of g - h, whose
+# Left options are gL - h and g - hR and whose Right options are gR - h and
+# g - hL.  A number shifts every leaf of the other side, so a comparison
+# against a number reads one cached score.  This is the hot path of
+# simplify: plain loops rather than any()/all() over generators halve its
+# time and stack depth, and ``value is not None`` skips the property call.
+
+_rs_nonneg_cache: dict[tuple[int, int], bool] = {}
+_ls_nonneg_cache: dict[tuple[int, int], bool] = {}
+
+
+def _rs_diff_nonneg(g: Game, h: Game) -> bool:
+    """Rs(g - h) >= 0: every Right move in g - h leaves Ls >= 0."""
+    if h.value is not None:
+        return rs(g) >= h.value
+    if g.value is not None:
+        return g.value >= ls(h)
+    key = (g.uid, h.uid)
+    hit = _rs_nonneg_cache.get(key)
+    if hit is None:
+        hit = True
+        for o in g.right:
+            if not _ls_diff_nonneg(o, h):
+                hit = False
+                break
+        else:
+            for o in h.left:
+                if not _ls_diff_nonneg(g, o):
+                    hit = False
+                    break
+        _rs_nonneg_cache[key] = hit
+    return hit
+
+
+def _ls_diff_nonneg(g: Game, h: Game) -> bool:
+    """Ls(g - h) >= 0: some Left move in g - h leaves Rs >= 0."""
+    if h.value is not None:
+        return ls(g) >= h.value
+    if g.value is not None:
+        return g.value >= rs(h)
+    key = (g.uid, h.uid)
+    hit = _ls_nonneg_cache.get(key)
+    if hit is None:
+        hit = False
+        for o in g.left:
+            if _rs_diff_nonneg(o, h):
+                hit = True
+                break
+        else:
+            for o in h.right:
+                if _rs_diff_nonneg(g, o):
+                    hit = True
+                    break
+        _ls_nonneg_cache[key] = hit
+    return hit
 
 
 _simplify_cache: dict[int, Game] = {}
@@ -232,6 +274,8 @@ def simplify(g: Game) -> Game:
 
     A Left option is dropped when a sibling dominates it; a Right option is
     dropped when it dominates a sibling.  Ties keep one representative.
+    Valid only inside the universe: a zugzwang subtree may be dropped, and
+    then the result is not equal to ``g``, so audit the input first.
     """
     hit = _simplify_cache.get(g.uid)
     if hit is not None:
@@ -326,25 +370,6 @@ def _tree(comps: tuple[Keyed, ...]) -> Game:
                     bucket.append(add(number(succ.offset), _tree(tuple(merged))))
         out = node(lefts, rights)
     _tree_cache[keys] = out
-    return out
-
-
-def leaf_values(g: Game) -> set[Fraction]:
-    """The set of final scores appearing in the tree."""
-    seen: set[int] = set()
-    out: set[Fraction] = set()
-
-    def visit(sub: Game):
-        if sub.uid in seen:
-            return
-        seen.add(sub.uid)
-        if sub.is_number:
-            out.add(sub.value)
-        else:
-            for o in sub.left + sub.right:
-                visit(o)
-
-    visit(g)
     return out
 
 

@@ -1,4 +1,6 @@
-"""Shared helpers: an independent reference solver and random graphs.
+"""Shared helpers: an independent reference solver, random graphs, and
+game-tree references (play length, leaf scores, and comparisons read off
+the built difference ``g - h``).
 
 The reference solver implements the game rules in their rawest form: a
 move removes the played vertex and its alive neighbors, nothing else, and
@@ -12,9 +14,11 @@ between the two is meaningful.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from bipartite_influence.games import Game, add, ls, negate, rs
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
@@ -95,6 +99,47 @@ def twin_classes(position: Position) -> list[list[int]]:
         key = (g.colors[v].value, g.adj[v] & position.alive)
         groups.setdefault(key, []).append(v)
     return sorted(groups.values())
+
+
+def length(g: Game, memo: dict[int, int] | None = None) -> int:
+    """Number of moves in the longest line of play."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(g.uid)
+    if hit is None:
+        hit = 0 if g.is_number else 1 + max(length(o, memo) for o in g.left + g.right)
+        memo[g.uid] = hit
+    return hit
+
+
+def leaf_values(g: Game) -> set[Fraction]:
+    """The set of final scores appearing in the tree."""
+    seen: set[int] = set()
+    out: set[Fraction] = set()
+
+    def visit(sub: Game):
+        if sub.uid in seen:
+            return
+        seen.add(sub.uid)
+        if sub.is_number:
+            out.add(sub.value)
+        else:
+            for o in sub.left + sub.right:
+                visit(o)
+
+    visit(g)
+    return out
+
+
+def ref_dominates(g: Game, h: Game) -> bool:
+    """``g >= h`` read off the built difference: Rs(g - h) >= 0."""
+    return rs(add(g, negate(h))) >= 0
+
+
+def ref_equivalent(g: Game, h: Game) -> bool:
+    """Equality in the universe read off the built difference: Ls = Rs = 0."""
+    diff = add(g, negate(h))
+    return ls(diff) == 0 and rs(diff) == 0
 
 
 @pytest.fixture

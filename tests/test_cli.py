@@ -256,6 +256,16 @@ class TestThermo:
         assert rc == EXIT_INPUT
         assert "universe" in err or "zugzwang" in err
 
+    @pytest.mark.parametrize("raw", [[], ["--raw"]], ids=["simplified", "raw"])
+    def test_zugzwang_subtree_rejected(self, capsys, raw):
+        # simplify would drop the zugzwang option <0|1>, so the audit
+        # must see the game as parsed
+        rc, out, err = run(capsys, "thermo", *raw, "--game", "<<0|1>,5|-5>")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "<0|1>" in err
+
     def test_source_required(self, capsys):
         rc, _, _ = run(capsys, "thermo")
         assert rc == EXIT_INPUT
@@ -267,9 +277,9 @@ class TestThermo:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-def nested_game(depth):
-    """``<<..<0|0>..|0>|0>``: a game ``depth`` levels deep, all scores 0."""
-    return "<" * depth + "0" + "|0>" * depth
+def nested_game(depth, leaf=0):
+    """``<<..<leaf|0>..|0>|0>``: a game ``depth`` levels deep."""
+    return "<" * depth + str(leaf) + "|0>" * depth
 
 
 class TestDeepGames:
@@ -284,6 +294,12 @@ class TestDeepGames:
         assert rc == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_compare_two_deepest_games(self, capsys):
+        rc, out, err = run(capsys, "equiv", "--game-a", nested_game(100),
+                           "--game-b", nested_game(100, leaf=1), "--json")
+        assert (rc, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"equivalent": True}
 
 
 class TestEquiv:

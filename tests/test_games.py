@@ -1,7 +1,12 @@
 """Abstract game trees: construction, arithmetic, equivalence, simplify."""
 
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +21,6 @@ from bipartite_influence.games import (
     equivalent,
     format_game,
     from_position,
-    leaf_values,
-    length,
     ls,
     negate,
     node,
@@ -36,8 +39,9 @@ from bipartite_influence.graphs import (
     build_segment,
     disjoint_union,
 )
+from bipartite_influence.segments import segment_union_tree
 
-from conftest import random_ground
+from conftest import leaf_values, length, random_ground, ref_dominates, ref_equivalent
 
 
 def house_graph():
@@ -254,6 +258,114 @@ class TestSimplify:
 
     def test_numbers_survive(self):
         assert simplify(number(7)) is number(7)
+
+
+def subgames(g: Game, out: dict[int, Game]) -> dict[int, Game]:
+    """Every distinct subtree of ``g``, by uid."""
+    if g.uid not in out:
+        out[g.uid] = g
+        for o in g.left + g.right:
+            subgames(o, out)
+    return out
+
+
+class TestComparisonOracle:
+    """``dominates`` and ``equivalent`` against the difference-building
+    references in conftest."""
+
+    @staticmethod
+    def verdicts(g: Game, h: Game) -> list[bool]:
+        got = [dominates(g, h), dominates(h, g), equivalent(g, h)]
+        assert got == [ref_dominates(g, h), ref_dominates(h, g), ref_equivalent(g, h)]
+        return got
+
+    def test_subtrees_of_segment_trees(self):
+        subs: dict[int, Game] = {}
+        for n in range(1, 10):
+            subgames(segment_union_tree([n]), subs)
+        games = list(subs.values())
+        seen = set()
+        for i, g in enumerate(games):
+            for h in games[i:]:
+                seen.add(tuple(self.verdicts(g, h)))
+        assert len(seen) == 4  # each strict order, ties and incomparables
+
+    def test_sums_with_rational_offsets(self):
+        rng = random.Random(7)
+
+        def sample() -> Game:
+            parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+            offset = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
+            return add(number(offset), segment_union_tree(parts))
+
+        equal = 0
+        for _ in range(100):
+            g, h = sample(), sample()
+            self.verdicts(g, h)
+            equal += self.verdicts(g, simplify(g))[2]
+        assert equal == 100
+
+    def test_numbers_against_nodes(self):
+        rng = random.Random(8)
+        nodes = [g for n in range(1, 8)
+                 for g in subgames(segment_union_tree([n]), {}).values()
+                 if not g.is_number]
+        for _ in range(300):
+            x = number(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4))))
+            self.verdicts(x, rng.choice(nodes))
+            self.verdicts(x, number(Fraction(rng.randint(-6, 6), 2)))
+
+    def test_parsed_switches(self):
+        rng = random.Random(9)
+
+        def switch(depth: int) -> str:
+            if depth == 0 or rng.random() < 0.3:
+                return str(Fraction(rng.randint(-8, 8), rng.choice((1, 2))))
+            return f"<{switch(depth - 1)}|{switch(depth - 1)}>"
+
+        games = []
+        while len(games) < 60:
+            g = parse_game(switch(3))
+            if audit_universe(g) is None:
+                games.append(g)
+        for g in games:
+            for h in games:
+                self.verdicts(g, h)
+
+
+def _interned_growth(code: str) -> int:
+    """Games ``code`` adds to the intern table in a fresh interpreter,
+    after the setup lines above its last line."""
+    *setup, measured = [line.strip() for line in code.strip().splitlines()]
+    script = "\n".join([
+        "from bipartite_influence import games",
+        "from bipartite_influence.segments import segment_union_tree",
+        *setup,
+        "before = len(games._intern)",
+        measured,
+        "print(len(games._intern) - before)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+class TestComparisonBuildsNothing:
+    def test_simplify_segment_21_interns_few_games(self):
+        grown = _interned_growth("""
+            tree = segment_union_tree([21])
+            games.simplify(tree)
+        """)
+        assert grown < 1000
+
+    def test_comparisons_intern_nothing(self):
+        grown = _interned_growth("""
+            a, b = segment_union_tree([9]), segment_union_tree([4, 5])
+            [games.dominates(a, b), games.dominates(b, a), games.equivalent(a, b)]
+        """)
+        assert grown == 0
 
 
 class TestNotation:
