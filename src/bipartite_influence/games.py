@@ -16,11 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import BLACK, WHITE, Position, apply_move, legal_moves, strip_isolated
-from .solver import Keyed, keyed_components
+from .solver import keyed_components
 
 
 class ExpansionLimitError(RuntimeError):
@@ -309,7 +308,7 @@ def _undominated(options: list[Game], better) -> list[Game]:
 
 DEFAULT_EXPANSION_LIMIT = 16
 
-_tree_cache: dict[tuple[tuple, ...], Game] = {}
+_tree_cache: dict[tuple, Game] = {}
 
 
 def from_position(position: Position, limit: int = DEFAULT_EXPANSION_LIMIT) -> Game:
@@ -331,46 +330,33 @@ def tree_of_sum(parts: Iterable[Position]) -> Game:
     """The full game tree of a sum of stripped positions (as
     :meth:`Position.make` builds them), with no expansion limit.
 
-    Adding a zero offset would only walk the tree to rebuild it, so a sum
-    with no banked points returns the tree as it is.
+    The tree of a disjoint union is the sum of its components' trees.
+    Banked points go in last, so that sums of the same components share
+    their ``add`` entries; a zero offset would only walk the tree to
+    rebuild it.
     """
     offset = 0
-    comps: list[Keyed] = []
+    trees: list[Game] = []
     for part in parts:
         offset += part.offset
-        comps.extend(keyed_components(part))
-    comps.sort(key=itemgetter(0))
-    tree = _tree(tuple(comps))
-    return add(number(offset), tree) if offset else tree
+        trees.extend(_tree(key, comp) for key, comp in keyed_components(part))
+    tree = add_all(trees)
+    return add(tree, number(offset)) if offset else tree
 
 
-def _tree(comps: tuple[Keyed, ...]) -> Game:
-    """Offset-free game tree of a sum of keyed components sorted by key.
+def _tree(key: tuple, comp: Position) -> Game:
+    """Offset-free game tree of one connected component.
 
     Equal keys mean isomorphic components, hence equal trees, so trees are
-    cached by the keys alone and path components share trees across boards.
+    cached by key and path components share trees across boards.
     """
-    keys = tuple(k for k, _ in comps)
-    hit = _tree_cache.get(keys)
-    if hit is not None:
-        return hit
-    if not comps:
-        out = number(0)
-    else:
-        lefts: list[Game] = []
-        rights: list[Game] = []
-        for idx, (key, comp) in enumerate(comps):
-            if idx and key == keys[idx - 1]:
-                continue  # identical component, identical options
-            rest = list(comps[:idx] + comps[idx + 1 :])
-            for color, bucket in ((BLACK, lefts), (WHITE, rights)):
-                for move in legal_moves(comp, color):
-                    succ = apply_move(comp, move)
-                    merged = sorted(rest + keyed_components(succ), key=itemgetter(0))
-                    bucket.append(add(number(succ.offset), _tree(tuple(merged))))
-        out = node(lefts, rights)
-    _tree_cache[keys] = out
-    return out
+    hit = _tree_cache.get(key)
+    if hit is None:
+        lefts, rights = (
+            [tree_of_sum([apply_move(comp, m)]) for m in legal_moves(comp, color)]
+            for color in (BLACK, WHITE))
+        hit = _tree_cache[key] = node(lefts, rights)
+    return hit
 
 
 # ---------------------------------------------------------------------------

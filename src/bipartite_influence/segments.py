@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -295,6 +296,16 @@ class SegmentEngine:
             raise ValueError(f"malformed cache entries: {exc}") from exc
         if not all(type(value) is int for value in entries.values()):
             raise ValueError("malformed cache entries: non-integer score")
+        # A ``_reduce`` key has integer parts of two or more vertices, so its
+        # vertex count, which bounds its score, is at least twice its length.
+        if not {int}.issuperset(map(type, chain.from_iterable(entries))):
+            raise ValueError("malformed cache entries: non-integer part")
+        if min(map(abs, set(chain.from_iterable(entries))), default=2) < 2:
+            raise ValueError("malformed cache entries: a part of size zero or one")
+        for key, value in entries.items():
+            if abs(value) > 2 * len(key) and abs(value) > sum(map(abs, key)):
+                raise ValueError(
+                    f"malformed cache entries: {list(key)} cannot score {value}")
         loaded = len(entries)
         entries.update(self.memo)  # merge without overwriting
         self.memo = entries

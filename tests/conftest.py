@@ -1,6 +1,6 @@
 """Shared helpers: an independent reference solver, random graphs, and
-game-tree references (play length, leaf scores, and comparisons read off
-the built difference ``g - h``).
+game-tree references (play length, leaf scores, trees expanded on whole
+positions, and comparisons read off the built difference ``g - h``).
 
 The reference solver implements the game rules in their rawest form: a
 move removes the played vertex and its alive neighbors, nothing else, and
@@ -18,13 +18,16 @@ from fractions import Fraction
 
 import pytest
 
-from bipartite_influence.games import Game, add, ls, negate, rs
+from bipartite_influence.games import Game, add, ls, negate, node, number, rs
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
     GroundGraph,
     Position,
     _bits,
+    apply_move,
+    legal_moves,
+    strip_isolated,
 )
 
 
@@ -129,6 +132,29 @@ def leaf_values(g: Game) -> set[Fraction]:
 
     visit(g)
     return out
+
+
+def whole_position_tree(position: Position):
+    """Game tree expanded move by move on the whole alive set, with no
+    split into components and no sum of component trees: an independent
+    reference for ``from_position`` and ``tree_of_sum``.
+    Hash-consing makes equal trees the same object."""
+    ground = position.ground
+    memo = {}
+
+    def tree(alive):
+        if alive not in memo:
+            base = Position(ground, alive, 0)
+            sides = [
+                [add(number(s.offset), tree(s.alive))
+                 for s in (apply_move(base, m) for m in legal_moves(base, color))]
+                for color in (BLACK, WHITE)
+            ]
+            memo[alive] = node(*sides) if alive else number(0)
+        return memo[alive]
+
+    position = strip_isolated(position)
+    return add(number(position.offset), tree(position.alive))
 
 
 def ref_dominates(g: Game, h: Game) -> bool:

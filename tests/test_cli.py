@@ -15,6 +15,8 @@ from bipartite_influence.cli import (
     parse_segment_list,
 )
 
+from conftest import FROZEN_TABLE_120
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -199,7 +201,10 @@ class TestTable:
         '"rewrite": true, "entries": [[[5], "x"]]}',
         '{"format": "bipartite-influence-segment-cache", "version": 1, '
         '"rewrite": true, "entries": 7}',
-    ], ids=["garbage", "format", "rewrite", "score", "entries"])
+        # S_5 has five vertices, so no score of it reaches 99
+        '{"format": "bipartite-influence-segment-cache", "version": 1, '
+        '"rewrite": true, "entries": [[[5], 99]]}',
+    ], ids=["garbage", "format", "rewrite", "score", "entries", "impossible"])
     def test_bad_cache_is_rebuilt(self, capsys, tmp_path, content):
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -209,13 +214,17 @@ class TestTable:
                            "--cache-dir", str(cache))
         assert rc == EXIT_OK
         assert err.count("\n") == 1 and "ignoring segment cache" in err
-        _, fresh, _ = run(capsys, "table", "--max", "12", "--no-cache")
-        assert out == fresh
-        # the rebuilt file is a valid cache, loaded quietly next time
-        assert json.loads(cache_file.read_text())["rewrite"] is True
+        assert out.splitlines()[1:] == [f"{n},{ls},{rs}"
+                                        for n, ls, rs in FROZEN_TABLE_120[:12]]
+        # the rebuilt file is the one a run without a cache writes, and is
+        # loaded quietly next time
+        clean = tmp_path / "clean"
+        assert main(["table", "--max", "12", "--cache-dir", str(clean)]) == EXIT_OK
+        capsys.readouterr()
+        assert cache_file.read_text() == (clean / "segment-scores.json").read_text()
         rc, again, err = run(capsys, "table", "--max", "12",
                              "--cache-dir", str(cache))
-        assert (rc, again, err) == (EXIT_OK, fresh, "")
+        assert (rc, again, err) == (EXIT_OK, out, "")
 
 
 class TestThermo:

@@ -36,12 +36,23 @@ from bipartite_influence.graphs import (
     WHITE,
     GroundGraph,
     Position,
+    apply_move,
+    build_grid,
     build_segment,
+    canonical_key,
     disjoint_union,
+    legal_moves,
 )
 from bipartite_influence.segments import segment_union_tree
 
-from conftest import leaf_values, length, random_ground, ref_dominates, ref_equivalent
+from conftest import (
+    leaf_values,
+    length,
+    random_ground,
+    ref_dominates,
+    ref_equivalent,
+    whole_position_tree,
+)
 
 
 def house_graph():
@@ -64,8 +75,6 @@ def leaf_multiset(g: Game) -> Counter:
 
 def longest_line(position: Position) -> int:
     """Independent play-length oracle, straight off the move rules."""
-    from bipartite_influence.graphs import apply_move, legal_moves
-
     best = 0
     for color in (BLACK, WHITE):
         for move in legal_moves(position, color):
@@ -196,6 +205,26 @@ class TestFromPosition:
             offset = sum(p.offset for p in pieces)
             board = Position.make(disjoint_union(pieces), offset=offset)
             assert tree_of_sum(pieces) is from_position(board)
+            assert tree_of_sum(pieces) is whole_position_tree(board)
+
+    def test_each_component_expanded_once(self, monkeypatch):
+        import bipartite_influence.games as games_module
+
+        expanded = []
+
+        def recording_legal_moves(position, color):
+            expanded.append((canonical_key(position), color))
+            return legal_moves(position, color)
+
+        monkeypatch.setattr(games_module, "legal_moves", recording_legal_moves)
+        monkeypatch.setattr(games_module, "_tree_cache", {})
+        segment_union_tree([7, 9, 11])
+        segment_union_tree([5, 5, -9])
+        # a 4-cycle, a four-vertex path and an edge in a 4x4 grid
+        alive = sum(1 << v for v in (0, 1, 4, 5, 3, 7, 11, 15, 12, 13))
+        from_position(Position.make(build_grid(4, 4), alive))
+        assert expanded
+        assert max(Counter(expanded).values()) == 1
 
     def test_length_of_segment_5(self):
         # every line of play on the 5-segment ends by the second move

@@ -1,5 +1,6 @@
 """Each package module imports by itself in a fresh interpreter, and
-uses every name it imports; every function the benchmark traces exists.
+uses every name it imports; every function the benchmark traces, and
+every attribute it counts, exists.
 
 ``solver`` imports ``symmetry``, so ``symmetry`` imports ``Solver`` only
 inside ``certify_draw``: a module-level import would be a cycle.  A fresh
@@ -72,6 +73,26 @@ def test_traced_names_resolve():
         if cls is not None:
             owner = getattr(owner, cls, None)
         assert callable(getattr(owner, attr, None)), stat
+
+
+def test_counted_attributes_exist():
+    """Every package attribute the benchmark's ``layer_metrics`` reads exists.
+
+    A missing one drops its per-layer metric into ``missing`` without
+    failing the benchmark run, as renaming ``games._add_cache`` would drop
+    ``games.add_cache_entries``.
+    """
+    from bipartite_influence import games
+    from bipartite_influence.segments import SegmentEngine
+    from bipartite_influence.solver import Solver
+
+    assert isinstance(games._intern, dict)
+    assert isinstance(games._add_cache, dict)
+    solver = Solver()
+    assert (solver.nodes, len(solver.table), solver.table.hits,
+            solver.table.lookups) == (0, 0, 0, 0)
+    engine = SegmentEngine()
+    assert (engine.nodes, engine.memo) == (0, {})
 
 
 def test_unused_import_is_caught():

@@ -3,8 +3,6 @@
 import pytest
 
 from bipartite_influence.graphs import (
-    BLACK,
-    WHITE,
     Position,
     VertexColor,
     apply_move,
@@ -14,7 +12,6 @@ from bipartite_influence.graphs import (
     disjoint_union,
     legal_moves,
     segment_value,
-    strip_isolated,
 )
 from bipartite_influence.segments import (
     CACHE_FORMAT,
@@ -30,8 +27,10 @@ from bipartite_influence.segments import (
     sum_bound_check,
     write_table_csv,
 )
-from bipartite_influence.games import add, add_all, from_position, node, number
+from bipartite_influence.games import add_all, from_position, number
 from bipartite_influence.solver import ScorePair
+
+from conftest import whole_position_tree
 
 # Exact scores of single segments, frozen after cross-checking the engine
 # against the generic graph solver and the rewrite-free engine.
@@ -327,14 +326,18 @@ class TestCache:
         import json
 
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps({
-            "format": CACHE_FORMAT, "version": 1, "rewrite": True,
-            "entries": [[[2, 4], 2], [[5], "x"]],
-        }))
-        eng = SegmentEngine()
-        with pytest.raises(ValueError, match="malformed"):
-            eng.load(path)
-        assert eng.memo == {}
+        # a non-integer score, scores beyond the key's vertex count, and keys
+        # no ``_reduce`` makes: a zero part, a single vertex, a float part
+        for bad in ([[5], "x"], [[5], 99], [[3, 4], -8], [[0, 4], 1],
+                    [[1, 4], 1], [[2.0], 0]):
+            path.write_text(json.dumps({
+                "format": CACHE_FORMAT, "version": 1, "rewrite": True,
+                "entries": [[[2, 4], 2], [[5], 5], bad],
+            }))
+            eng = SegmentEngine()
+            with pytest.raises(ValueError, match="malformed"):
+                eng.load(path)
+            assert eng.memo == {}
 
     def test_format_constant_in_payload(self, tmp_path):
         warm = SegmentEngine()
@@ -344,28 +347,6 @@ class TestCache:
         import json
 
         assert json.loads(path.read_text())["format"] == CACHE_FORMAT
-
-
-def whole_position_tree(position: Position):
-    """Game tree expanded move by move on the whole alive set, with no
-    split into components: an independent reference for ``from_position``.
-    Hash-consing makes equal trees the same object."""
-    ground = position.ground
-    memo = {}
-
-    def tree(alive):
-        if alive not in memo:
-            base = Position(ground, alive, 0)
-            sides = [
-                [add(number(s.offset), tree(s.alive))
-                 for s in (apply_move(base, m) for m in legal_moves(base, color))]
-                for color in (BLACK, WHITE)
-            ]
-            memo[alive] = node(*sides) if alive else number(0)
-        return memo[alive]
-
-    position = strip_isolated(position)
-    return add(number(position.offset), tree(position.alive))
 
 
 # Sums of up to 16 vertices with banked +-1 parts, negative odd and even
