@@ -82,10 +82,12 @@ def load_config(path: str | None) -> dict:
 
 
 def _int_setting(flag, settings: dict, key: str, default: int) -> int:
-    """A flag value, else the config value, else the default; 0 is a value."""
-    if flag is not None:
-        return flag
-    return int(settings.get(key) or default)
+    """A flag value, else the config value, else the default; 0 is a value
+    and a negative one is bad input."""
+    value = flag if flag is not None else int(settings.get(key) or default)
+    if value < 0:
+        raise ValueError(f"{key} must be at least 0, got {value}")
+    return value
 
 
 def default_cache_dir() -> Path:
@@ -278,6 +280,8 @@ def cmd_equiv(args, settings) -> int:
 
 
 def cmd_symmetry(args, settings) -> int:
+    if args.solve_limit < 0:
+        raise ValueError(f"--solve-limit must be at least 0, got {args.solve_limit}")
     g = graph_from_args(args)
     budget = _int_setting(args.budget, settings, "search_budget", DEFAULT_SEARCH_BUDGET)
     report = certify_draw(g, budget=budget,

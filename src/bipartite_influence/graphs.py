@@ -75,10 +75,7 @@ class GroundGraph:
         name: str = "",
     ):
         n = len(colors)
-        if n > MAX_VERTICES:
-            raise ValueError(
-                f"graph has {n} vertices, capacity is {MAX_VERTICES}"
-            )
+        _check_capacity(n)
         self.name = name
         self.n = n
         self.colors = colors = tuple(colors)
@@ -191,39 +188,47 @@ def load_graph(path) -> GroundGraph:
 # builders
 
 
+def _check_capacity(n: int) -> None:
+    """Reject a graph of ``n`` vertices, before a builder makes any edge."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph has {n} vertices, capacity is {MAX_VERTICES}")
+
+
 def build_segment(n: int) -> GroundGraph:
     """Path on ``|n|`` vertices; the first vertex is Black iff ``n > 0``."""
     if n == 0:
         raise ValueError("segment length must be nonzero")
     length = abs(n)
+    _check_capacity(length)
     first = BLACK if n > 0 else WHITE
     colors = ([first, first.opponent] * length)[:length]
     edges = [(i, i + 1) for i in range(length - 1)]
     return GroundGraph(colors, edges, name=f"S_{n}")
 
 
-def _grid_colors(rows: int, cols: int) -> list[VertexColor]:
-    # vertex (i, j) -> index i * cols + j; Black on even i + j
-    return [
-        BLACK if (i + j) % 2 == 0 else WHITE
-        for i in range(rows)
-        for j in range(cols)
-    ]
+def _lattice(rows: int, cols: int, wrap_rows: bool, wrap_cols: bool,
+             name: str) -> GroundGraph:
+    """Grid with vertex (i, j) at ``i * cols + j``, Black on even ``i + j``;
+    a wrapped dimension also joins its last index to its first."""
+    _check_capacity(rows * cols)
+    colors = [BLACK if (i + j) % 2 == 0 else WHITE
+              for i in range(rows) for j in range(cols)]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if wrap_cols or j + 1 < cols:
+                edges.append((v, i * cols + (j + 1) % cols))
+            if wrap_rows or i + 1 < rows:
+                edges.append((v, ((i + 1) % rows) * cols + j))
+    return GroundGraph(colors, edges, name=name)
 
 
 def build_grid(rows: int, cols: int) -> GroundGraph:
     """Grid graph with checkerboard coloring, Black in the corner (0, 0)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be at least 1")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    return GroundGraph(_grid_colors(rows, cols), edges, name=f"G_{rows}x{cols}")
+    return _lattice(rows, cols, False, False, f"G_{rows}x{cols}")
 
 
 def build_cylinder(rows: int, cols: int) -> GroundGraph:
@@ -234,35 +239,22 @@ def build_cylinder(rows: int, cols: int) -> GroundGraph:
         raise ValueError("cylinder needs an even number of rows, at least 4")
     if cols < 1:
         raise ValueError("cylinder needs at least one column")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            edges.append((v, ((i + 1) % rows) * cols + j))
-    return GroundGraph(_grid_colors(rows, cols), edges, name=f"C_{rows}x{cols}")
+    return _lattice(rows, cols, True, False, f"C_{rows}x{cols}")
 
 
 def build_torus(rows: int, cols: int) -> GroundGraph:
     """Grid wrapping in both directions; both dimensions even and >= 4."""
     if rows % 2 != 0 or cols % 2 != 0 or rows < 4 or cols < 4:
         raise ValueError("torus needs even dimensions, both at least 4")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            edges.append((v, i * cols + (j + 1) % cols))
-            edges.append((v, ((i + 1) % rows) * cols + j))
-    return GroundGraph(_grid_colors(rows, cols), edges, name=f"T_{rows}x{cols}")
+    return _lattice(rows, cols, True, True, f"T_{rows}x{cols}")
 
 
 def build_hypercube(dim: int) -> GroundGraph:
     """Hypercube of dimension ``dim``; labels with odd bit parity are Black."""
     if dim < 1:
         raise ValueError("hypercube dimension must be at least 1")
-    if dim > 20:
-        raise ValueError("hypercube dimension above 20 is rejected outright")
+    if dim >= MAX_VERTICES.bit_length():  # 1 << dim > MAX_VERTICES, without 1 << dim
+        raise ValueError(f"graph has 2**{dim} vertices, capacity is {MAX_VERTICES}")
     n = 1 << dim
     colors = [BLACK if i.bit_count() % 2 == 1 else WHITE for i in range(n)]
     edges = []

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .games import Game, add, audit_universe, ls, repeated, rs
+from .games import Game, add, format_game, ls, repeated, rs
 
 
 class PiecewiseLinear:
@@ -66,9 +67,6 @@ class PiecewiseLinear:
         return PiecewiseLinear(
             [(s, a + a0, b + b0) for s, a, b in self.pieces]
         )
-
-    def negated(self) -> "PiecewiseLinear":
-        return PiecewiseLinear([(s, -a, -b) for s, a, b in self.pieces])
 
     def minus(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         cuts = sorted({s for s, _, _ in self.pieces}
@@ -123,42 +121,40 @@ class PiecewiseLinear:
         return f"PiecewiseLinear({parts})"
 
 
+def _pointwise(f: PiecewiseLinear, g: PiecewiseLinear, pick) -> PiecewiseLinear:
+    """Pointwise ``pick`` (``max`` or ``min``) of two functions.
+
+    At each cut of either function the lines compare by ``(value, slope)``,
+    so a tie goes to the line that wins just after the cut.  Where the two
+    lines cross strictly between cuts, the crossing becomes a cut.
+    """
+    cuts = sorted({s for s, _, _ in f.pieces} | {s for s, _, _ in g.pieces})
+    out = []
+    for k, t in enumerate(cuts):
+        _, a1, b1 = f._piece_at(t)
+        _, a2, b2 = g._piece_at(t)
+        _, b, a = pick((a1 + b1 * t, b1, a1), (a2 + b2 * t, b2, a2))
+        out.append((t, a, b))
+        if b1 != b2:
+            cross = (a2 - a1) / (b1 - b2)
+            if t < cross and (k + 1 == len(cuts) or cross < cuts[k + 1]):
+                # past the crossing the other line wins
+                out.append((cross, a1 + a2 - a, b1 + b2 - b))
+    return PiecewiseLinear(out)
+
+
 def upper_envelope(fns: list[PiecewiseLinear]) -> PiecewiseLinear:
     """Pointwise maximum of several piecewise-linear functions."""
     if not fns:
         raise ValueError("need at least one function")
-    cuts = sorted({s for f in fns for s, _, _ in f.pieces})
-    refined: list[Fraction] = []
-    for i, u in enumerate(cuts):
-        v = cuts[i + 1] if i + 1 < len(cuts) else None
-        refined.append(u)
-        lines = {f._piece_at(u)[1:] for f in fns}
-        lines = list(lines)
-        inner: set[Fraction] = set()
-        for j in range(len(lines)):
-            a1, b1 = lines[j]
-            for k in range(j + 1, len(lines)):
-                a2, b2 = lines[k]
-                if b1 == b2:
-                    continue
-                t_star = (a2 - a1) / (b1 - b2)
-                if t_star > u and (v is None or t_star < v):
-                    inner.add(t_star)
-        refined.extend(sorted(inner))
-    pieces = []
-    for s in refined:
-        best = None
-        for f in fns:
-            _, a, b = f._piece_at(s)
-            val = a + b * s
-            if best is None or val > best[0] or (val == best[0] and b > best[1]):
-                best = (val, b, a)
-        pieces.append((s, best[2], best[1]))
-    return PiecewiseLinear(pieces)
+    return reduce(lambda f, g: _pointwise(f, g, max), fns)
 
 
 def lower_envelope(fns: list[PiecewiseLinear]) -> PiecewiseLinear:
-    return upper_envelope([f.negated() for f in fns]).negated()
+    """Pointwise minimum of several piecewise-linear functions."""
+    if not fns:
+        raise ValueError("need at least one function")
+    return reduce(lambda f, g: _pointwise(f, g, min), fns)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,13 @@ class Thermograph:
 _thermo_cache: dict[int, Thermograph] = {}
 
 
-def _thermograph_unchecked(g: Game) -> Thermograph:
+def thermograph(g: Game) -> Thermograph:
+    """Exact thermograph of a game inside the universe.
+
+    Rejects zugzwang games: cooling is only meaningful when moving first
+    is never a burden.  A subgame is checked when it is first cooled, before
+    its options, so the error names the subtree that ``audit_universe`` names.
+    """
     hit = _thermo_cache.get(g.uid)
     if hit is not None:
         return hit
@@ -190,14 +192,16 @@ def _thermograph_unchecked(g: Game) -> Thermograph:
         flat = PiecewiseLinear.constant(g.value)
         out = Thermograph(flat, flat, Fraction(0), g.value)
     else:
+        if ls(g) < rs(g):
+            raise ValueError("cannot cool a game outside the universe: zugzwang "
+                             f"subtree {format_game(g)}: Ls={ls(g)} < Rs={rs(g)}")
+        # the tax line is the same for every option, so shift each wall once
         ls_tilde = upper_envelope(
-            [_thermograph_unchecked(o).rs_trajectory.plus_linear(0, -1)
-             for o in g.left]
-        )
+            [thermograph(o).rs_trajectory for o in g.left]
+        ).plus_linear(0, -1)
         rs_tilde = lower_envelope(
-            [_thermograph_unchecked(o).ls_trajectory.plus_linear(0, 1)
-             for o in g.right]
-        )
+            [thermograph(o).ls_trajectory for o in g.right]
+        ).plus_linear(0, 1)
         gap = ls_tilde.minus(rs_tilde)
         sigma = gap.first_root()
         assert sigma is not None, "trajectories of a short game must meet"
@@ -210,18 +214,6 @@ def _thermograph_unchecked(g: Game) -> Thermograph:
         )
     _thermo_cache[g.uid] = out
     return out
-
-
-def thermograph(g: Game) -> Thermograph:
-    """Exact thermograph of a game inside the universe.
-
-    Rejects zugzwang games: cooling is only meaningful when moving first
-    is never a burden.
-    """
-    bad = audit_universe(g)
-    if bad:
-        raise ValueError(f"cannot cool a game outside the universe: {bad}")
-    return _thermograph_unchecked(g)
 
 
 def mean(g: Game) -> Fraction:

@@ -74,13 +74,21 @@ class TestSolve:
         rc, _, err = run(capsys, "solve", "--file", str(tmp_path / "no.json"))
         assert rc == EXIT_INPUT
 
-    def test_budget_exhaustion(self, capsys):
+    def test_budget_exhaustion(self, capsys, monkeypatch):
         # 0 is a budget too, not "unset"
         for grid, budget in (("3x3", "1"), ("3x4", "0")):
             rc, _, err = run(capsys, "solve", "--grid", grid,
                              "--node-budget", budget)
             assert rc == EXIT_BUDGET
             assert "budget" in err
+        # a negative budget is bad input, from the flag or from the env var
+        rc, _, err = run(capsys, "solve", "--grid", "2x2", "--node-budget", "-1")
+        assert rc == EXIT_INPUT
+        assert err.startswith("error:") and err.count("\n") == 1
+        monkeypatch.setenv("INFLUENCE_NODE_BUDGET", "-3")
+        rc, _, err = run(capsys, "solve", "--grid", "2x2")
+        assert rc == EXIT_INPUT
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_grid_3x12_fits_a_small_budget(self, capsys):
         rc, out, _ = run(capsys, "solve", "--grid", "3x12", "--node-budget", "5000", "--json")
@@ -379,6 +387,12 @@ class TestSymmetry:
                              "--budget", budget, "--json")
             assert rc == EXIT_BUDGET
             assert json.loads(out)["status"] == "budget"
+        # a negative budget or score limit is bad input, not a search
+        for flag in ("--budget", "--solve-limit"):
+            rc, out, err = run(capsys, "symmetry", "--hypercube", "3", flag, "-1")
+            assert rc == EXIT_INPUT
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_no_solve_skips_scores(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "--hypercube", "3",

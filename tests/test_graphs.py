@@ -1,6 +1,8 @@
 """Ground graphs, builders, closures, stripping, components."""
 
 import random
+import sys
+from itertools import count
 
 import pytest
 
@@ -96,9 +98,35 @@ class TestBuilders:
             build_hypercube(0)
         with pytest.raises(ValueError):
             build_hypercube(21)
-        # dimension 8 passes the explicit guard but busts vertex capacity
+        # dimension 8 is the first to bust vertex capacity
         with pytest.raises(ValueError):
             build_hypercube(8)
+
+    def test_oversized_boards_rejected_before_building(self):
+        # Each of these would take hours and gigabytes to build.  A builder
+        # that starts on the edges is stopped after a few thousand traced
+        # events, so it fails here instead of hanging.
+        def tracer(frame, event, arg):
+            if next(events) > 5000:
+                raise RuntimeError("builder started on an oversized board")
+            return tracer
+
+        for build in (
+            lambda: build_grid(10**6, 10**6),
+            lambda: build_cylinder(10**6, 10**6),
+            lambda: build_torus(10**6, 10**6),
+            lambda: build_hypercube(60),
+            lambda: build_segment(-10**12),
+        ):
+            events = count()
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                with pytest.raises(ValueError, match="capacity is 128"):
+                    build()
+            finally:
+                sys.settrace(previous)
+        assert build_grid(8, 16).n == 128
 
     def test_monochrome_edge_rejected(self):
         with pytest.raises(ValueError):

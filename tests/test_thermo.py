@@ -1,5 +1,6 @@
 """Exact cooling: piecewise-linear machinery and thermographs."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,30 @@ class TestPiecewiseLinear:
         env = lower_envelope([f, g])
         assert env.pieces == ((0, 0, 1), (1, 1, 0))
 
+    def test_envelopes_are_pointwise_max_and_min(self):
+        # an independent check: sample the inputs directly at every cut,
+        # between cuts and past the last one
+        rng = random.Random(9)
+        for _ in range(300):
+            fns = []
+            for _ in range(rng.randint(2, 4)):
+                t = Fraction(0)
+                value = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                pieces = []
+                for _ in range(rng.randint(1, 4)):
+                    slope = rng.randint(-3, 3)
+                    pieces.append((t, value - slope * t, slope))
+                    step = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    value += slope * step
+                    t += step
+                fns.append(PiecewiseLinear(pieces))
+            upper, lower = upper_envelope(fns), lower_envelope(fns)
+            cuts = sorted({s for f in fns + [upper, lower] for s in f.breakpoints()})
+            mids = [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]
+            for t in cuts + mids + [cuts[-1] + 1]:
+                assert upper.value(t) == max(f.value(t) for f in fns)
+                assert lower.value(t) == min(f.value(t) for f in fns)
+
     def test_envelope_tangency(self):
         # lines meeting exactly at a breakpoint must not duplicate pieces
         f = PiecewiseLinear([(0, 2, 0), (2, 4, -1)])
@@ -143,6 +168,18 @@ class TestThermograph:
     def test_zugzwang_rejected(self):
         with pytest.raises(ValueError):
             thermograph(parse_game("<-1|1>"))
+
+    def test_zugzwang_found_past_warm_subgames(self):
+        # cool the clean parts first, so the check meets them in the cache
+        assert thermograph(number(5)).mast == 5
+        assert thermograph(parse_game("<5|-5>")).sigma == 5
+        g = parse_game("<<0|1>,5|-5>")
+        for cool in (thermograph, mean):
+            with pytest.raises(ValueError, match="zugzwang subtree <0\\|1>"):
+                cool(g)
+        tg = thermograph(parse_game("<-1|-5>"))
+        assert (tg.sigma, tg.mast) == (2, -3)
+        assert tg.rs_trajectory.pieces == ((0, -5, 1), (2, -3, 0))
 
     def test_means_of_small_segments(self):
         assert mean(seg_tree(1)) == 1
