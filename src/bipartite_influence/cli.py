@@ -190,15 +190,19 @@ def cmd_table(args, settings) -> int:
         cache_dir = Path(args.cache_dir or settings.get("cache_dir")
                          or default_cache_dir())
         cache_file = cache_dir / "segment-scores.json"
-        if cache_file.exists():
-            try:
+        try:
+            if cache_file.exists():
                 engine.load(cache_file)
-            except ValueError as exc:
-                print(f"# ignoring segment cache {cache_file}: {exc}; "
-                      "rebuilding it", file=sys.stderr)
+        except (ValueError, OSError) as exc:
+            print(f"# ignoring segment cache {cache_file}: {exc}; "
+                  "rebuilding it", file=sys.stderr)
     rows = segment_table(args.max, engine)
     if cache_file is not None:
-        engine.save(cache_file)
+        try:
+            engine.save(cache_file)
+        except OSError as exc:
+            print(f"# could not save segment cache {cache_file}: {exc}",
+                  file=sys.stderr)
     if args.check_period:
         period, preperiod = args.check_period
         bad = periodicity_scan(rows, period, preperiod)

@@ -27,7 +27,7 @@ class ExpansionLimitError(RuntimeError):
 
 
 class Game:
-    __slots__ = ("value", "left", "right", "uid", "_ls", "_rs")
+    __slots__ = ("value", "left", "right", "uid", "_ls", "_rs", "_neg", "_simple", "_zugzwang")
 
     def __init__(self, value, left, right, uid):
         self.value = value  # Fraction for numbers, None for nodes
@@ -36,6 +36,9 @@ class Game:
         self.uid = uid
         self._ls = None
         self._rs = None
+        self._neg = None
+        self._simple = None
+        self._zugzwang = None
 
     @property
     def is_number(self) -> bool:
@@ -105,20 +108,15 @@ def rs(g: Game) -> Fraction:
 # algebra
 
 
-_negate_cache: dict[int, Game] = {}
-
-
 def negate(g: Game) -> Game:
-    hit = _negate_cache.get(g.uid)
-    if hit is not None:
-        return hit
-    if g.is_number:
-        out = number(-g.value)
-    else:
-        out = node([negate(o) for o in g.right], [negate(o) for o in g.left])
-    _negate_cache[g.uid] = out
-    _negate_cache[out.uid] = g
-    return out
+    if g._neg is None:
+        if g.is_number:
+            out = number(-g.value)
+        else:
+            out = node([negate(o) for o in g.right], [negate(o) for o in g.left])
+        g._neg = out
+        out._neg = g
+    return g._neg
 
 
 _add_cache: dict[tuple[int, int], Game] = {}
@@ -161,30 +159,18 @@ def repeated(g: Game, n: int) -> Game:
 
 
 def audit_universe(g: Game) -> str | None:
-    """Return a description of the first zugzwang subtree, or None.
+    """Return a description of the first zugzwang subtree in pre-order, or None.
 
     Games built by :func:`node` are dicotic by construction, so the audit
-    reduces to checking ``ls >= rs`` on every subtree.
+    reduces to checking ``ls >= rs`` on every subtree.  Each subtree keeps
+    its verdict, so a game is walked once however often it is audited.
     """
-    seen: set[int] = set()
-
-    def visit(sub: Game) -> str | None:
-        if sub.uid in seen:
-            return None
-        seen.add(sub.uid)
-        if not sub.is_number:
-            if ls(sub) < rs(sub):
-                return (
-                    f"zugzwang subtree {format_game(sub)}: "
-                    f"Ls={ls(sub)} < Rs={rs(sub)}"
-                )
-            for o in sub.left + sub.right:
-                bad = visit(o)
-                if bad:
-                    return bad
-        return None
-
-    return visit(g)
+    if g._zugzwang is None:
+        if ls(g) < rs(g):
+            g._zugzwang = f"zugzwang subtree {format_game(g)}: Ls={ls(g)} < Rs={rs(g)}"
+        else:
+            g._zugzwang = next(filter(None, map(audit_universe, g.left + g.right)), "")
+    return g._zugzwang or None
 
 
 def equivalent(g: Game, h: Game, audit: bool = True) -> bool:
@@ -199,7 +185,11 @@ def equivalent(g: Game, h: Game, audit: bool = True) -> bool:
             bad = audit_universe(side)
             if bad:
                 raise ValueError(f"input outside the universe: {bad}")
-    return _rs_diff_nonneg(g, h) and _rs_diff_nonneg(h, g)
+    try:
+        return _rs_diff_nonneg(g, h) and _rs_diff_nonneg(h, g)
+    finally:
+        _rs_nonneg_cache.clear()
+        _ls_nonneg_cache.clear()
 
 
 def dominates(g: Game, h: Game) -> bool:
@@ -214,6 +204,8 @@ def dominates(g: Game, h: Game) -> bool:
 # against a number reads one cached score.  This is the hot path of
 # simplify: plain loops rather than any()/all() over generators halve its
 # time and stack depth, and ``value is not None`` skips the property call.
+# The memos grow with the square of the games compared, so they last one
+# outermost simplify or equivalent; simplify's dominance tests share them.
 
 _rs_nonneg_cache: dict[tuple[int, int], bool] = {}
 _ls_nonneg_cache: dict[tuple[int, int], bool] = {}
@@ -265,9 +257,6 @@ def _ls_diff_nonneg(g: Game, h: Game) -> bool:
     return hit
 
 
-_simplify_cache: dict[int, Game] = {}
-
-
 def simplify(g: Game) -> Game:
     """Remove dominated options bottom-up; the result is an equal game.
 
@@ -276,19 +265,25 @@ def simplify(g: Game) -> Game:
     Valid only inside the universe: a zugzwang subtree may be dropped, and
     then the result is not equal to ``g``, so audit the input first.
     """
-    hit = _simplify_cache.get(g.uid)
-    if hit is not None:
-        return hit
-    if g.is_number:
-        out = g
-    else:
-        lefts = [simplify(o) for o in g.left]
-        rights = [simplify(o) for o in g.right]
-        out = node(_undominated(lefts, dominates),
-                   _undominated(rights, lambda a, b: dominates(b, a)))
-    _simplify_cache[g.uid] = out
-    _simplify_cache[out.uid] = out
-    return out
+    try:
+        return _simplify(g)
+    finally:
+        _rs_nonneg_cache.clear()
+        _ls_nonneg_cache.clear()
+
+
+def _simplify(g: Game) -> Game:
+    if g._simple is None:
+        if g.is_number:
+            out = g
+        else:
+            lefts = [_simplify(o) for o in g.left]
+            rights = [_simplify(o) for o in g.right]
+            out = node(_undominated(lefts, dominates),
+                       _undominated(rights, lambda a, b: dominates(b, a)))
+        g._simple = out
+        out._simple = out
+    return g._simple
 
 
 def _undominated(options: list[Game], better) -> list[Game]:

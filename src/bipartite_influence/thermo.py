@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .games import Game, add, format_game, ls, repeated, rs
+from .games import Game, add, audit_universe, ls, repeated, rs
 
 
 class PiecewiseLinear:
@@ -34,7 +34,8 @@ class PiecewiseLinear:
     def __init__(self, pieces):
         merged: list[tuple[Fraction, Fraction, Fraction]] = []
         for start, a, b in pieces:
-            start, a, b = Fraction(start), Fraction(a), Fraction(b)
+            if not (type(start) is type(a) is type(b) is Fraction):
+                start, a, b = Fraction(start), Fraction(a), Fraction(b)
             if merged and (a, b) == merged[-1][1:]:
                 continue  # same line, extend the previous piece
             if merged and start <= merged[-1][0]:
@@ -181,9 +182,8 @@ _thermo_cache: dict[int, Thermograph] = {}
 def thermograph(g: Game) -> Thermograph:
     """Exact thermograph of a game inside the universe.
 
-    Rejects zugzwang games: cooling is only meaningful when moving first
-    is never a burden.  A subgame is checked when it is first cooled, before
-    its options, so the error names the subtree that ``audit_universe`` names.
+    Rejects zugzwang games, naming the subtree that ``audit_universe``
+    names: cooling is only meaningful when moving first is never a burden.
     """
     hit = _thermo_cache.get(g.uid)
     if hit is not None:
@@ -192,9 +192,9 @@ def thermograph(g: Game) -> Thermograph:
         flat = PiecewiseLinear.constant(g.value)
         out = Thermograph(flat, flat, Fraction(0), g.value)
     else:
-        if ls(g) < rs(g):
-            raise ValueError("cannot cool a game outside the universe: zugzwang "
-                             f"subtree {format_game(g)}: Ls={ls(g)} < Rs={rs(g)}")
+        bad = audit_universe(g)
+        if bad:
+            raise ValueError(f"cannot cool a game outside the universe: {bad}")
         # the tax line is the same for every option, so shift each wall once
         ls_tilde = upper_envelope(
             [thermograph(o).rs_trajectory for o in g.left]

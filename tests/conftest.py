@@ -1,6 +1,7 @@
 """Shared helpers: an independent reference solver, random graphs, and
 game-tree references (play length, leaf scores, trees expanded on whole
-positions, and comparisons read off the built difference ``g - h``).
+positions, comparisons read off the built difference ``g - h``, and a
+universe audit that remembers nothing).
 
 The reference solver implements the game rules in their rawest form: a
 move removes the played vertex and its alive neighbors, nothing else, and
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipartite_influence.games import Game, add, ls, negate, node, number, rs
+from bipartite_influence.games import Game, add, format_game, ls, negate, node, number, rs
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
@@ -166,6 +167,31 @@ def ref_equivalent(g: Game, h: Game) -> bool:
     """Equality in the universe read off the built difference: Ls = Rs = 0."""
     diff = add(g, negate(h))
     return ls(diff) == 0 and rs(diff) == 0
+
+
+def ref_audit_universe(g: Game) -> str | None:
+    """The first zugzwang subtree of ``g`` in pre-order, described as
+    ``games.audit_universe`` describes it, found by a fresh walk that skips
+    subtrees it has seen and stores nothing on the games."""
+    seen: set[int] = set()
+
+    def visit(sub: Game) -> str | None:
+        if sub.uid in seen:
+            return None
+        seen.add(sub.uid)
+        if not sub.is_number:
+            if ls(sub) < rs(sub):
+                return (
+                    f"zugzwang subtree {format_game(sub)}: "
+                    f"Ls={ls(sub)} < Rs={rs(sub)}"
+                )
+            for o in sub.left + sub.right:
+                bad = visit(o)
+                if bad:
+                    return bad
+        return None
+
+    return visit(g)
 
 
 @pytest.fixture

@@ -234,6 +234,28 @@ class TestTable:
                              "--cache-dir", str(cache))
         assert (rc, again, err) == (EXIT_OK, out, "")
 
+    @pytest.mark.parametrize("where", ["file", "under a file"])
+    def test_unwritable_cache_dir_still_prints_the_table(self, capsys, tmp_path, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        cache = blocker if where == "file" else blocker / "cache"
+        rc, out, err = run(capsys, "table", "--max", "12", "--cache-dir", str(cache))
+        assert rc == EXIT_OK
+        assert err.count("\n") == 1 and err.startswith("# could not save segment cache")
+        assert out.splitlines()[1:] == [f"{n},{ls},{rs}"
+                                        for n, ls, rs in FROZEN_TABLE_120[:12]]
+        assert blocker.read_text() == "not a directory"
+
+    def test_cache_file_that_is_a_directory(self, capsys, tmp_path):
+        (tmp_path / "segment-scores.json").mkdir()
+        rc, out, err = run(capsys, "table", "--max", "12", "--cache-dir", str(tmp_path))
+        assert rc == EXIT_OK
+        load, save = err.splitlines()
+        assert load.startswith("# ignoring segment cache")
+        assert save.startswith("# could not save segment cache")
+        assert out.splitlines()[1:] == [f"{n},{ls},{rs}"
+                                        for n, ls, rs in FROZEN_TABLE_120[:12]]
+
 
 class TestThermo:
     def test_segment_json(self, capsys):

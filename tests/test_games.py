@@ -289,6 +289,33 @@ class TestSimplify:
         assert simplify(number(7)) is number(7)
 
 
+class TestMemoLifetimes:
+    """Results about one game live on the game; comparison memos last one
+    outermost ``simplify`` or ``equivalent`` call."""
+
+    @staticmethod
+    def memos_empty() -> bool:
+        import bipartite_influence.games as games_module
+
+        return not games_module._rs_nonneg_cache and not games_module._ls_nonneg_cache
+
+    def test_comparison_memos_are_emptied(self):
+        a, b = segment_union_tree([9]), segment_union_tree([4, 5])
+        dominates(a, b)  # a bare comparison may leave entries behind
+        g = segment_union_tree([15])
+        s = simplify(g)
+        assert self.memos_empty()
+        dominates(a, b)
+        assert not equivalent(a, b)
+        assert self.memos_empty()
+        assert simplify(s) is s and g._simple is s and s._simple is s
+
+    def test_negation_pairs_up(self):
+        g = segment_union_tree([7])
+        h = negate(g)
+        assert negate(h) is g and g._neg is h and h._neg is g
+
+
 def subgames(g: Game, out: dict[int, Game]) -> dict[int, Game]:
     """Every distinct subtree of ``g``, by uid."""
     if g.uid not in out:

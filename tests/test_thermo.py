@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from bipartite_influence import thermo
+from bipartite_influence.cli import EXIT_INPUT, EXIT_OK, main
 from bipartite_influence.games import (
     add,
+    audit_universe,
+    format_game,
     from_position,
+    node,
     number,
     parse_game,
     simplify,
@@ -26,7 +31,7 @@ from bipartite_influence.thermo import (
     upper_envelope,
 )
 
-from conftest import random_ground
+from conftest import random_ground, ref_audit_universe
 
 
 def F(x):
@@ -201,6 +206,64 @@ class TestThermograph:
         assert shifted.mast == base.mast + 3
         assert shifted.ls_trajectory == base.ls_trajectory.plus_linear(3, 0)
         assert shifted.rs_trajectory == base.rs_trajectory.plus_linear(3, 0)
+
+
+class TestUniverseAudit:
+    """The memoised ``audit_universe``, ``thermograph`` and ``thermo --game``
+    against the walk in conftest that keeps nothing on the games."""
+
+    @staticmethod
+    def random_games(rng, count):
+        """Games whose options are drawn from the games made before them,
+        so they share subtrees; most draw only from the clean ones."""
+        pool = [number(Fraction(rng.randint(-4, 4), rng.choice((1, 2))))
+                for _ in range(6)]
+        clean = pool[:]
+        for _ in range(count):
+            source = clean if rng.random() < 0.8 else pool
+            left, right = ([rng.choice(source) for _ in range(rng.randint(1, 3))]
+                           for _ in range(2))
+            g = node(left, right)
+            pool.append(g)
+            if ref_audit_universe(g) is None:
+                clean.append(g)
+        return pool
+
+    def test_verdicts_and_messages_match_the_reference(self, capsys, monkeypatch):
+        def cool(g):
+            try:
+                thermograph(g)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def command(g):
+            rc = main(["thermo", f"--game={format_game(g)}"])
+            err = capsys.readouterr().err
+            assert rc == (EXIT_INPUT if err else EXIT_OK)
+            return err or None
+
+        pool = self.random_games(random.Random(10), 100)
+        want = [ref_audit_universe(g) for g in pool]
+        assert 30 < sum(w is not None for w in want) < 80
+        why = "cannot cool a game outside the universe: "
+        for surface, head, tail in ((audit_universe, "", ""), (cool, why, ""),
+                                    (command, "error: " + why, "\n")):
+            # cold: nothing audited or cooled before each game
+            for g, w in zip(pool, want):
+                for sub in pool:
+                    sub._zugzwang = None
+                monkeypatch.setattr(thermo, "_thermo_cache", {})
+                assert surface(g) == (w and f"{head}{w}{tail}"), format_game(g)
+            # warm: every game audited and every clean one cooled, parents
+            # before their options, so options that an audit skipped past a
+            # zugzwang witness are met later with whatever it left on them
+            for g, w in zip(reversed(pool), reversed(want)):
+                assert audit_universe(g) == w
+                if w is None:
+                    thermograph(g)
+            for g, w in zip(pool, want):
+                assert surface(g) == (w and f"{head}{w}{tail}"), format_game(g)
 
 
 class TestChecks:
