@@ -261,9 +261,7 @@ def cmd_equiv(args, settings) -> int:
             g = parse_game(game_text)
         else:
             g = segment_union_tree(parse_segment_list(sum_text))
-        if offset:
-            g = add(number(offset), g)
-        return g
+        return add(number(offset), g)
 
     sum_a, sum_b = args.sum_a, args.sum_b
     if args.sums:

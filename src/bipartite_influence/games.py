@@ -130,6 +130,11 @@ def add(g: Game, h: Game) -> Game:
     hit = _add_cache.get(key)
     if hit is not None:
         return hit
+    # adding zero would walk the other summand only to rebuild it
+    if g.is_number and not g.value:
+        return h
+    if h.is_number and not h.value:
+        return g
     if g.is_number and h.is_number:
         out = number(g.value + h.value)
     elif g.is_number:
@@ -173,18 +178,17 @@ def audit_universe(g: Game) -> str | None:
     return g._zugzwang or None
 
 
-def equivalent(g: Game, h: Game, audit: bool = True) -> bool:
+def equivalent(g: Game, h: Game) -> bool:
     """Whether the two games are interchangeable in any sum.
 
     Tests ``g >= h`` and ``h >= g``, which inside the zugzwang-free dicotic
-    universe is Ls = Rs = 0 on their difference.  The universe audit can be
-    waived when inputs are known good.
+    universe is Ls = Rs = 0 on their difference.  Raises ``ValueError`` on
+    a game outside the universe.
     """
-    if audit:
-        for side in (g, h):
-            bad = audit_universe(side)
-            if bad:
-                raise ValueError(f"input outside the universe: {bad}")
+    for side in (g, h):
+        bad = audit_universe(side)
+        if bad:
+            raise ValueError(f"input outside the universe: {bad}")
     try:
         return _rs_diff_nonneg(g, h) and _rs_diff_nonneg(h, g)
     finally:
@@ -327,8 +331,7 @@ def tree_of_sum(parts: Iterable[Position]) -> Game:
 
     The tree of a disjoint union is the sum of its components' trees.
     Banked points go in last, so that sums of the same components share
-    their ``add`` entries; a zero offset would only walk the tree to
-    rebuild it.
+    their ``add`` entries.
     """
     offset = 0
     trees: list[Game] = []
@@ -336,7 +339,7 @@ def tree_of_sum(parts: Iterable[Position]) -> Game:
         offset += part.offset
         trees.extend(_tree(key, comp) for key, comp in keyed_components(part))
     tree = add_all(trees)
-    return add(tree, number(offset)) if offset else tree
+    return add(tree, number(offset))
 
 
 def _tree(key: tuple, comp: Position) -> Game:

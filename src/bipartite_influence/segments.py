@@ -272,8 +272,12 @@ class SegmentEngine:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(path)
+        try:
+            tmp.write_text(json.dumps(payload), encoding="utf-8")
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load(self, path) -> int:
         """Merge a cache file into the memo; returns entries loaded.
@@ -425,4 +429,4 @@ def segment_union_tree(parts: Iterable[int], offset: int = 0) -> Game:
     score-preserving rewrites.
     """
     tree = tree_of_sum([Position.make(build_segment(p)) for p in parts])
-    return add(number(offset), tree) if offset else tree
+    return add(number(offset), tree)

@@ -5,6 +5,8 @@ options gain ``t``.  As ``t`` grows the advantage of moving first shrinks;
 the temperature ``sigma`` is the least tax at which the cooled Left and
 Right scores meet, and the shared frozen value is the mast, which equals
 the mean value of the game (the per-copy score of a large sum of copies).
+A game's thermograph takes the envelopes of its options' trajectories as
+walls, and one walk taxes both walls and freezes them where they meet.
 
 Score trajectories of cooled games are piecewise linear in ``t`` with
 rational breakpoints, so everything here works on exact piecewise-linear
@@ -57,57 +59,11 @@ class PiecewiseLinear:
         t = Fraction(t)
         if t < 0:
             raise ValueError("domain is t >= 0")
-        _, a, b = self._piece_at(t)
+        _, a, b = [p for p in self.pieces if p[0] <= t][-1]
         return a + b * t
 
     def breakpoints(self) -> list[Fraction]:
         return [p[0] for p in self.pieces]
-
-    def plus_linear(self, a0, b0) -> "PiecewiseLinear":
-        a0, b0 = Fraction(a0), Fraction(b0)
-        return PiecewiseLinear(
-            [(s, a + a0, b + b0) for s, a, b in self.pieces]
-        )
-
-    def minus(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        cuts = sorted({s for s, _, _ in self.pieces}
-                      | {s for s, _, _ in other.pieces})
-        out = []
-        for s in cuts:
-            _, a1, b1 = self._piece_at(s)
-            _, a2, b2 = other._piece_at(s)
-            out.append((s, a1 - a2, b1 - b2))
-        return PiecewiseLinear(out)
-
-    def clamped_after(self, t0, value) -> "PiecewiseLinear":
-        """Keep the function before ``t0``, constant ``value`` afterwards."""
-        t0, value = Fraction(t0), Fraction(value)
-        out = [(s, a, b) for s, a, b in self.pieces if s < t0]
-        if not out:
-            return PiecewiseLinear([(0, value, 0)])
-        return PiecewiseLinear(out + [(t0, value, 0)])
-
-    def _piece_at(self, t):
-        chosen = self.pieces[0]
-        for piece in self.pieces:
-            if piece[0] <= t:
-                chosen = piece
-            else:
-                break
-        return chosen
-
-    def first_root(self) -> Fraction | None:
-        """Least ``t >= 0`` with value 0, or None."""
-        for i, (s, a, b) in enumerate(self.pieces):
-            end = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else None
-            v0 = a + b * s
-            if v0 == 0:
-                return s
-            if b != 0:
-                t_star = -a / b
-                if t_star > s and (end is None or t_star < end):
-                    return t_star
-        return None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PiecewiseLinear) and self.pieces == other.pieces
@@ -122,6 +78,30 @@ class PiecewiseLinear:
         return f"PiecewiseLinear({parts})"
 
 
+def _merged_cuts(f: PiecewiseLinear, g: PiecewiseLinear):
+    """Yield ``(t, end, a1, b1, a2, b2)`` for each cut ``t`` of either
+    function: up to the next cut ``end`` (None after the last), ``f`` is
+    ``a1 + b1*t`` and ``g`` is ``a2 + b2*t``."""
+    fp, gp = f.pieces, g.pieces
+    cuts = sorted({p[0] for p in fp} | {p[0] for p in gp})
+    i = j = 0
+    for t, end in zip(cuts, cuts[1:] + [None]):
+        if i + 1 < len(fp) and fp[i + 1][0] == t:
+            i += 1
+        if j + 1 < len(gp) and gp[j + 1][0] == t:
+            j += 1
+        yield t, end, fp[i][1], fp[i][2], gp[j][1], gp[j][2]
+
+
+def _crossing(t, end, a1, b1, a2, b2) -> Fraction | None:
+    """Where two lines cross strictly between ``t`` and ``end``, or None."""
+    if b1 != b2:
+        cross = (a2 - a1) / (b1 - b2)
+        if t < cross and (end is None or cross < end):
+            return cross
+    return None
+
+
 def _pointwise(f: PiecewiseLinear, g: PiecewiseLinear, pick) -> PiecewiseLinear:
     """Pointwise ``pick`` (``max`` or ``min``) of two functions.
 
@@ -129,18 +109,14 @@ def _pointwise(f: PiecewiseLinear, g: PiecewiseLinear, pick) -> PiecewiseLinear:
     so a tie goes to the line that wins just after the cut.  Where the two
     lines cross strictly between cuts, the crossing becomes a cut.
     """
-    cuts = sorted({s for s, _, _ in f.pieces} | {s for s, _, _ in g.pieces})
     out = []
-    for k, t in enumerate(cuts):
-        _, a1, b1 = f._piece_at(t)
-        _, a2, b2 = g._piece_at(t)
+    for t, end, a1, b1, a2, b2 in _merged_cuts(f, g):
         _, b, a = pick((a1 + b1 * t, b1, a1), (a2 + b2 * t, b2, a2))
         out.append((t, a, b))
-        if b1 != b2:
-            cross = (a2 - a1) / (b1 - b2)
-            if t < cross and (k + 1 == len(cuts) or cross < cuts[k + 1]):
-                # past the crossing the other line wins
-                out.append((cross, a1 + a2 - a, b1 + b2 - b))
+        cross = _crossing(t, end, a1, b1, a2, b2)
+        if cross is not None:
+            # past the crossing the other line wins
+            out.append((cross, a1 + a2 - a, b1 + b2 - b))
     return PiecewiseLinear(out)
 
 
@@ -176,14 +152,40 @@ class Thermograph:
     mast: Fraction
 
 
+def _freeze(left_wall: PiecewiseLinear, right_wall: PiecewiseLinear) -> Thermograph:
+    """Tax the two walls in one walk, Left's slope down 1 and Right's up 1,
+    and freeze both from ``sigma`` on: the first ``t`` where the taxed walls
+    meet, at a cut or strictly inside a piece.  The mast is the taxed Left
+    wall's value there."""
+    ls_pieces, rs_pieces = [], []
+    for t, end, a1, b1, a2, b2 in _merged_cuts(left_wall, right_wall):
+        b1, b2 = b1 - 1, b2 + 1
+        if a1 + b1 * t == a2 + b2 * t:
+            sigma = t
+            break
+        ls_pieces.append((t, a1, b1))
+        rs_pieces.append((t, a2, b2))
+        sigma = _crossing(t, end, a1, b1, a2, b2)
+        if sigma is not None:
+            break
+    assert sigma is not None, "trajectories of a short game must meet"
+    mast = a1 + b1 * sigma
+    ls_pieces.append((sigma, mast, 0))
+    rs_pieces.append((sigma, mast, 0))
+    return Thermograph(PiecewiseLinear(ls_pieces), PiecewiseLinear(rs_pieces),
+                       sigma, mast)
+
+
 _thermo_cache: dict[int, Thermograph] = {}
 
 
 def thermograph(g: Game) -> Thermograph:
     """Exact thermograph of a game inside the universe.
 
-    Rejects zugzwang games, naming the subtree that ``audit_universe``
-    names: cooling is only meaningful when moving first is never a burden.
+    The walls are the envelopes of the options' trajectories, taxed and
+    frozen where they meet in one walk.  Rejects zugzwang games, naming the
+    subtree that ``audit_universe`` names: cooling is only meaningful when
+    moving first is never a burden.
     """
     hit = _thermo_cache.get(g.uid)
     if hit is not None:
@@ -195,22 +197,9 @@ def thermograph(g: Game) -> Thermograph:
         bad = audit_universe(g)
         if bad:
             raise ValueError(f"cannot cool a game outside the universe: {bad}")
-        # the tax line is the same for every option, so shift each wall once
-        ls_tilde = upper_envelope(
-            [thermograph(o).rs_trajectory for o in g.left]
-        ).plus_linear(0, -1)
-        rs_tilde = lower_envelope(
-            [thermograph(o).ls_trajectory for o in g.right]
-        ).plus_linear(0, 1)
-        gap = ls_tilde.minus(rs_tilde)
-        sigma = gap.first_root()
-        assert sigma is not None, "trajectories of a short game must meet"
-        mast = ls_tilde.value(sigma)
-        out = Thermograph(
-            ls_tilde.clamped_after(sigma, mast),
-            rs_tilde.clamped_after(sigma, mast),
-            sigma,
-            mast,
+        out = _freeze(
+            upper_envelope([thermograph(o).rs_trajectory for o in g.left]),
+            lower_envelope([thermograph(o).ls_trajectory for o in g.right]),
         )
     _thermo_cache[g.uid] = out
     return out

@@ -1,7 +1,8 @@
 """Shared helpers: an independent reference solver, random graphs, and
 game-tree references (play length, leaf scores, trees expanded on whole
-positions, comparisons read off the built difference ``g - h``, and a
-universe audit that remembers nothing).
+positions, comparisons read off the built difference ``g - h``, a
+universe audit that remembers nothing, and thermographs by the
+tax-subtract-root-clamp chain).
 
 The reference solver implements the game rules in their rawest form: a
 move removes the played vertex and its alive neighbors, nothing else, and
@@ -29,6 +30,12 @@ from bipartite_influence.graphs import (
     apply_move,
     legal_moves,
     strip_isolated,
+)
+from bipartite_influence.thermo import (
+    PiecewiseLinear,
+    Thermograph,
+    lower_envelope,
+    upper_envelope,
 )
 
 
@@ -192,6 +199,51 @@ def ref_audit_universe(g: Game) -> str | None:
         return None
 
     return visit(g)
+
+
+def ref_thermograph(g: Game, memo: dict[int, Thermograph] | None = None) -> Thermograph:
+    """The thermograph by the taxed-wall chain, step by step on raw
+    ``(start, a, b)`` pieces: tax each wall, subtract them, take the first
+    root of the difference, clamp both walls there.  Only the envelopes
+    are shared with ``thermo``; options are cooled by this reference."""
+    memo = {} if memo is None else memo
+    if g.uid in memo:
+        return memo[g.uid]
+    if g.is_number:
+        flat = PiecewiseLinear.constant(g.value)
+        memo[g.uid] = Thermograph(flat, flat, Fraction(0), g.value)
+        return memo[g.uid]
+
+    def piece_at(pieces, t):
+        return [p for p in pieces if p[0] <= t][-1]
+
+    left = upper_envelope([ref_thermograph(o, memo).rs_trajectory for o in g.left])
+    right = lower_envelope([ref_thermograph(o, memo).ls_trajectory for o in g.right])
+    ls_taxed = [(s, a, b - 1) for s, a, b in left.pieces]
+    rs_taxed = [(s, a, b + 1) for s, a, b in right.pieces]
+    cuts = sorted({p[0] for p in ls_taxed + rs_taxed})
+    gap = []
+    for s in cuts:
+        _, a1, b1 = piece_at(ls_taxed, s)
+        _, a2, b2 = piece_at(rs_taxed, s)
+        gap.append((s, a1 - a2, b1 - b2))
+    for (s, a, b), end in zip(gap, cuts[1:] + [None]):
+        if a + b * s == 0:
+            sigma = s
+            break
+        if b != 0 and s < -a / b and (end is None or -a / b < end):
+            sigma = -a / b
+            break
+    else:
+        raise AssertionError(f"taxed walls of {format_game(g)} never meet")
+    _, a, b = piece_at(ls_taxed, sigma)
+    mast = a + b * sigma
+
+    def clamped(pieces):
+        return PiecewiseLinear([p for p in pieces if p[0] < sigma] + [(sigma, mast, 0)])
+
+    memo[g.uid] = Thermograph(clamped(ls_taxed), clamped(rs_taxed), sigma, mast)
+    return memo[g.uid]
 
 
 @pytest.fixture

@@ -255,6 +255,7 @@ class TestTable:
         assert save.startswith("# could not save segment cache")
         assert out.splitlines()[1:] == [f"{n},{ls},{rs}"
                                         for n, ls, rs in FROZEN_TABLE_120[:12]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["segment-scores.json"]
 
 
 class TestThermo:

@@ -1,5 +1,6 @@
 """Exact cooling: piecewise-linear machinery and thermographs."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from bipartite_influence.thermo import (
     upper_envelope,
 )
 
-from conftest import random_ground, ref_audit_universe
+from conftest import random_ground, ref_audit_universe, ref_thermograph
 
 
 def F(x):
@@ -71,29 +72,6 @@ class TestPiecewiseLinear:
     def test_starts_must_increase(self):
         with pytest.raises(ValueError):
             PiecewiseLinear([(0, 0, 1), (2, 2, 0), (2, 2, 1)])
-
-    def test_plus_linear(self):
-        f = PiecewiseLinear([(0, 0, 1)]).plus_linear(3, -2)
-        assert f.value(4) == 4 + 3 - 8
-
-    def test_minus_unions_breakpoints(self):
-        f = PiecewiseLinear([(0, 0, 1), (2, 4, -1)])
-        g = PiecewiseLinear([(0, 1, 0), (3, 4, -1)])
-        d = f.minus(g)
-        for t in (0, 1, 2, Fraction(5, 2), 3, 7):
-            assert d.value(t) == f.value(t) - g.value(t)
-
-    def test_first_root(self):
-        assert PiecewiseLinear([(0, 4, -2)]).first_root() == 2
-        assert PiecewiseLinear.constant(0).first_root() == 0
-        assert PiecewiseLinear.constant(1).first_root() is None
-        stepped = PiecewiseLinear([(0, 6, 0), (1, 7, -1)])
-        assert stepped.first_root() == 7
-
-    def test_clamp(self):
-        f = PiecewiseLinear([(0, 5, -1)]).clamped_after(4, 1)
-        assert f.pieces == ((0, 5, -1), (4, 1, 0))
-        assert f.value(100) == 1
 
     def test_upper_envelope_crossing(self):
         f = PiecewiseLinear.constant(1)
@@ -204,8 +182,28 @@ class TestThermograph:
         shifted = thermograph(add(number(3), g))
         assert shifted.sigma == base.sigma
         assert shifted.mast == base.mast + 3
-        assert shifted.ls_trajectory == base.ls_trajectory.plus_linear(3, 0)
-        assert shifted.rs_trajectory == base.rs_trajectory.plus_linear(3, 0)
+        for side in ("ls_trajectory", "rs_trajectory"):
+            want = [(s, a + 3, b) for s, a, b in getattr(base, side).pieces]
+            assert getattr(shifted, side) == PiecewiseLinear(want)
+
+    def test_matches_the_tax_subtract_root_clamp_chain(self, rng, monkeypatch):
+        monkeypatch.setattr(thermo, "_thermo_cache", {})
+        games = []
+        for _ in range(150):
+            g = from_position(Position.make(random_ground(rng, max_n=8)))
+            games += [g, simplify(g)]
+        # <a|a> freezes at 0; a hot option puts cuts past where the taxed
+        # walls meet, or exactly there
+        values = range(-3, 4)
+        games += [parse_game(f"<{a}|{b}>") for a in values for b in values if a >= b]
+        for a, b, c in itertools.product(values, repeat=3):
+            games += [g for g in (parse_game(f"<{a}|<{b}|{c}>>"), parse_game(f"<<{a}|{b}>|{c}>"))
+                      if audit_universe(g) is None]
+        games += [add(number(Fraction(k, 2)), g) for k in (-5, 3) for g in games[::7]]
+        assert any(thermograph(g).sigma == 0 for g in games if not g.is_number)
+        memo = {}
+        for g in games:
+            assert thermograph(g) == ref_thermograph(g, memo), format_game(g)
 
 
 class TestUniverseAudit:
