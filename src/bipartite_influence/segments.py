@@ -17,9 +17,15 @@ place keys are made, folds the remaining parts into a memo key:
 * a few further exact equivalences (``_SINGLE_RULES``, ``_PARTNER_RULES``)
   replace parts by smaller parts plus banked points.
 
+The search is MTD(f) through ``solver.mtdf``, the driver the board solver
+uses: zero-window, fail-soft negamax passes from Black's seat, children
+tried in order of immediate gain.  Proven scores go in the memo, which is
+what the cache file holds; bounds that have not met stay in memory only.
+
 Everything the rewrite relies on is an equality of games, hence preserved
 under sums; the test suite cross-checks the engine against the generic
-graph solver and against a rewrite-free twin.
+graph solver, against a rewrite-free twin (for the rules) and against a
+plain minimax with no reduction and no cutoffs (for the search).
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .games import Game, add, number, tree_of_sum
 from .graphs import Position, build_segment
-from .solver import ScorePair
+from .solver import ScorePair, mtdf
 
 CACHE_FORMAT = "bipartite-influence-segment-cache"
 CACHE_VERSION = 1
@@ -106,12 +113,6 @@ def segment_moves(
 # the engine
 
 
-def _mirrored(parts: Sequence[int]) -> tuple[int, ...]:
-    """The color-swapped union: odd parts flip sign, even parts read the
-    same from either end already."""
-    return tuple(-p if p & 1 else p for p in parts)
-
-
 # Score-preserving substitutions beyond the 4k + 2 split, each an exact
 # equivalence of games (difference has both scores zero) and therefore safe
 # inside any disjoint union.  The test suite re-derives every line against
@@ -135,37 +136,47 @@ _PARTNER_RULES: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {
 
 
 class SegmentEngine:
-    """Memoized minimax over canonical segment multisets.
+    """MTD(f) search over canonical segment multisets.
 
     Everything is evaluated from the Black mover's seat: flipping the sign
     of every odd part mirrors the position, so the White-to-move score of a
     multiset is minus the Black-to-move score of its mirror.  The memo maps
-    a ``_reduce`` key straight to that Black score; entries are final and
-    inserts are idempotent, so one engine can be shared.  With
+    a ``_reduce`` key straight to that Black score.  It holds proven scores
+    only: every queried key, and every key whose ``[lower, upper]`` bounds
+    in ``_bounds`` met during a search, leaving that dict.  Entries are
+    final and inserts are idempotent, so one engine can be shared, and
+    ``save`` writes the memo alone.  ``nodes`` counts expansions.  With
     ``use_rewrite=False`` the engine keeps only orientation and pair
     cancellation, skipping the ``4k + 2`` split and the rule tables, and
-    serves as an independent oracle for them.
+    serves as an independent oracle for them; it shares the search.
     """
 
     def __init__(self, use_rewrite: bool = True, prune: bool = True):
         self.use_rewrite = use_rewrite
         self.prune = prune
         self.memo: dict[tuple[int, ...], int] = {}
+        self._bounds: dict[tuple[int, ...], list[int]] = {}
         self.nodes = 0
         self._moves: dict[int, tuple] = {}
 
     # -- scores ------------------------------------------------------------
 
     def scores(self, s: SegmentSum) -> ScorePair:
-        # _reduce takes no size-one parts: a single vertex is a banked point
-        offset = s.offset + s.parts.count(1) - s.parts.count(-1)
-        parts = [p for p in s.parts if p != 1 and p != -1]
+        parts, offset = s.parts, s.offset
+        if 1 in parts or -1 in parts:
+            # _reduce takes no size-one parts: a single vertex is a banked point
+            offset += parts.count(1) - parts.count(-1)
+            parts = [p for p in parts if p != 1 and p != -1]
         core, shift = self._reduce(parts)
-        mcore, mshift = self._reduce(_mirrored(parts))
-        return ScorePair(
-            offset + shift + self._black_score(core),
-            offset - mshift - self._black_score(mcore),
-        )
+        mcore, mshift = self._reduce([-p if p & 1 else p for p in parts])
+        memo = self.memo
+        ls = memo.get(core)
+        if ls is None:
+            ls = self._black_score(core)
+        rs = memo.get(mcore)
+        if rs is None:
+            rs = self._black_score(mcore)
+        return ScorePair(offset + shift + ls, offset - mshift - rs)
 
     def _move_list(self, part: int) -> tuple:
         """Black's moves on one part, deduplicated up to reflection."""
@@ -235,13 +246,29 @@ class SegmentEngine:
         return tuple(out), delta
 
     def _black_score(self, parts: tuple[int, ...]) -> int:
+        """Black-to-move score of a ``_reduce`` key, by MTD(f) over
+        :meth:`_test`.  The last pass makes the key's bounds meet, so a
+        nonempty key is in the memo on return."""
+        n = sum(map(abs, parts))
+        return mtdf(lambda beta: self._test(parts, beta), -n, n)
+
+    def _test(self, parts: tuple[int, ...], beta: int) -> int:
+        """Fail-soft zero-window search from Black's seat: a value
+        ``v >= beta`` is a lower bound on the score, ``v < beta`` an upper
+        bound.  A node whose bounds meet moves into the memo."""
         if not parts:
             return 0
-        cached = self.memo.get(parts)
-        if cached is not None:
-            return cached
+        exact = self.memo.get(parts)
+        if exact is not None:
+            return exact
+        bounds = self._bounds.get(parts)
+        if bounds is not None:
+            if bounds[0] >= beta:
+                return bounds[0]
+            if bounds[1] < beta:
+                return bounds[1]
         self.nodes += 1
-        best = None
+        children = []
         for i, part in enumerate(parts):
             if i and parts[i - 1] == part:
                 continue  # identical part, identical moves
@@ -253,11 +280,24 @@ class SegmentEngine:
                     mirror_base
                     + tuple(-r if r & 1 else r for r in remnants)
                 )
-                val = count - shift - self._black_score(core)
-                if best is None or val > best:
-                    best = val
-        assert best is not None, "every segment offers moves to both players"
-        self.memo[parts] = best
+                children.append((count - shift, core))
+        assert children, "every segment offers moves to both players"
+        children.sort(key=itemgetter(0), reverse=True)
+        best = None
+        for gain, core in children:
+            val = gain - self._test(core, gain - beta + 1)
+            if best is None or val > best:
+                best = val
+                if best >= beta:
+                    break
+        if bounds is None:
+            n = sum(map(abs, parts))
+            bounds = self._bounds[parts] = [-n, n]
+        # the stored bounds did not decide the test, so ``best`` narrows them
+        bounds[0 if best >= beta else 1] = best
+        if bounds[0] == bounds[1]:
+            del self._bounds[parts]
+            self.memo[parts] = best
         return best
 
     # -- persistence ---------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Callable
 
 from .graphs import (
     BLACK,
@@ -113,6 +114,25 @@ def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
     return kept
 
 
+def mtdf(test: Callable[[int], int], lo: int, hi: int, guess: int = 0) -> int:
+    """The exact score in ``[lo, hi]`` of a position, by MTD(f).
+
+    ``test(beta)`` is a fail-soft zero-window search: a value ``v >= beta``
+    is a lower bound on the score, a value ``v < beta`` an upper bound.
+    Each pass asks whether the score reaches ``beta`` and narrows the
+    bounds, starting from ``guess``, until they meet.
+    """
+    g = min(max(guess, lo), hi)
+    while lo < hi:
+        beta = g + 1 if g == lo else g
+        g = test(beta)
+        if g < beta:
+            hi = g
+        else:
+            lo = g
+    return lo
+
+
 Keyed = tuple[tuple, Position]
 
 
@@ -189,23 +209,10 @@ class Solver:
         return tuple(out)
 
     def _score(self, comps: tuple[Keyed, ...], mover: VertexColor, guess: int = 0) -> int:
-        """Offset-free score of a canceled component multiset from ``_cancel``.
-
-        MTD(f): each pass asks whether the score reaches ``beta`` and turns
-        the fail-soft answer into a lower or an upper bound, starting from
-        ``guess``, until the bounds meet.
-        """
-        lo = -sum(c.vertex_count for _, c in comps)
-        hi = -lo
-        g = min(max(guess, lo), hi)
-        while lo < hi:
-            beta = g + 1 if g == lo else g
-            g = self._test(comps, mover, beta)
-            if g < beta:
-                hi = g
-            else:
-                lo = g
-        return lo
+        """Offset-free score of a canceled component multiset from ``_cancel``,
+        by :func:`mtdf` over :meth:`_test` for ``mover``."""
+        n = sum(c.vertex_count for _, c in comps)
+        return mtdf(lambda beta: self._test(comps, mover, beta), -n, n, guess)
 
     def _test(self, comps: tuple[Keyed, ...], mover: VertexColor, beta: int) -> int:
         """Fail-soft zero-window search: a value ``v >= beta`` is a lower

@@ -1,8 +1,8 @@
-"""Shared helpers: an independent reference solver, random graphs, and
-game-tree references (play length, leaf scores, trees expanded on whole
-positions, comparisons read off the built difference ``g - h``, a
-universe audit that remembers nothing, and thermographs by the
-tax-subtract-root-clamp chain).
+"""Shared helpers: an independent reference solver, a plain minimax on
+unions of segments, random graphs, and game-tree references (play
+length, leaf scores, trees expanded on whole positions, comparisons read
+off the built difference ``g - h``, a universe audit that remembers
+nothing, and thermographs by the tax-subtract-root-clamp chain).
 
 The reference solver implements the game rules in their rawest form: a
 move removes the played vertex and its alive neighbors, nothing else, and
@@ -31,6 +31,7 @@ from bipartite_influence.graphs import (
     legal_moves,
     strip_isolated,
 )
+from bipartite_influence.segments import segment_moves
 from bipartite_influence.thermo import (
     PiecewiseLinear,
     Thermograph,
@@ -76,6 +77,37 @@ def raw_scores(ground: GroundGraph, alive: int | None = None) -> tuple[int, int]
         raw_score(ground, alive, True, memo),
         raw_score(ground, alive, False, memo),
     )
+
+
+_REF_SEGMENT_MEMO: dict[tuple[tuple[int, ...], bool], int] = {}
+
+
+def ref_segment_black_score(parts) -> int:
+    """Black-to-move score of a union of segments by plain minimax over
+    ``segment_moves``: the multiset of signed parts is only sorted, never
+    reduced or rewritten, and every move of every part is tried.  An
+    independent reference for the segment engine's search."""
+    return _ref_segment_score(tuple(sorted(parts)), True)
+
+
+def _ref_segment_score(parts: tuple[int, ...], black: bool) -> int:
+    key = (parts, black)
+    hit = _REF_SEGMENT_MEMO.get(key)
+    if hit is not None:
+        return hit
+    best = None
+    for i, part in enumerate(parts):
+        rest = parts[:i] + parts[i + 1 :]
+        for count, remnants in segment_moves(part, black):
+            val = _ref_segment_score(tuple(sorted(rest + remnants)), not black)
+            val += count if black else -count
+            if best is None or (val > best if black else val < best):
+                best = val
+    # a mover with no moves faces only single vertices of the other color,
+    # and each counts for its owner
+    result = sum(parts) if best is None else best
+    _REF_SEGMENT_MEMO[key] = result
+    return result
 
 
 def random_ground(rng: random.Random, max_n: int = 10, p: float = 0.4) -> GroundGraph:

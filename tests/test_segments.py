@@ -1,4 +1,6 @@
-"""Segment engine: memo keys, move arithmetic, tables, caching."""
+"""Segment engine: memo keys, move arithmetic, search, tables, caching."""
+
+import json
 
 import pytest
 
@@ -30,7 +32,7 @@ from bipartite_influence.segments import (
 from bipartite_influence.games import add_all, from_position, number
 from bipartite_influence.solver import ScorePair
 
-from conftest import whole_position_tree
+from conftest import ref_segment_black_score, whole_position_tree
 
 # Exact scores of single segments, frozen after cross-checking the engine
 # against the generic graph solver and the rewrite-free engine.
@@ -209,6 +211,39 @@ class TestRewriteRules:
             assert engine.scores(SegmentSum(parts)) == base
 
 
+def _reference_pair(parts):
+    """Ls and Rs of a union by the plain reference minimax; White moving
+    first on a union is Black moving first on its color swap."""
+    return ScorePair(ref_segment_black_score(parts),
+                     -ref_segment_black_score([-p for p in parts]))
+
+
+class TestSearch:
+    """The engine's MTD(f) search against ``ref_segment_black_score``, a
+    plain minimax with no key reduction, no rewrite rules and no cutoffs.
+    The rewrite-free engine shares the search, so it cannot check it."""
+
+    @pytest.mark.parametrize("use_rewrite", [True, False])
+    def test_random_sums_match_reference(self, use_rewrite, rng):
+        eng = SegmentEngine(use_rewrite=use_rewrite)
+        for _ in range(300):
+            parts, room = [], rng.randint(2, 24)
+            while room > 0 and len(parts) < 5:
+                size = rng.randint(1, min(room, 13))
+                parts.append(rng.choice((1, -1)) * size)
+                room -= size
+            assert eng.scores(SegmentSum(parts)) == _reference_pair(parts), parts
+
+    def test_memo_holds_only_exact_scores(self):
+        eng = SegmentEngine()
+        segment_table(30, eng)
+        # besides the queried rows, nodes whose bounds met joined the memo
+        assert len(eng.memo) > 60
+        assert not set(eng.memo) & set(eng._bounds)
+        for key, value in eng.memo.items():
+            assert value == ref_segment_black_score(key), key
+
+
 class TestTables:
     def test_frozen_first_forty(self, engine):
         assert segment_table(40, engine=engine) == TABLE_40
@@ -295,6 +330,55 @@ class TestCache:
         assert cold.scores(SegmentSum([19])) == warm.scores(SegmentSum([19]))
         assert cold.nodes == 0
 
+    def test_save_writes_memo_only(self, tmp_path):
+        eng = SegmentEngine()
+        segment_table(30, eng)
+        assert eng._bounds  # the search keeps bounds it never saves
+        path = tmp_path / "cache.json"
+        eng.save(path)
+        entries = json.loads(path.read_text())["entries"]
+        assert len(entries) == len(eng.memo)
+        assert {tuple(key): value for key, value in entries} == eng.memo
+
+    def test_loaded_table_needs_no_search(self, tmp_path):
+        warm = SegmentEngine()
+        segment_table(40, engine=warm)
+        path = tmp_path / "cache.json"
+        warm.save(path)
+        cold = SegmentEngine()
+        cold.load(path)
+        assert segment_table(40, engine=cold) == TABLE_40
+        assert cold.nodes == 0
+
+    def test_loads_a_full_minimax_file(self, tmp_path):
+        """A file holding every position a search without cutoffs scores,
+        as earlier versions wrote, still loads and gives the same rows."""
+        eng = SegmentEngine()
+        stack = [eng._reduce([sign * n])[0]
+                 for n in range(2, 21) for sign in (1, -1)]
+        full = {}
+        while stack:
+            parts = stack.pop()
+            if not parts or parts in full:
+                continue
+            full[parts] = ref_segment_black_score(parts)
+            for i, part in enumerate(parts):
+                base = [-p if p & 1 else p for p in parts[:i] + parts[i + 1:]]
+                for _, remnants in eng._move_list(part):
+                    stack.append(eng._reduce(
+                        base + [-r if r & 1 else r for r in remnants])[0])
+        segment_table(20, engine=eng)
+        assert len(full) > 2 * len(eng.memo)  # entries this engine never writes
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "format": CACHE_FORMAT, "version": 1, "rewrite": True,
+            "entries": [[list(key), value] for key, value in full.items()],
+        }))
+        loaded = SegmentEngine()
+        assert loaded.load(path) == len(full)
+        assert segment_table(40, engine=loaded) == TABLE_40
+        assert all(loaded.memo[key] == value for key, value in full.items())
+
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else", "entries": []}')
@@ -306,8 +390,6 @@ class TestCache:
         segment_table(5, engine=warm)
         path = tmp_path / "cache.json"
         warm.save(path)
-        import json
-
         data = json.loads(path.read_text())
         data["version"] = 99
         path.write_text(json.dumps(data))
@@ -323,8 +405,6 @@ class TestCache:
             SegmentEngine().load(path)
 
     def test_malformed_entries_leave_memo_untouched(self, tmp_path):
-        import json
-
         path = tmp_path / "cache.json"
         # a non-integer score, scores beyond the key's vertex count, and keys
         # no ``_reduce`` makes: a zero part, a single vertex, a float part
@@ -344,8 +424,6 @@ class TestCache:
         segment_table(3, engine=warm)
         path = tmp_path / "cache.json"
         warm.save(path)
-        import json
-
         assert json.loads(path.read_text())["format"] == CACHE_FORMAT
 
 
