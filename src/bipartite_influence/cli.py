@@ -218,6 +218,7 @@ def cmd_table(args, settings) -> int:
 
 
 def game_from_args(args) -> Game:
+    """The game ``thermo`` cools: simplified unless ``--raw`` is given."""
     sources = [
         args.game is not None,
         args.segment is not None,
@@ -226,19 +227,18 @@ def game_from_args(args) -> Game:
     if sum(sources) != 1:
         raise ValueError("pick exactly one of --game, --segment, --segments")
     if args.game is not None:
-        return parse_game(args.game)
-    if args.segment is not None:
-        return segment_union_tree([args.segment])
-    return segment_union_tree(parse_segment_list(args.segments))
+        g = parse_game(args.game)
+        # simplify may drop a zugzwang subtree, so audit the game as given
+        bad = audit_universe(g)
+        if bad:
+            raise ValueError(f"cannot cool a game outside the universe: {bad}")
+        return g if args.raw else simplify(g)
+    parts = [args.segment] if args.segment is not None else parse_segment_list(args.segments)
+    return segment_union_tree(parts, canonical=not args.raw)
 
 
 def cmd_thermo(args, settings) -> int:
     g = game_from_args(args)
-    bad = audit_universe(g)
-    if bad:
-        raise ValueError(f"cannot cool a game outside the universe: {bad}")
-    if not args.raw:
-        g = simplify(g)
     tg = thermograph(g)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -135,12 +135,19 @@ def add(g: Game, h: Game) -> Game:
         return h
     if h.is_number and not h.value:
         return g
+    # A number shifts every leaf alike, and the order of games with it, so
+    # the shift of a simplified game is simplified: mark it so that
+    # ``simplify`` does not walk it again.
     if g.is_number and h.is_number:
         out = number(g.value + h.value)
     elif g.is_number:
         out = node((add(g, o) for o in h.left), (add(g, o) for o in h.right))
+        if h._simple is h:
+            out._simple = out
     elif h.is_number:
         out = node((add(o, h) for o in g.left), (add(o, h) for o in g.right))
+        if g._simple is g:
+            out._simple = out
     else:
         lefts = [add(o, h) for o in g.left] + [add(g, o) for o in h.left]
         rights = [add(o, h) for o in g.right] + [add(g, o) for o in h.right]
@@ -325,35 +332,53 @@ def from_position(position: Position, limit: int = DEFAULT_EXPANSION_LIMIT) -> G
     return tree_of_sum([position])
 
 
-def tree_of_sum(parts: Iterable[Position]) -> Game:
-    """The full game tree of a sum of stripped positions (as
+def tree_of_sum(parts: Iterable[Position], canonical: bool = False) -> Game:
+    """The game tree of a sum of stripped positions (as
     :meth:`Position.make` builds them), with no expansion limit.
 
     The tree of a disjoint union is the sum of its components' trees.
     Banked points go in last, so that sums of the same components share
     their ``add`` entries.
+
+    By default the tree is the full one: every legal move is an option.
+    With ``canonical`` every node is simplified as soon as it is built, and
+    each partial sum of component trees too, so dominated options never
+    grow subtrees.  Equal games can be swapped inside any sum of Milnor's
+    universe, so the result equals the full tree; a zugzwang node, where
+    that fails, raises ``ValueError``.
     """
     offset = 0
     trees: list[Game] = []
     for part in parts:
         offset += part.offset
-        trees.extend(_tree(key, comp) for key, comp in keyed_components(part))
-    tree = add_all(trees)
+        trees.extend(_tree(key, comp, canonical) for key, comp in keyed_components(part))
+    fold = _add_simplified if canonical else add
+    tree = reduce(fold, trees) if trees else number(0)
     return add(tree, number(offset))
 
 
-def _tree(key: tuple, comp: Position) -> Game:
+def _add_simplified(g: Game, h: Game) -> Game:
+    return simplify(add(g, h))
+
+
+def _tree(key: tuple, comp: Position, canonical: bool) -> Game:
     """Offset-free game tree of one connected component.
 
     Equal keys mean isomorphic components, hence equal trees, so trees are
-    cached by key and path components share trees across boards.
+    cached by mode and key, and path components share trees across boards.
     """
-    hit = _tree_cache.get(key)
+    hit = _tree_cache.get((canonical, key))
     if hit is None:
         lefts, rights = (
-            [tree_of_sum([apply_move(comp, m)]) for m in legal_moves(comp, color)]
+            [tree_of_sum([apply_move(comp, m)], canonical) for m in legal_moves(comp, color)]
             for color in (BLACK, WHITE))
-        hit = _tree_cache[key] = node(lefts, rights)
+        hit = node(lefts, rights)
+        if canonical:
+            bad = audit_universe(hit)
+            if bad:
+                raise ValueError(f"component outside the universe: {bad}")
+            hit = simplify(hit)
+        _tree_cache[(canonical, key)] = hit
     return hit
 
 
@@ -364,11 +389,21 @@ MAX_GAME_DEPTH = 100
 
 
 def format_game(g: Game) -> str:
-    if g.is_number:
-        return str(g.value)
-    left = ",".join(format_game(o) for o in g.left)
-    right = ",".join(format_game(o) for o in g.right)
-    return f"<{left}|{right}>"
+    """The notation :func:`parse_game` reads.  A shared subtree is spelled
+    out at each place it occurs, but formatted once per call."""
+    done: dict[int, str] = {}
+
+    def fmt(g: Game) -> str:
+        text = done.get(g.uid)
+        if text is None:
+            if g.is_number:
+                text = str(g.value)
+            else:
+                text = f"<{','.join(map(fmt, g.left))}|{','.join(map(fmt, g.right))}>"
+            done[g.uid] = text
+        return text
+
+    return fmt(g)
 
 
 def parse_game(text: str) -> Game:

@@ -462,11 +462,12 @@ def sum_bound_check(
 # exact game trees of segment unions
 
 
-def segment_union_tree(parts: Iterable[int], offset: int = 0) -> Game:
-    """The full game tree of a union of segments.
+def segment_union_tree(parts: Iterable[int], offset: int = 0, canonical: bool = True) -> Game:
+    """The game tree of a union of segments, simplified as it is built.
 
     Built by :func:`games.tree_of_sum` on the path graphs, with no
-    score-preserving rewrites.
+    score-preserving rewrites.  ``canonical=False`` gives the full tree,
+    with every legal move as an option.
     """
-    tree = tree_of_sum([Position.make(build_segment(p)) for p in parts])
+    tree = tree_of_sum([Position.make(build_segment(p)) for p in parts], canonical)
     return add(number(offset), tree)

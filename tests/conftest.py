@@ -208,6 +208,25 @@ def ref_equivalent(g: Game, h: Game) -> bool:
     return ls(diff) == 0 and rs(diff) == 0
 
 
+def ref_is_simplified(g: Game) -> bool:
+    """No subtree of ``g`` has two comparable options on one side, so
+    ``simplify`` would drop none; decided by ``ref_dominates``, without the
+    verdicts that ``simplify`` keeps on the games."""
+    seen: set[int] = set()
+    stack = [g]
+    while stack:
+        sub = stack.pop()
+        if sub.uid in seen:
+            continue
+        seen.add(sub.uid)
+        for side in (sub.left, sub.right):
+            for i, a in enumerate(side):
+                if any(ref_dominates(a, b) or ref_dominates(b, a) for b in side[i + 1:]):
+                    return False
+        stack.extend(sub.left + sub.right)
+    return True
+
+
 def ref_audit_universe(g: Game) -> str | None:
     """The first zugzwang subtree of ``g`` in pre-order, described as
     ``games.audit_universe`` describes it, found by a fresh walk that skips

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from bipartite_influence.cli import (
     main,
     parse_segment_list,
 )
+from bipartite_influence.games import format_game, from_position
+from bipartite_influence.graphs import Position, build_segment
 
 from conftest import FROZEN_TABLE_120
 
@@ -50,8 +56,6 @@ class TestSolve:
         assert (data["ls"], data["rs"]) == (4, -4)
 
     def test_graph_file(self, capsys, tmp_path):
-        from bipartite_influence.graphs import build_segment
-
         path = tmp_path / "g.json"
         path.write_text(json.dumps(build_segment(3).to_json()))
         rc, out, _ = run(capsys, "solve", "--file", str(path), "--json")
@@ -269,6 +273,14 @@ class TestThermo:
         assert data["ls_trajectory"][0] == {
             "start": "0", "value_at_start": "5", "slope": "-1"
         }
+
+    def test_raw_segment_prints_the_full_tree(self, capsys):
+        rc, out, _ = run(capsys, "thermo", "--raw", "--segment", "5", "--json")
+        assert rc == EXIT_OK
+        data = json.loads(out)
+        full = from_position(Position.make(build_segment(5)))
+        assert data["game"] == format_game(full) != "<5|<-1|-5>>"
+        assert (data["sigma"], data["mast"]) == ("4", "1")
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
@@ -547,6 +559,16 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.strip()
+
+
+def test_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "bipartite_influence", "thermo", "--segment", "5"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "game: <5|<-1|-5>>"
 
 
 # Edge and malformed values for every flag.  Boards stay tiny so that the

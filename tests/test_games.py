@@ -51,6 +51,7 @@ from conftest import (
     random_ground,
     ref_dominates,
     ref_equivalent,
+    ref_is_simplified,
     whole_position_tree,
 )
 
@@ -84,6 +85,12 @@ def longest_line(position: Position) -> int:
 
 def seg_tree(n: int) -> Game:
     return from_position(Position.make(build_segment(n)))
+
+
+def full_tree(*parts: int) -> Game:
+    """The full tree of a segment union, dominated options and ties kept,
+    with no expansion limit."""
+    return segment_union_tree(parts, canonical=False)
 
 
 class TestConstruction:
@@ -221,19 +228,32 @@ class TestFromPosition:
         import bipartite_influence.games as games_module
 
         expanded = []
+        modes = []  # the mode of each _tree call on the stack
+        tree = games_module._tree
+
+        def recording_tree(key, comp, canonical):
+            modes.append(canonical)
+            try:
+                return tree(key, comp, canonical)
+            finally:
+                modes.pop()
 
         def recording_legal_moves(position, color):
-            expanded.append((canonical_key(position), color))
+            expanded.append((modes[-1], canonical_key(position), color))
             return legal_moves(position, color)
 
+        monkeypatch.setattr(games_module, "_tree", recording_tree)
         monkeypatch.setattr(games_module, "legal_moves", recording_legal_moves)
         monkeypatch.setattr(games_module, "_tree_cache", {})
-        segment_union_tree([7, 9, 11])
-        segment_union_tree([5, 5, -9])
         # a 4-cycle, a four-vertex path and an edge in a 4x4 grid
         alive = sum(1 << v for v in (0, 1, 4, 5, 3, 7, 11, 15, 12, 13))
-        from_position(Position.make(build_grid(4, 4), alive))
-        assert expanded
+        board = Position.make(build_grid(4, 4), alive)
+        for canonical in (True, False):
+            segment_union_tree([7, 9, 11], canonical=canonical)
+            segment_union_tree([5, 5, -9], canonical=canonical)
+            tree_of_sum([board], canonical=canonical)
+        from_position(board)
+        assert {mode for mode, _, _ in expanded} == {True, False}
         assert max(Counter(expanded).values()) == 1
 
     def test_length_of_segment_5(self):
@@ -252,6 +272,17 @@ class TestUniverse:
         for _ in range(40):
             pos = Position.make(random_ground(rng, max_n=8))
             assert audit_universe(from_position(pos)) is None
+
+    def test_canonical_build_rejects_zugzwang(self, monkeypatch):
+        # no Influence position has a zugzwang, so stand one in for the audit
+        import bipartite_influence.games as games_module
+
+        monkeypatch.setattr(games_module, "_tree_cache", {})
+        monkeypatch.setattr(games_module, "audit_universe", lambda g: "zugzwang subtree")
+        position = Position.make(build_segment(3))
+        with pytest.raises(ValueError, match="zugzwang subtree"):
+            tree_of_sum([position], canonical=True)
+        assert ls(tree_of_sum([position])) == 3
 
     def test_equivalent_rejects_zugzwang(self):
         g = parse_game("<-1|1>")
@@ -293,6 +324,18 @@ class TestSimplify:
         s = simplify(g)
         assert s.left == (number(3),)
 
+    def test_number_shifts_keep_simplified_games_simplified(self):
+        x = number(Fraction(5, 2))
+        for n in range(4, 9):
+            g = seg_tree(n)
+            shifted = add(simplify(g), x)
+            assert simplify(shifted) is shifted
+            assert ref_is_simplified(shifted)
+            raw_shift = add(g, x)
+            assert not ref_is_simplified(raw_shift)
+            assert ref_is_simplified(simplify(raw_shift))
+            assert equivalent(simplify(raw_shift), shifted)
+
     def test_numbers_survive(self):
         assert simplify(number(7)) is number(7)
 
@@ -308,9 +351,9 @@ class TestMemoLifetimes:
         return not games_module._rs_nonneg_cache and not games_module._ls_nonneg_cache
 
     def test_comparison_memos_are_emptied(self):
-        a, b = segment_union_tree([9]), segment_union_tree([4, 5])
+        a, b = full_tree(9), full_tree(4, 5)
         dominates(a, b)  # a bare comparison may leave entries behind
-        g = segment_union_tree([15])
+        g = full_tree(15)
         s = simplify(g)
         assert self.memos_empty()
         dominates(a, b)
@@ -346,7 +389,7 @@ class TestComparisonOracle:
     def test_subtrees_of_segment_trees(self):
         subs: dict[int, Game] = {}
         for n in range(1, 10):
-            subgames(segment_union_tree([n]), subs)
+            subgames(full_tree(n), subs)
         games = list(subs.values())
         seen = set()
         for i, g in enumerate(games):
@@ -360,7 +403,7 @@ class TestComparisonOracle:
         def sample() -> Game:
             parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
             offset = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
-            return add(number(offset), segment_union_tree(parts))
+            return add(number(offset), full_tree(*parts))
 
         equal = 0
         for _ in range(100):
@@ -372,7 +415,7 @@ class TestComparisonOracle:
     def test_numbers_against_nodes(self):
         rng = random.Random(8)
         nodes = [g for n in range(1, 8)
-                 for g in subgames(segment_union_tree([n]), {}).values()
+                 for g in subgames(full_tree(n), {}).values()
                  if not g.is_number]
         for _ in range(300):
             x = number(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4))))
@@ -419,7 +462,7 @@ def _interned_growth(code: str) -> int:
 class TestComparisonBuildsNothing:
     def test_simplify_segment_21_interns_few_games(self):
         grown = _interned_growth("""
-            tree = segment_union_tree([21])
+            tree = segment_union_tree([21], canonical=False)
             games.simplify(tree)
         """)
         assert grown < 1000

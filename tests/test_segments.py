@@ -1,6 +1,7 @@
 """Segment engine: memo keys, move arithmetic, search, tables, caching."""
 
 import json
+import random
 
 import pytest
 
@@ -29,10 +30,21 @@ from bipartite_influence.segments import (
     sum_bound_check,
     write_table_csv,
 )
-from bipartite_influence.games import add_all, from_position, number
+from bipartite_influence.games import (
+    add,
+    add_all,
+    equivalent,
+    from_position,
+    ls,
+    number,
+    rs,
+    simplify,
+    tree_of_sum,
+)
+from bipartite_influence.thermo import thermograph
 from bipartite_influence.solver import ScorePair
 
-from conftest import ref_segment_black_score, whole_position_tree
+from conftest import ref_is_simplified, ref_segment_black_score, whole_position_tree
 
 # Exact scores of single segments, frozen after cross-checking the engine
 # against the generic graph solver and the rewrite-free engine.
@@ -442,10 +454,27 @@ UNION_SUMS = [
 ]
 
 
+def full_union_tree(parts, offset=0):
+    """The full tree of a segment union, built by ``tree_of_sum`` on the
+    same segment positions as ``segment_union_tree``."""
+    return add(number(offset), tree_of_sum([Position.make(build_segment(p)) for p in parts]))
+
+
+def assert_canonical_form_of(tree, full):
+    """``tree`` is a simplified game equal to the full tree ``full``."""
+    assert (ls(tree), rs(tree)) == (ls(full), rs(full))
+    assert equivalent(tree, full)
+    assert simplify(tree) is tree
+    assert ref_is_simplified(tree)
+
+
 class TestUnionTrees:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_interned_with_graph_expansion(self, n):
-        assert segment_union_tree([n]) is from_position(Position.make(build_segment(n)))
+        full = full_union_tree([n])
+        assert full is from_position(Position.make(build_segment(n)))
+        assert full is segment_union_tree([n], canonical=False)
+        assert_canonical_form_of(segment_union_tree([n]), full)
 
     @pytest.mark.parametrize("parts, offset", UNION_SUMS)
     def test_sum_matches_the_union_board(self, parts, offset):
@@ -453,11 +482,12 @@ class TestUnionTrees:
         banked = offset + sum(p.offset for p in pieces)
         board = Position.make(disjoint_union(pieces), offset=banked)
         assert board.vertex_count <= 16
-        tree = segment_union_tree(parts, offset)
+        tree = full_union_tree(parts, offset)
         assert tree is from_position(board)
         assert tree is whole_position_tree(board)
         singles = [from_position(Position.make(build_segment(p))) for p in parts]
         assert tree is add_all([number(offset)] + singles)
+        assert_canonical_form_of(segment_union_tree(parts, offset), tree)
 
     # Induced paths in a 4x4 grid (vertex i * 4 + j, Black on even i + j):
     # a staircase from the Black corner, one from a White vertex, an even
@@ -472,11 +502,16 @@ class TestUnionTrees:
         grid = build_grid(4, 4)
         position = Position.make(grid, sum(1 << v for v in alive))
         assert position.vertex_count == len(alive)
-        assert from_position(position) is segment_union_tree(parts)
-        assert from_position(position) is whole_position_tree(position)
+        full = from_position(position)
+        assert full is full_union_tree(parts)
+        assert full is whole_position_tree(position)
+        canonical = segment_union_tree(parts)
+        assert tree_of_sum([position], canonical=True) is canonical
+        assert_canonical_form_of(canonical, full)
 
     def test_offset_and_singles_absorbed(self):
         assert segment_union_tree([1, 1, 3], offset=-2) is segment_union_tree([3])
+        assert full_union_tree([1, 1, 3], offset=-2) is full_union_tree([3])
 
     def test_zero_part_rejected(self):
         with pytest.raises(ValueError):
@@ -484,3 +519,27 @@ class TestUnionTrees:
 
     def test_module_level_scores_helper(self, engine):
         assert segment_scores(SegmentSum([5]), engine) == ScorePair(5, -1)
+
+
+class TestCanonicalTrees:
+    """Trees simplified while they are built, against full trees built
+    with no simplification at all."""
+
+    def test_thermographs_of_single_segments(self):
+        for n in range(1, 23):
+            for signed in (n, -n):
+                tree, full = segment_union_tree([signed]), full_union_tree([signed])
+                assert ref_is_simplified(tree)
+                assert thermograph(tree) == thermograph(full)
+
+    def test_random_unions(self):
+        rng = random.Random(2022)
+        for _ in range(200):
+            parts, room = [], rng.randint(1, 16)
+            while room:
+                size = rng.randint(1, room)
+                room -= size
+                parts.append(rng.choice((size, -size)))
+            offset = rng.randint(-3, 3)
+            assert_canonical_form_of(segment_union_tree(parts, offset),
+                                     full_union_tree(parts, offset))
