@@ -63,7 +63,6 @@ from .segments import (
     SegmentEngine,
     SegmentSum,
     periodicity_scan,
-    segment_scores,
     segment_table,
     segment_union_tree,
     sum_bound_check,

@@ -24,6 +24,7 @@ from .games import (
     simplify,
 )
 from .graphs import (
+    MAX_VERTICES,
     GroundGraph,
     Position,
     build_cylinder,
@@ -120,9 +121,12 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 def parse_segment_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        parts = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"bad segment list {text!r}") from exc
+    if (size := sum(map(abs, parts))) > MAX_VERTICES:
+        raise ValueError(f"segment union has {size} vertices, capacity is {MAX_VERTICES}")
+    return parts
 
 
 def _graph_sources(args) -> int:
@@ -245,10 +249,14 @@ def cmd_thermo(args, settings) -> int:
             fh.write("t,ls,rs\n")
             for t, a, b in thermograph_csv_rows(tg):
                 fh.write(f"{t},{a},{b}\n")
+    try:
+        game = format_game(g)
+    except ValueError as exc:  # a notation longer than MAX_NOTATION_SIZE
+        game, note = None, f"not printed, {exc}"
     if args.json:
-        print(json.dumps({"game": format_game(g)} | thermograph_to_json(tg)))
+        print(json.dumps({"game": game} | thermograph_to_json(tg)))
     else:
-        print(f"game: {format_game(g)}")
+        print(f"game: {note if game is None else game}")
         print(f"temperature = {tg.sigma}, mean = {tg.mast}")
     return EXIT_OK
 

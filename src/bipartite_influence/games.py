@@ -14,7 +14,7 @@ both players (true by construction here) and no position is zugzwang
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -45,7 +45,10 @@ class Game:
         return self.value is not None
 
     def __repr__(self) -> str:
-        return f"Game({format_game(self)})"
+        try:
+            return f"Game({format_game(self)})"
+        except ValueError as exc:  # a notation over MAX_NOTATION_SIZE
+            return f"Game(#{self.uid}, {exc})"
 
 
 _intern: dict[tuple, Game] = {}
@@ -386,24 +389,33 @@ def _tree(key: tuple, comp: Position, canonical: bool) -> Game:
 # notation
 
 MAX_GAME_DEPTH = 100
+MAX_NOTATION_SIZE = 10**7  # characters: a subtree is spelled out wherever it occurs
+
+
+def _spell(g: Game, leaf, join):
+    """Fold the notation of ``g`` once per distinct subtree, by ``leaf`` on
+    a number's value and ``join`` on a node's Left and Right results."""
+
+    @cache  # games are interned, so identity is equality
+    def walk(g: Game):
+        if g.is_number:
+            return leaf(g.value)
+        return join(list(map(walk, g.left)), list(map(walk, g.right)))
+
+    return walk(g)
+
+
+def notation_size(g: Game) -> int:
+    """The length of ``format_game(g)``, counted without building it."""
+    return _spell(g, lambda v: len(str(v)), lambda a, b: 1 + len(a) + len(b) + sum(a) + sum(b))
 
 
 def format_game(g: Game) -> str:
-    """The notation :func:`parse_game` reads.  A shared subtree is spelled
-    out at each place it occurs, but formatted once per call."""
-    done: dict[int, str] = {}
-
-    def fmt(g: Game) -> str:
-        text = done.get(g.uid)
-        if text is None:
-            if g.is_number:
-                text = str(g.value)
-            else:
-                text = f"<{','.join(map(fmt, g.left))}|{','.join(map(fmt, g.right))}>"
-            done[g.uid] = text
-        return text
-
-    return fmt(g)
+    """The notation :func:`parse_game` reads; a shared subtree is formatted
+    once per call.  Raises ``ValueError`` above ``MAX_NOTATION_SIZE``."""
+    if (size := notation_size(g)) > MAX_NOTATION_SIZE:
+        raise ValueError(f"game notation has {size} characters, the cap is {MAX_NOTATION_SIZE}")
+    return _spell(g, str, lambda lefts, rights: f"<{','.join(lefts)}|{','.join(rights)}>")
 
 
 def parse_game(text: str) -> Game:

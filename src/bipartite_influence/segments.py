@@ -21,6 +21,7 @@ The search is MTD(f) through ``solver.mtdf``, the driver the board solver
 uses: zero-window, fail-soft negamax passes from Black's seat, children
 tried in order of immediate gain.  Proven scores go in the memo, which is
 what the cache file holds; bounds that have not met stay in memory only.
+Each caller makes its own engine: none lives for the whole process.
 
 Everything the rewrite relies on is an equality of games, hence preserved
 under sums; the test suite cross-checks the engine against the generic
@@ -38,7 +39,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .games import Game, add, number, tree_of_sum
+from .games import Game, tree_of_sum
 from .graphs import Position, build_segment
 from .solver import ScorePair, mtdf
 
@@ -151,9 +152,8 @@ class SegmentEngine:
     serves as an independent oracle for them; it shares the search.
     """
 
-    def __init__(self, use_rewrite: bool = True, prune: bool = True):
+    def __init__(self, use_rewrite: bool = True):
         self.use_rewrite = use_rewrite
-        self.prune = prune
         self.memo: dict[tuple[int, ...], int] = {}
         self._bounds: dict[tuple[int, ...], list[int]] = {}
         self.nodes = 0
@@ -179,12 +179,12 @@ class SegmentEngine:
         return ScorePair(offset + shift + ls, offset - mshift - rs)
 
     def _move_list(self, part: int) -> tuple:
-        """Black's moves on one part, deduplicated up to reflection."""
+        """Black's undominated moves on one part, up to reflection."""
         cached = self._moves.get(part)
         if cached is None:
             cached = tuple(
                 {(count, tuple(sorted(rem)))
-                 for count, rem in segment_moves(part, True, self.prune)}
+                 for count, rem in segment_moves(part, True, prune=True)}
             )
             self._moves[part] = cached
         return cached
@@ -356,27 +356,10 @@ class SegmentEngine:
         return loaded
 
 
-_default_engine: SegmentEngine | None = None
-
-
-def default_engine() -> SegmentEngine:
-    global _default_engine
-    if _default_engine is None:
-        _default_engine = SegmentEngine()
-    return _default_engine
-
-
-def segment_scores(s: SegmentSum, engine: SegmentEngine | None = None) -> ScorePair:
-    return (engine or default_engine()).scores(s)
-
-
-def segment_table(
-    max_n: int, engine: SegmentEngine | None = None
-) -> list[tuple[int, int, int]]:
+def segment_table(max_n: int, engine: SegmentEngine) -> list[tuple[int, int, int]]:
     """Rows ``(n, Ls(S_n), Rs(S_n))`` for n = 1..max_n."""
     if max_n < 1:
         raise ValueError("table needs max_n >= 1")
-    engine = engine or default_engine()
     rows = []
     for n in range(1, max_n + 1):
         pair = engine.scores(SegmentSum([n]))
@@ -437,16 +420,14 @@ class SegmentBoundsReport:
         )
 
 
-def sum_bound_check(
-    s: SegmentSum, engine: SegmentEngine | None = None
-) -> SegmentBoundsReport:
+def sum_bound_check(s: SegmentSum, engine: SegmentEngine) -> SegmentBoundsReport:
     """Scores of a union of segments stay within 4 of the odd-part count.
 
     With ``k`` odd parts, ``-k - 4 <= Rs <= Ls <= k + 4``.  All-even unions
     are pinned to ``[-4, 0]`` and ``[0, 4]``; a single segment of size two
     or more has strictly signed scores within 5.
     """
-    pair = segment_scores(SegmentSum(s.parts), engine)
+    pair = engine.scores(SegmentSum(s.parts))
     k = sum(1 for p in s.parts if p % 2 != 0)
     general = -k - 4 <= pair.rs <= pair.ls <= k + 4
     all_even = None
@@ -462,12 +443,11 @@ def sum_bound_check(
 # exact game trees of segment unions
 
 
-def segment_union_tree(parts: Iterable[int], offset: int = 0, canonical: bool = True) -> Game:
+def segment_union_tree(parts: Iterable[int], *, canonical: bool = True) -> Game:
     """The game tree of a union of segments, simplified as it is built.
 
     Built by :func:`games.tree_of_sum` on the path graphs, with no
     score-preserving rewrites.  ``canonical=False`` gives the full tree,
     with every legal move as an option.
     """
-    tree = tree_of_sum([Position.make(build_segment(p)) for p in parts], canonical)
-    return add(number(offset), tree)
+    return tree_of_sum([Position.make(build_segment(p)) for p in parts], canonical)

@@ -61,7 +61,6 @@ from bipartite_influence.segments import (
     SegmentEngine,
     SegmentSum,
     periodicity_scan,
-    segment_scores,
     segment_union_tree,
     sum_bound_check,
 )
@@ -192,7 +191,7 @@ class TestFiveSegmentAlgebra:
     def test_known_identities(self):
         start = time.monotonic()
         engine = SegmentEngine()
-        pair = segment_scores(SegmentSum([5, 5, 2]), engine)
+        pair = engine.scores(SegmentSum([5, 5, 2]))
         five = segment_union_tree([5])
         double_five = add(five, five)
         two_plus_two_segment = add(number(2), segment_union_tree([2]))
@@ -588,7 +587,7 @@ class TestCrossEngine:
         problems = []
         start = time.monotonic()
         for size in range(1, 41):
-            fast = segment_scores(SegmentSum([size]), engine)
+            fast = engine.scores(SegmentSum([size]))
             slow = solver.scores(Position.make(build_segment(size)))
             if fast != slow:
                 problems.append(f"size {size}: {fast} vs {slow}")

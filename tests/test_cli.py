@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -561,14 +562,90 @@ class TestVersion:
         assert out.strip()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_runs_as_a_module():
-    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-m", "bipartite_influence", "thermo", "--segment", "5"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == "game: <5|<-1|-5>>"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_limited(*argv):
+    """A fresh interpreter with 1 GB of address space: a runaway string
+    ends in a ``MemoryError`` there instead of filling the machine."""
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=_limit_address_space,
+    )
+
+
+def segments_of(size, count):
+    return ",".join([str(size)] * count)
+
+
+class TestHugeNotation:
+    """Shared subtrees make the notation of a union of 54 vertices
+    6.6e8 characters long, and of 128 vertices 9.2e19."""
+
+    def test_json_game_is_null(self):
+        result = run_limited("-m", "bipartite_influence", "thermo", "--json",
+                             "--segments", segments_of(2, 27))
+        assert result.returncode == EXIT_OK, result.stderr[-2000:]
+        data = json.loads(result.stdout)
+        assert (data["game"], data["sigma"], data["mast"]) == (None, "2", "0")
+
+    def test_text_prints_one_line_note(self):
+        result = run_limited("-m", "bipartite_influence", "thermo",
+                             "--segments", segments_of(5, 25))
+        assert result.returncode == EXIT_OK, result.stderr[-2000:]
+        game, values = result.stdout.splitlines()
+        assert game.startswith("game: not printed") and "4504712814431 characters" in game
+        assert values == "temperature = 4, mean = 25"
+
+    def test_repr_stays_short(self):
+        result = run_limited("-c", "from bipartite_influence.segments import segment_union_tree; "
+                             f"print(repr(segment_union_tree([{segments_of(2, 27)}])))")
+        assert result.returncode == EXIT_OK, result.stderr[-2000:]
+        line = result.stdout.strip()
+        assert line.startswith("Game(#") and "663313181 characters" in line
+
+
+class TestUnionCapacity:
+    """A ``--segments`` or ``--sum`` union holds at most 128 vertices."""
+
+    def test_full_union_solves(self, capsys):
+        rc, out, _ = run(capsys, "solve", "--json", "--segments", segments_of(2, 64))
+        assert rc == EXIT_OK
+        data = json.loads(out)
+        assert (data["ls"], data["rs"]) == (0, 0)
+
+    def test_full_union_cools(self):
+        result = run_limited("-m", "bipartite_influence", "thermo", "--json",
+                             "--segments", segments_of(2, 64))
+        assert result.returncode == EXIT_OK, result.stderr[-2000:]
+        data = json.loads(result.stdout)
+        assert (data["game"], data["sigma"], data["mast"]) == (None, "0", "0")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--segments"],
+        ["thermo", "--segments"],
+        ["equiv", "--sum", "2", "--sum"],
+    ], ids=["solve", "thermo", "equiv"])
+    @pytest.mark.parametrize("parts", ["2," * 1200, "64,-65", "129"])
+    def test_larger_union_rejected(self, capsys, argv, parts):
+        rc, out, err = run(capsys, *argv, parts)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "capacity is 128" in err
 
 
 # Edge and malformed values for every flag.  Boards stay tiny so that the
@@ -600,7 +677,7 @@ _FILES = {
 }
 _NUMBERS = ["-5", "-1", "0", "1", "2", "x", "", str(10**30)]
 _GAMES = ["", "0", "5", "<|>", "<1|0>", "<1/0|0>", "<5|<-1|-5>>", "<", "0|", "<<|>|>"]
-_LISTS = ["", ",", "0", "3", "2,-3", "5,5", "a"]
+_LISTS = ["", ",", "0", "3", "2,-3", "5,5", "a", segments_of(3, 43)]
 _PERIODS = [("0", "0"), ("1", "-1"), ("2", "0"), ("-2", "3"), ("40", "30"), ("x", "1")]
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from bipartite_influence.games import (
     DEFAULT_EXPANSION_LIMIT,
+    MAX_NOTATION_SIZE,
     ExpansionLimitError,
     Game,
     add,
@@ -24,6 +25,7 @@ from bipartite_influence.games import (
     ls,
     negate,
     node,
+    notation_size,
     number,
     parse_game,
     repeated,
@@ -483,6 +485,20 @@ class TestNotation:
 
     def test_format_simplified_segment(self):
         assert format_game(simplify(seg_tree(5))) == "<5|<-1|-5>>"
+
+    def test_size_counts_the_notation(self):
+        games = [parse_game(text) for text in ("4", "-7/2", "<1,<2|0>|-1>", "<-5/4|<3|-10>>")]
+        games += [seg_tree(n) for n in range(1, 9)] + [segment_union_tree([2] * 8)]
+        for g in games:
+            assert notation_size(g) == len(format_game(g))
+
+    def test_notation_over_the_cap_is_not_built(self):
+        g = segment_union_tree([2] * 27)
+        assert notation_size(g) == 663313181 > MAX_NOTATION_SIZE
+        with pytest.raises(ValueError, match="663313181 characters"):
+            format_game(g)
+        assert repr(g).startswith(f"Game(#{g.uid}, ") and "663313181 characters" in repr(g)
+        assert repr(number(-3)) == "Game(-3)"
 
     def test_parse_whitespace(self):
         assert parse_game(" < 1 , 2 | 0 > ") is parse_game("<1,2|0>")

@@ -1,6 +1,6 @@
-"""Each package module imports by itself in a fresh interpreter, and
-uses every name it imports; every function the benchmark traces, and
-every attribute it counts, exists.
+"""Each package module imports by itself in a fresh interpreter, uses
+every name it imports and holds no ``global`` statement; every function
+the benchmark traces, and every attribute it counts, exists.
 
 ``solver`` imports ``symmetry``, so ``symmetry`` imports ``Solver`` only
 inside ``certify_draw``: a module-level import would be a cycle.  A fresh
@@ -54,6 +54,16 @@ def test_module_uses_every_import(module):
     path = SRC / "bipartite_influence" / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_global_statement(module):
+    """No function rebinds module-level state: a cache or an engine
+    belongs to the object or the caller that uses it."""
+    path = SRC / "bipartite_influence" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [f"{', '.join(node.names)} (line {node.lineno})"
+            for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
 
 
 def test_traced_names_resolve():

@@ -24,7 +24,6 @@ from bipartite_influence.segments import (
     _SINGLE_RULES,
     periodicity_scan,
     segment_moves,
-    segment_scores,
     segment_table,
     segment_union_tree,
     sum_bound_check,
@@ -173,12 +172,11 @@ class TestMoveArithmetic:
         assert segment_moves(3, True, prune=True) == segment_moves(3, True)
 
     def test_pruned_engine_scores_match(self, engine, rng):
-        lazy = SegmentEngine(prune=False)
+        """The engine prunes extremity moves; the reference tries them all."""
         for _ in range(60):
             parts = [rng.choice([2, 3, -3, 5, -5, 7, -7, 8, 11])
                      for _ in range(rng.randint(1, 4))]
-            s = SegmentSum(parts)
-            assert engine.scores(s) == lazy.scores(s)
+            assert engine.scores(SegmentSum(parts)) == _reference_pair(parts), parts
 
 
 class TestRewriteRules:
@@ -271,9 +269,9 @@ class TestTables:
         moved = engine.scores(SegmentSum([7], offset=3))
         assert (moved.ls, moved.rs) == (base.ls + 3, base.rs + 3)
 
-    def test_table_rejects_empty_range(self):
+    def test_table_rejects_empty_range(self, engine):
         with pytest.raises(ValueError):
-            segment_table(0)
+            segment_table(0, engine)
 
     def test_csv_shape(self, engine, tmp_path):
         rows = segment_table(5, engine=engine)
@@ -487,7 +485,7 @@ class TestUnionTrees:
         assert tree is whole_position_tree(board)
         singles = [from_position(Position.make(build_segment(p))) for p in parts]
         assert tree is add_all([number(offset)] + singles)
-        assert_canonical_form_of(segment_union_tree(parts, offset), tree)
+        assert_canonical_form_of(add(number(offset), segment_union_tree(parts)), tree)
 
     # Induced paths in a 4x4 grid (vertex i * 4 + j, Black on even i + j):
     # a staircase from the Black corner, one from a White vertex, an even
@@ -510,15 +508,12 @@ class TestUnionTrees:
         assert_canonical_form_of(canonical, full)
 
     def test_offset_and_singles_absorbed(self):
-        assert segment_union_tree([1, 1, 3], offset=-2) is segment_union_tree([3])
+        assert add(number(-2), segment_union_tree([1, 1, 3])) is segment_union_tree([3])
         assert full_union_tree([1, 1, 3], offset=-2) is full_union_tree([3])
 
     def test_zero_part_rejected(self):
         with pytest.raises(ValueError):
             segment_union_tree([0])
-
-    def test_module_level_scores_helper(self, engine):
-        assert segment_scores(SegmentSum([5]), engine) == ScorePair(5, -1)
 
 
 class TestCanonicalTrees:
@@ -541,5 +536,5 @@ class TestCanonicalTrees:
                 room -= size
                 parts.append(rng.choice((size, -size)))
             offset = rng.randint(-3, 3)
-            assert_canonical_form_of(segment_union_tree(parts, offset),
+            assert_canonical_form_of(add(number(offset), segment_union_tree(parts)),
                                      full_union_tree(parts, offset))
