@@ -56,6 +56,8 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+MAX_RAW_VERTICES = 32  # a full tree of 32 vertices takes up to about 12 s
+
 ENV_PREFIX = "INFLUENCE_"
 CONFIG_KEYS = ("node_budget", "cache_dir", "search_budget")
 
@@ -122,8 +124,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
 def parse_segment_list(text: str) -> list[int]:
     try:
         parts = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad segment list {text!r}") from exc
+    except ValueError as exc:  # int() quotes the first bad token, cut to 200 characters
+        raise ValueError(f"bad segment list: {exc}") from exc
     if (size := sum(map(abs, parts))) > MAX_VERTICES:
         raise ValueError(f"segment union has {size} vertices, capacity is {MAX_VERTICES}")
     return parts
@@ -238,6 +240,8 @@ def game_from_args(args) -> Game:
             raise ValueError(f"cannot cool a game outside the universe: {bad}")
         return g if args.raw else simplify(g)
     parts = [args.segment] if args.segment is not None else parse_segment_list(args.segments)
+    if args.raw and (size := sum(map(abs, parts))) > MAX_RAW_VERTICES:
+        raise ValueError(f"--raw takes at most {MAX_RAW_VERTICES} vertices, got {size}")
     return segment_union_tree(parts, canonical=not args.raw)
 
 
@@ -294,8 +298,7 @@ def cmd_symmetry(args, settings) -> int:
         raise ValueError(f"--solve-limit must be at least 0, got {args.solve_limit}")
     g = graph_from_args(args)
     budget = _int_setting(args.budget, settings, "search_budget", DEFAULT_SEARCH_BUDGET)
-    report = certify_draw(g, budget=budget,
-                          solve_limit=0 if args.no_solve else args.solve_limit)
+    report = certify_draw(g, budget=budget, solve_limit=args.solve_limit)
     payload = {
         "graph": g.name or "graph",
         "status": report.status,
@@ -419,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     py = sub.add_parser("symmetry", help="search for a mirror-draw certificate")
     add_source_args(py)
     py.add_argument("--budget", type=int)
-    py.add_argument("--no-solve", action="store_true",
-                    help="skip the exact-score cross-check")
-    py.add_argument("--solve-limit", type=int, default=26)
+    py.add_argument("--solve-limit", type=int, default=26,
+                    help="largest graph whose exact scores are checked; 0 skips the check")
     py.add_argument("--json", action="store_true")
     py.set_defaults(func=cmd_symmetry)
 

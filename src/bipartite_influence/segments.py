@@ -17,10 +17,11 @@ place keys are made, folds the remaining parts into a memo key:
 * a few further exact equivalences (``_SINGLE_RULES``, ``_PARTNER_RULES``)
   replace parts by smaller parts plus banked points.
 
-The search is MTD(f) through ``solver.mtdf``, the driver the board solver
-uses: zero-window, fail-soft negamax passes from Black's seat, children
-tried in order of immediate gain.  Proven scores go in the memo, which is
-what the cache file holds; bounds that have not met stay in memory only.
+The engine generates the children of ``solver.ZeroWindowSearch``, the
+zero-window search the board solver runs too: MTD(f) passes of fail-soft
+negamax from Black's seat, children tried in order of immediate gain.
+Proven scores go in the memo, which is what the cache file holds; bounds
+that have not met stay in memory only.
 Each caller makes its own engine: none lives for the whole process.
 
 Everything the rewrite relies on is an equality of games, hence preserved
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 
 from .games import Game, tree_of_sum
 from .graphs import Position, build_segment
-from .solver import ScorePair, mtdf
+from .solver import ScorePair, ZeroWindowSearch
 
 CACHE_FORMAT = "bipartite-influence-segment-cache"
 CACHE_VERSION = 1
@@ -136,27 +137,25 @@ _PARTNER_RULES: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {
 }
 
 
-class SegmentEngine:
-    """MTD(f) search over canonical segment multisets.
+class SegmentEngine(ZeroWindowSearch):
+    """The zero-window search of ``solver`` over canonical segment multisets.
 
     Everything is evaluated from the Black mover's seat: flipping the sign
     of every odd part mirrors the position, so the White-to-move score of a
-    multiset is minus the Black-to-move score of its mirror.  The memo maps
-    a ``_reduce`` key straight to that Black score.  It holds proven scores
-    only: every queried key, and every key whose ``[lower, upper]`` bounds
-    in ``_bounds`` met during a search, leaving that dict.  Entries are
-    final and inserts are idempotent, so one engine can be shared, and
-    ``save`` writes the memo alone.  ``nodes`` counts expansions.  With
+    multiset is minus the Black-to-move score of its mirror.  A node is a
+    ``_reduce`` key, and the memo maps it straight to that Black score.  It
+    holds proven scores only: every queried key, and every key whose
+    ``[lower, upper]`` bounds in ``_bounds`` met during a search, leaving
+    that dict.  Entries are final and inserts are idempotent, so one
+    engine can be shared, and ``save`` writes the memo alone.  With
     ``use_rewrite=False`` the engine keeps only orientation and pair
     cancellation, skipping the ``4k + 2`` split and the rule tables, and
     serves as an independent oracle for them; it shares the search.
     """
 
     def __init__(self, use_rewrite: bool = True):
+        super().__init__()
         self.use_rewrite = use_rewrite
-        self.memo: dict[tuple[int, ...], int] = {}
-        self._bounds: dict[tuple[int, ...], list[int]] = {}
-        self.nodes = 0
         self._moves: dict[int, tuple] = {}
 
     # -- scores ------------------------------------------------------------
@@ -169,14 +168,8 @@ class SegmentEngine:
             parts = [p for p in parts if p != 1 and p != -1]
         core, shift = self._reduce(parts)
         mcore, mshift = self._reduce([-p if p & 1 else p for p in parts])
-        memo = self.memo
-        ls = memo.get(core)
-        if ls is None:
-            ls = self._black_score(core)
-        rs = memo.get(mcore)
-        if rs is None:
-            rs = self._black_score(mcore)
-        return ScorePair(offset + shift + ls, offset - mshift - rs)
+        return ScorePair(offset + shift + self._exact(core, core),
+                         offset - mshift - self._exact(mcore, mcore))
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection."""
@@ -245,29 +238,12 @@ class SegmentEngine:
                 insort(out, r)
         return tuple(out), delta
 
-    def _black_score(self, parts: tuple[int, ...]) -> int:
-        """Black-to-move score of a ``_reduce`` key, by MTD(f) over
-        :meth:`_test`.  The last pass makes the key's bounds meet, so a
-        nonempty key is in the memo on return."""
-        n = sum(map(abs, parts))
-        return mtdf(lambda beta: self._test(parts, beta), -n, n)
+    def _bound(self, parts: tuple[int, ...]) -> int:
+        return sum(map(abs, parts))
 
-    def _test(self, parts: tuple[int, ...], beta: int) -> int:
-        """Fail-soft zero-window search from Black's seat: a value
-        ``v >= beta`` is a lower bound on the score, ``v < beta`` an upper
-        bound.  A node whose bounds meet moves into the memo."""
-        if not parts:
-            return 0
-        exact = self.memo.get(parts)
-        if exact is not None:
-            return exact
-        bounds = self._bounds.get(parts)
-        if bounds is not None:
-            if bounds[0] >= beta:
-                return bounds[0]
-            if bounds[1] < beta:
-                return bounds[1]
-        self.nodes += 1
+    def _children(self, parts: tuple[int, ...]) -> list:
+        """Black's moves, each leaving a key mirrored to Black's seat,
+        sorted by immediate gain, highest first."""
         children = []
         for i, part in enumerate(parts):
             if i and parts[i - 1] == part:
@@ -275,30 +251,13 @@ class SegmentEngine:
             base = parts[:i] + parts[i + 1 :]
             mirror_base = tuple(-p if p & 1 else p for p in base)
             for count, remnants in self._move_list(part):
-                # hand the remainder to the opponent, mirrored to Black's seat
                 core, shift = self._reduce(
                     mirror_base
                     + tuple(-r if r & 1 else r for r in remnants)
                 )
-                children.append((count - shift, core))
-        assert children, "every segment offers moves to both players"
+                children.append((count - shift, core, core))
         children.sort(key=itemgetter(0), reverse=True)
-        best = None
-        for gain, core in children:
-            val = gain - self._test(core, gain - beta + 1)
-            if best is None or val > best:
-                best = val
-                if best >= beta:
-                    break
-        if bounds is None:
-            n = sum(map(abs, parts))
-            bounds = self._bounds[parts] = [-n, n]
-        # the stored bounds did not decide the test, so ``best`` narrows them
-        bounds[0 if best >= beta else 1] = best
-        if bounds[0] == bounds[1]:
-            del self._bounds[parts]
-            self.memo[parts] = best
-        return best
+        return children
 
     # -- persistence ---------------------------------------------------------
 
@@ -352,7 +311,7 @@ class SegmentEngine:
                     f"malformed cache entries: {list(key)} cannot score {value}")
         loaded = len(entries)
         entries.update(self.memo)  # merge without overwriting
-        self.memo = entries
+        self.table.memo = entries
         return loaded
 
 

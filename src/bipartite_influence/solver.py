@@ -2,17 +2,19 @@
 
 Left score Ls is the best final score (Left points minus Right points) when
 Left moves first and both players play perfectly; Rs is the same with Right
-moving first.  The solver runs MTD(f) over sums of connected components
+moving first.  ``ZeroWindowSearch`` is the package's one search: MTD(f)
 (Plaat, Schaeffer, Pijls and de Bruin, "Best-first fixed-depth minimax
-algorithms", AI 87, 1996): repeated zero-window, fail-soft alpha-beta passes
-that narrow a (lower, upper) bound pair until it is exact.  A memo keeps
-those bounds per position and mover across passes and queries.  Moves are
-tried in order of immediate gain, and each successor is built only when
-the search reaches it.  Transposition keys bring path components to
-canonical form, and pairs of components cancel before lookup when a mirror
-certificate on their union (``symmetry.find_bw``) gives Ls = Rs = 0: in
-Milnor's universe (dicotic, free of zugzwang, as every position here) such
-a game is zero.
+algorithms", AI 87, 1996), repeated fail-soft zero-window negamax passes
+from the mover's seat that narrow a (lower, upper) bound pair until it is
+exact.  Its memo keeps those bounds, and the scores they prove, across
+passes and queries.  Two child generators drive it: ``Solver`` over sums
+of connected components, and ``segments.SegmentEngine`` over reduced
+unions of segments.  The solver tries moves in order of immediate gain
+and builds each successor only when the search reaches it.  Transposition
+keys bring path components to canonical form, and pairs of components
+cancel before lookup when a mirror certificate on their union
+(``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
+free of zugzwang, as every position here) such a game is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .graphs import (
     WHITE,
     Position,
     RemovalSet,
-    VertexColor,
     apply_move,
     canonical_key,
     components,
@@ -54,34 +55,23 @@ class ScorePair:
 
 
 class TranspositionTable:
-    """Score bounds keyed by canonical component multisets.
+    """Exact scores and open bounds of positions, each from its mover's seat.
 
-    An entry is ``[lower, upper]`` for Left to move followed by the same
-    pair for Right to move.  Each pair only narrows: a later search pass
-    raises a lower bound or lowers an upper bound, and a pair whose bounds
-    meet is the exact score.
+    ``memo`` maps a key to its proven score.  ``bounds`` maps a key whose
+    score is still open to ``[lower, upper]``; each search pass only
+    narrows the pair, and a pair whose bounds meet moves to ``memo``.
+    ``len()`` counts both.  ``lookups`` counts the probes of the
+    zero-window test and ``hits`` those that found the key.
     """
 
     def __init__(self):
-        self._data: dict[tuple, list[int]] = {}
+        self.memo: dict = {}
+        self.bounds: dict[object, list[int]] = {}
         self.hits = 0
         self.lookups = 0
 
-    def get(self, key: tuple) -> list[int] | None:
-        self.lookups += 1
-        e = self._data.get(key)
-        if e is not None:
-            self.hits += 1
-        return e
-
-    def new(self, key: tuple, n: int) -> list[int]:
-        """A fresh entry for a position of ``n`` alive vertices, whose
-        score lies in ``[-n, n]`` for either mover."""
-        e = self._data[key] = [-n, n, -n, n]
-        return e
-
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.memo) + len(self.bounds)
 
 
 def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
@@ -168,14 +158,83 @@ def _negated_pair(a: Keyed, b: Keyed, cache: dict) -> bool:
     return hit
 
 
-class Solver:
-    """Exact MTD(f) search over sums of components, with a bounds memo."""
+class ZeroWindowSearch:
+    """Exact scores by MTD(f) over one fail-soft zero-window negamax.
 
-    def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
+    Scores are offset-free and seen from the mover's seat.  A subclass
+    says what a node is: ``_children(node)`` yields ``(gain, key, child)``
+    for each move, best first, where ``gain`` is what the mover banks and
+    ``child`` is the node the opponent then moves in, stored under
+    ``key``.  ``_bound(node)`` bounds the absolute score (0 for the empty
+    position, which has no children); a node not in the memo starts from
+    those bounds, which alone can decide a test.  ``nodes`` counts
+    expansions.
+    """
+
+    def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
         self.table = TranspositionTable()
         self.node_budget = node_budget
-        self.prune = prune
         self.nodes = 0
+
+    memo = property(lambda self: self.table.memo)
+    _bounds = property(lambda self: self.table.bounds)
+
+    def _exact(self, key, node, guess: int = 0) -> int:
+        """The exact score of ``node``, by :func:`mtdf` over :meth:`_test`."""
+        exact = self.table.memo.get(key)
+        if exact is not None:
+            return exact
+        n = self._bound(node)
+        return mtdf(lambda beta: self._test(key, node, beta), -n, n, guess)
+
+    def _test(self, key, node, beta: int) -> int:
+        """Fail-soft zero-window search: a value ``v >= beta`` is a lower
+        bound on the score, a value ``v < beta`` an upper bound."""
+        table = self.table
+        table.lookups += 1
+        exact = table.memo.get(key)
+        if exact is not None:
+            table.hits += 1
+            return exact
+        bounds = table.bounds.get(key)
+        if bounds is None:
+            n = self._bound(node)
+            bounds = [-n, n]
+        else:
+            table.hits += 1
+        if bounds[0] >= beta:
+            return bounds[0]
+        if bounds[1] < beta:
+            return bounds[1]
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise SearchBudgetError(self.node_budget)
+        best = None
+        for gain, child_key, child in self._children(node):
+            val = gain - self._test(child_key, child, gain - beta + 1)
+            if best is None or val > best:
+                best = val
+                if best >= beta:
+                    break
+        assert best is not None, "a nonempty position offers moves to both players"
+        # the stored bounds did not decide the test, so ``best`` narrows them
+        bounds[0 if best >= beta else 1] = best
+        if bounds[0] == bounds[1]:
+            table.bounds.pop(key, None)
+            table.memo[key] = best
+        else:
+            table.bounds[key] = bounds
+        return best
+
+
+class Solver(ZeroWindowSearch):
+    """Exact scores of sums of components.  A node is the sign of the
+    mover's gains (1 for Left, -1 for Right) and the components from
+    :meth:`_cancel`; its key is that sign and the component keys."""
+
+    def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
+        super().__init__(node_budget)
+        self.prune = prune
         self._pair_cache: dict = {}
 
     # -- public API --------------------------------------------------------
@@ -191,8 +250,11 @@ class Solver:
             offset += part.offset
             comps.extend(keyed_components(part))
         comps = self._cancel(comps)
-        ls = self._score(comps, BLACK)
-        return ScorePair(offset + ls, offset + self._score(comps, WHITE, guess=ls))
+        keys = tuple(k for k, _ in comps)
+        ls = self._exact((1, keys), (1, comps))
+        # White's first pass asks whether Rs reaches Ls
+        rs = -self._exact((-1, keys), (-1, comps), guess=1 - ls)
+        return ScorePair(offset + ls, offset + rs)
 
     # -- internals ---------------------------------------------------------
 
@@ -208,59 +270,31 @@ class Solver:
                 out.append(c)
         return tuple(out)
 
-    def _score(self, comps: tuple[Keyed, ...], mover: VertexColor, guess: int = 0) -> int:
-        """Offset-free score of a canceled component multiset from ``_cancel``,
-        by :func:`mtdf` over :meth:`_test` for ``mover``."""
-        n = sum(c.vertex_count for _, c in comps)
-        return mtdf(lambda beta: self._test(comps, mover, beta), -n, n, guess)
+    def _bound(self, node: tuple[int, tuple[Keyed, ...]]) -> int:
+        return sum(c.vertex_count for _, c in node[1])
 
-    def _test(self, comps: tuple[Keyed, ...], mover: VertexColor, beta: int) -> int:
-        """Fail-soft zero-window search: a value ``v >= beta`` is a lower
-        bound on the score, a value ``v < beta`` an upper bound."""
-        if not comps:
-            return 0
-        keys = tuple(k for k, _ in comps)
-        slot = 0 if mover is BLACK else 2
-        entry = self.table.get(keys)
-        if entry is not None:
-            if entry[slot] >= beta:
-                return entry[slot]
-            if entry[slot + 1] < beta:
-                return entry[slot + 1]
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise SearchBudgetError(self.node_budget)
+    def _children(self, node: tuple[int, tuple[Keyed, ...]]):
+        """Each distinct successor once, the mover's largest gains first;
+        a successor is built only when the search reaches it."""
+        sign, comps = node
+        mover = BLACK if sign > 0 else WHITE
         moves = []
         for idx, (key, comp) in enumerate(comps):
-            if idx and key == keys[idx - 1]:
+            if idx and key == comps[idx - 1][0]:
                 continue  # identical component, symmetric moves
             found = legal_moves(comp, mover)
             if self.prune:
                 found = prune_dominated(found)
             moves.extend((idx, m) for m in found)
-        left = mover is BLACK
-        moves.sort(key=lambda im: -im[1].gain if left else im[1].gain)
-        best = None
-        seen_succ = set()
+        moves.sort(key=lambda im: -abs(im[1].gain))
+        seen = set()
         for idx, move in moves:
             succ = apply_move(comps[idx][1], move)
-            delta = succ.offset
             merged = self._cancel(list(comps[:idx] + comps[idx + 1 :]) + keyed_components(succ))
-            mkey = (delta, tuple(k for k, _ in merged))
-            if mkey in seen_succ:
-                continue
-            seen_succ.add(mkey)
-            val = delta + self._test(merged, mover.opponent, beta - delta)
-            if best is None or (val > best if left else val < best):
-                best = val
-                if (best >= beta) == left:
-                    break  # Left reached beta, or Right held the score below it
-        assert best is not None, "nonempty stripped position always has moves"
-        if entry is None:
-            entry = self.table.new(keys, sum(c.vertex_count for _, c in comps))
-        # the stored bounds did not decide the test, so ``best`` narrows them
-        entry[slot if best >= beta else slot + 1] = best
-        return best
+            gain_key = (sign * succ.offset, (-sign, tuple(k for k, _ in merged)))
+            if gain_key not in seen:
+                seen.add(gain_key)
+                yield *gain_key, (-sign, merged)
 
 
 # ---------------------------------------------------------------------------

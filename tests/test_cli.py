@@ -283,6 +283,20 @@ class TestThermo:
         assert data["game"] == format_game(full) != "<5|<-1|-5>>"
         assert (data["sigma"], data["mast"]) == ("4", "1")
 
+    @pytest.mark.parametrize("source", [["--segment", "33"], ["--segments", "20,-13"]],
+                             ids=["segment", "segments"])
+    def test_raw_union_above_32_vertices_rejected(self, capsys, source):
+        rc, out, err = run(capsys, "thermo", "--raw", *source)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "33" in err
+
+    def test_raw_union_of_24_vertices_accepted(self, capsys):
+        rc, out, _ = run(capsys, "thermo", "--raw", "--segments", "4,4,4,4,4,4", "--json")
+        assert rc == EXIT_OK
+        assert json.loads(out)["mast"] == "0"
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         rc, out, _ = run(capsys, "thermo", "--segment", "5",
@@ -432,7 +446,7 @@ class TestSymmetry:
 
     def test_no_solve_skips_scores(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "--hypercube", "3",
-                         "--no-solve", "--json")
+                         "--solve-limit", "0", "--json")
         assert rc == EXIT_OK
         data = json.loads(out)
         assert data["scores"] is None
@@ -551,6 +565,13 @@ class TestConfig:
         assert parse_segment_list("5,-3, 2") == [5, -3, 2]
         with pytest.raises(ValueError, match="bad segment list"):
             parse_segment_list("5,x")
+
+    def test_bad_segment_list_error_quotes_one_token(self, capsys):
+        rc, out, err = run(capsys, "solve", "--segments", "2," * 50000 + "a")
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err.encode()) < 200 and "'a'" in err
 
 
 class TestVersion:
@@ -733,7 +754,7 @@ def _fuzz_argv(rng, tmp_path):
         argv += switch("--json")
     elif command == "symmetry":
         argv += source() + maybe("--budget", _NUMBERS)
-        argv += maybe("--solve-limit", _NUMBERS) + switch("--no-solve") + switch("--json")
+        argv += maybe("--solve-limit", _NUMBERS) + switch("--json")
     elif command == "reduce":
         cnfs = [path(name) for name in _FILES if name.endswith(".cnf")]
         argv += pick(flag("--cnf", cnfs + [path("missing.cnf")]))

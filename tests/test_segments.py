@@ -41,9 +41,15 @@ from bipartite_influence.games import (
     tree_of_sum,
 )
 from bipartite_influence.thermo import thermograph
-from bipartite_influence.solver import ScorePair
+from bipartite_influence.solver import ScorePair, Solver
 
-from conftest import ref_is_simplified, ref_segment_black_score, whole_position_tree
+from conftest import (
+    random_position,
+    raw_score,
+    ref_is_simplified,
+    ref_segment_black_score,
+    whole_position_tree,
+)
 
 # Exact scores of single segments, frozen after cross-checking the engine
 # against the generic graph solver and the rewrite-free engine.
@@ -244,14 +250,37 @@ class TestSearch:
                 room -= size
             assert eng.scores(SegmentSum(parts)) == _reference_pair(parts), parts
 
-    def test_memo_holds_only_exact_scores(self):
-        eng = SegmentEngine()
-        segment_table(30, eng)
-        # besides the queried rows, nodes whose bounds met joined the memo
+    @pytest.mark.parametrize("search", ["segments", "solver"])
+    def test_memo_holds_only_exact_scores(self, search):
+        """Both engines share the zero-window search and its memo layout:
+        proven scores in ``memo``, open bounds in ``_bounds``, never both."""
+        if search == "segments":
+            eng = SegmentEngine()
+            segment_table(30, eng)
+            reference = ref_segment_black_score
+        else:
+            nodes = {}
+
+            class Recording(Solver):
+                def _test(self, key, node, beta):
+                    nodes[key] = node
+                    return super()._test(key, node, beta)
+
+            def reference(key):
+                sign, comps = nodes[key]
+                union = disjoint_union([c for _, c in comps])
+                return sign * raw_score(union, union.full_mask, sign > 0)
+
+            eng = Recording()
+            rng = random.Random(15)
+            for _ in range(40):
+                eng.scores(random_position(rng, max_n=14, p=0.3))
+            eng.scores(Position.make(build_grid(3, 5)))
+        # besides the queried roots, nodes whose bounds met joined the memo
         assert len(eng.memo) > 60
         assert not set(eng.memo) & set(eng._bounds)
         for key, value in eng.memo.items():
-            assert value == ref_segment_black_score(key), key
+            assert value == reference(key), key
 
 
 class TestTables:
@@ -428,6 +457,15 @@ class TestCache:
             with pytest.raises(ValueError, match="malformed"):
                 eng.load(path)
             assert eng.memo == {}
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path):
+        eng = SegmentEngine()
+        segment_table(5, engine=eng)
+        path = tmp_path / "segment-scores.json"
+        path.mkdir()  # the final rename cannot replace a directory
+        with pytest.raises(OSError):
+            eng.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["segment-scores.json"]
 
     def test_format_constant_in_payload(self, tmp_path):
         warm = SegmentEngine()
