@@ -22,6 +22,7 @@ from .games import (
     number,
     parse_game,
     simplify,
+    tree_of_sum,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -239,10 +240,12 @@ def game_from_args(args) -> Game:
         if bad:
             raise ValueError(f"cannot cool a game outside the universe: {bad}")
         return g if args.raw else simplify(g)
-    parts = [args.segment] if args.segment is not None else parse_segment_list(args.segments)
-    if args.raw and (size := sum(map(abs, parts))) > MAX_RAW_VERTICES:
+    parts = parse_segment_list(args.segments if args.segment is None else str(args.segment))
+    if not args.raw:
+        return segment_union_tree(parts)
+    if (size := sum(map(abs, parts))) > MAX_RAW_VERTICES:
         raise ValueError(f"--raw takes at most {MAX_RAW_VERTICES} vertices, got {size}")
-    return segment_union_tree(parts, canonical=not args.raw)
+    return tree_of_sum([Position.make(build_segment(p)) for p in parts])
 
 
 def cmd_thermo(args, settings) -> int:
@@ -275,16 +278,8 @@ def cmd_equiv(args, settings) -> int:
             g = segment_union_tree(parse_segment_list(sum_text))
         return add(number(offset), g)
 
-    sum_a, sum_b = args.sum_a, args.sum_b
-    if args.sums:
-        if len(args.sums) > 2 or sum_a is not None or sum_b is not None:
-            raise ValueError("--sum may appear at most twice, A then B, "
-                             "and not together with --sum-a/--sum-b")
-        sum_a = args.sums[0]
-        if len(args.sums) == 2:
-            sum_b = args.sums[1]
-    a = side(sum_a, args.game_a, args.offset_a)
-    b = side(sum_b, args.game_b, args.offset_b)
+    a = side(args.sum_a, args.game_a, args.offset_a)
+    b = side(args.sum_b, args.game_b, args.offset_b)
     verdict = equivalent(a, b)
     if args.json:
         print(json.dumps({"equivalent": verdict}))
@@ -408,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     pth.set_defaults(func=cmd_thermo)
 
     pe = sub.add_parser("equiv", help="test two games for equality")
-    pe.add_argument("--sum", metavar="LIST", action="append", dest="sums",
-                    help="segments for one side; give twice, A then B")
     pe.add_argument("--sum-a", metavar="LIST", help="segments of side A")
     pe.add_argument("--sum-b", metavar="LIST", help="segments of side B")
     pe.add_argument("--game-a", metavar="NOTATION")

@@ -335,53 +335,33 @@ def from_position(position: Position, limit: int = DEFAULT_EXPANSION_LIMIT) -> G
     return tree_of_sum([position])
 
 
-def tree_of_sum(parts: Iterable[Position], canonical: bool = False) -> Game:
-    """The game tree of a sum of stripped positions (as
+def tree_of_sum(parts: Iterable[Position]) -> Game:
+    """The full game tree of a sum of stripped positions (as
     :meth:`Position.make` builds them), with no expansion limit.
 
-    The tree of a disjoint union is the sum of its components' trees.
-    Banked points go in last, so that sums of the same components share
-    their ``add`` entries.
-
-    By default the tree is the full one: every legal move is an option.
-    With ``canonical`` every node is simplified as soon as it is built, and
-    each partial sum of component trees too, so dominated options never
-    grow subtrees.  Equal games can be swapped inside any sum of Milnor's
-    universe, so the result equals the full tree; a zugzwang node, where
-    that fails, raises ``ValueError``.
+    It is the sum of the components' trees, banked points last, so that
+    sums of the same components share their ``add`` entries.
     """
     offset = 0
     trees: list[Game] = []
     for part in parts:
         offset += part.offset
-        trees.extend(_tree(key, comp, canonical) for key, comp in keyed_components(part))
-    fold = _add_simplified if canonical else add
-    tree = reduce(fold, trees) if trees else number(0)
-    return add(tree, number(offset))
+        trees.extend(_tree(key, comp) for key, comp in keyed_components(part))
+    return add(add_all(trees), number(offset))
 
 
-def _add_simplified(g: Game, h: Game) -> Game:
-    return simplify(add(g, h))
-
-
-def _tree(key: tuple, comp: Position, canonical: bool) -> Game:
+def _tree(key: tuple, comp: Position) -> Game:
     """Offset-free game tree of one connected component.
 
     Equal keys mean isomorphic components, hence equal trees, so trees are
-    cached by mode and key, and path components share trees across boards.
+    cached by key, and path components share trees across boards.
     """
-    hit = _tree_cache.get((canonical, key))
+    hit = _tree_cache.get(key)
     if hit is None:
         lefts, rights = (
-            [tree_of_sum([apply_move(comp, m)], canonical) for m in legal_moves(comp, color)]
+            [tree_of_sum([apply_move(comp, m)]) for m in legal_moves(comp, color)]
             for color in (BLACK, WHITE))
-        hit = node(lefts, rights)
-        if canonical:
-            bad = audit_universe(hit)
-            if bad:
-                raise ValueError(f"component outside the universe: {bad}")
-            hit = simplify(hit)
-        _tree_cache[(canonical, key)] = hit
+        hit = _tree_cache[key] = node(lefts, rights)
     return hit
 
 

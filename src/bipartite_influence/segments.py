@@ -25,9 +25,10 @@ that have not met stay in memory only.
 Each caller makes its own engine: none lives for the whole process.
 
 Everything the rewrite relies on is an equality of games, hence preserved
-under sums; the test suite cross-checks the engine against the generic
-graph solver, against a rewrite-free twin (for the rules) and against a
-plain minimax with no reduction and no cutoffs (for the search).
+under sums, so ``SegmentEngine.tree`` builds game trees on the same keys.
+The test suite cross-checks the engine against the generic graph solver,
+against a rewrite-free twin (for the rules), against a plain minimax with
+no reduction and no cutoffs (for the search), and against full trees.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .games import Game, tree_of_sum
-from .graphs import Position, build_segment
+from .games import Game, add, audit_universe, negate, node, number, simplify
 from .solver import ScorePair, ZeroWindowSearch
 
 CACHE_FORMAT = "bipartite-influence-segment-cache"
@@ -137,6 +137,12 @@ _PARTNER_RULES: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {
 }
 
 
+def _banked(parts: Sequence[int], offset: int) -> tuple[list[int], int]:
+    """The parts ``_reduce`` takes, and the points: a single vertex is banked."""
+    return ([p for p in parts if p != 1 and p != -1],
+            offset + parts.count(1) - parts.count(-1))
+
+
 class SegmentEngine(ZeroWindowSearch):
     """The zero-window search of ``solver`` over canonical segment multisets.
 
@@ -157,19 +163,44 @@ class SegmentEngine(ZeroWindowSearch):
         super().__init__()
         self.use_rewrite = use_rewrite
         self._moves: dict[int, tuple] = {}
+        self._trees: dict[tuple[int, ...], Game] = {(): number(0)}
 
-    # -- scores ------------------------------------------------------------
+    # -- scores and trees --------------------------------------------------
 
     def scores(self, s: SegmentSum) -> ScorePair:
         parts, offset = s.parts, s.offset
         if 1 in parts or -1 in parts:
-            # _reduce takes no size-one parts: a single vertex is a banked point
-            offset += parts.count(1) - parts.count(-1)
-            parts = [p for p in parts if p != 1 and p != -1]
+            parts, offset = _banked(parts, offset)
         core, shift = self._reduce(parts)
         mcore, mshift = self._reduce([-p if p & 1 else p for p in parts])
         return ScorePair(offset + shift + self._exact(core, core),
                          offset - mshift - self._exact(mcore, mcore))
+
+    def tree(self, s: SegmentSum) -> Game:
+        """The game tree of ``s``, built on the memo keys and simplified."""
+        parts, offset = _banked(s.parts, s.offset)
+        core, shift = self._reduce(parts)
+        return add(self._tree(core), number(offset + shift))
+
+    def _tree(self, key: tuple[int, ...]) -> Game:
+        """The simplified, offset-free game of a ``_reduce`` key.
+
+        A child key is what the mover leaves, mirrored, so its game is the
+        negative.  Right's options are the negatives of Left's options in
+        the mirror of ``key``.  A zugzwang node raises ``ValueError``.
+        """
+        hit = self._trees.get(key)
+        if hit is None:
+            mcore, mshift = self._reduce([-p if p & 1 else p for p in key])
+            hit = node(
+                [add(number(gain), negate(self._tree(child)))
+                 for gain, child, _ in self._children(key)],
+                [add(self._tree(child), number(-gain - mshift))
+                 for gain, child, _ in self._children(mcore)])
+            if bad := audit_universe(hit):
+                raise ValueError(f"segment union outside the universe: {bad}")
+            hit = self._trees[key] = simplify(hit)
+        return hit
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection."""
@@ -402,11 +433,6 @@ def sum_bound_check(s: SegmentSum, engine: SegmentEngine) -> SegmentBoundsReport
 # exact game trees of segment unions
 
 
-def segment_union_tree(parts: Iterable[int], *, canonical: bool = True) -> Game:
-    """The game tree of a union of segments, simplified as it is built.
-
-    Built by :func:`games.tree_of_sum` on the path graphs, with no
-    score-preserving rewrites.  ``canonical=False`` gives the full tree,
-    with every legal move as an option.
-    """
-    return tree_of_sum([Position.make(build_segment(p)) for p in parts], canonical)
+def segment_union_tree(parts: Iterable[int]) -> Game:
+    """The game tree of a union of segments, from a fresh engine's keys."""
+    return SegmentEngine().tree(SegmentSum(parts))

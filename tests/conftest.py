@@ -20,7 +20,17 @@ from fractions import Fraction
 
 import pytest
 
-from bipartite_influence.games import Game, add, format_game, ls, negate, node, number, rs
+from bipartite_influence.games import (
+    Game,
+    add,
+    format_game,
+    ls,
+    negate,
+    node,
+    number,
+    rs,
+    tree_of_sum,
+)
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
@@ -28,6 +38,7 @@ from bipartite_influence.graphs import (
     Position,
     _bits,
     apply_move,
+    build_segment,
     legal_moves,
     strip_isolated,
 )
@@ -195,6 +206,13 @@ def whole_position_tree(position: Position):
 
     position = strip_isolated(position)
     return add(number(position.offset), tree(position.alive))
+
+
+def full_union_tree(parts, offset=0):
+    """The full tree of a segment union, built by ``tree_of_sum`` on the
+    path graphs with no rewrite and no simplification: the rule-free
+    reference for ``SegmentEngine.tree``."""
+    return add(number(offset), tree_of_sum([Position.make(build_segment(p)) for p in parts]))
 
 
 def ref_dominates(g: Game, h: Game) -> bool:

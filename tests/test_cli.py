@@ -398,20 +398,6 @@ class TestEquiv:
         rc, _, _ = run(capsys, "equiv", "--game-a", "<1|", "--sum-b", "3")
         assert rc == EXIT_INPUT
 
-    def test_repeated_sum_flag(self, capsys):
-        rc, out, _ = run(capsys, "equiv", "--sum", "5,5",
-                         "--sum", "2", "--offset-b", "2", "--json")
-        assert rc == EXIT_OK
-        assert json.loads(out) == {"equivalent": True}
-
-    def test_repeated_sum_flag_rejects_mixing(self, capsys):
-        rc, _, err = run(capsys, "equiv", "--sum", "5,5", "--sum-b", "2")
-        assert rc == EXIT_INPUT
-        assert "--sum" in err
-        rc, _, _ = run(capsys, "equiv", "--sum", "3", "--sum", "3",
-                       "--sum", "3")
-        assert rc == EXIT_INPUT
-
 
 class TestSymmetry:
     def test_hypercube_found(self, capsys):
@@ -613,34 +599,35 @@ def segments_of(size, count):
 
 
 class TestHugeNotation:
-    """Shared subtrees make the notation of a union of 54 vertices
-    6.6e8 characters long, and of 128 vertices 9.2e19."""
+    """Shared subtrees make the notation of ten sevens 7.6e8 characters
+    long, and of twelve sevens 3.6e10."""
 
     def test_json_game_is_null(self):
         result = run_limited("-m", "bipartite_influence", "thermo", "--json",
-                             "--segments", segments_of(2, 27))
+                             "--segments", segments_of(7, 10))
         assert result.returncode == EXIT_OK, result.stderr[-2000:]
         data = json.loads(result.stdout)
-        assert (data["game"], data["sigma"], data["mast"]) == (None, "2", "0")
+        assert (data["game"], data["sigma"], data["mast"]) == (None, "3", "5")
 
     def test_text_prints_one_line_note(self):
         result = run_limited("-m", "bipartite_influence", "thermo",
-                             "--segments", segments_of(5, 25))
+                             "--segments", segments_of(7, 12))
         assert result.returncode == EXIT_OK, result.stderr[-2000:]
         game, values = result.stdout.splitlines()
-        assert game.startswith("game: not printed") and "4504712814431 characters" in game
-        assert values == "temperature = 4, mean = 25"
+        assert game.startswith("game: not printed") and "36211430853 characters" in game
+        assert values == "temperature = 2, mean = 6"
 
     def test_repr_stays_short(self):
         result = run_limited("-c", "from bipartite_influence.segments import segment_union_tree; "
-                             f"print(repr(segment_union_tree([{segments_of(2, 27)}])))")
+                             f"print(repr(segment_union_tree([{segments_of(7, 10)}])))")
         assert result.returncode == EXIT_OK, result.stderr[-2000:]
         line = result.stdout.strip()
-        assert line.startswith("Game(#") and "663313181 characters" in line
+        assert line.startswith("Game(#") and "759452185 characters" in line
 
 
 class TestUnionCapacity:
-    """A ``--segments`` or ``--sum`` union holds at most 128 vertices."""
+    """A ``--segment``, ``--segments`` or ``--sum-a/--sum-b`` union holds
+    at most 128 vertices."""
 
     def test_full_union_solves(self, capsys):
         rc, out, _ = run(capsys, "solve", "--json", "--segments", segments_of(2, 64))
@@ -653,16 +640,24 @@ class TestUnionCapacity:
                              "--segments", segments_of(2, 64))
         assert result.returncode == EXIT_OK, result.stderr[-2000:]
         data = json.loads(result.stdout)
-        assert (data["game"], data["sigma"], data["mast"]) == (None, "0", "0")
+        assert (data["game"], data["sigma"], data["mast"]) == ("0", "0", "0")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--segments"],
         ["thermo", "--segments"],
-        ["equiv", "--sum", "2", "--sum"],
+        ["equiv", "--sum-a", "2", "--sum-b"],
     ], ids=["solve", "thermo", "equiv"])
     @pytest.mark.parametrize("parts", ["2," * 1200, "64,-65", "129"])
     def test_larger_union_rejected(self, capsys, argv, parts):
         rc, out, err = run(capsys, *argv, parts)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "capacity is 128" in err
+
+    @pytest.mark.parametrize("n", ["129", "-129"])
+    def test_larger_segment_rejected(self, capsys, n):
+        rc, out, err = run(capsys, "thermo", "--segment", n)
         assert rc == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -746,7 +741,8 @@ def _fuzz_argv(rng, tmp_path):
         argv += maybe("--csv", [path("t.csv"), str(tmp_path)])
     elif command == "equiv":
         if rng.random() < 0.2:
-            argv += [x for _ in range(rng.randint(1, 3)) for x in ("--sum", rng.choice(_LISTS))]
+            argv += [x for _ in range(rng.randint(1, 3))
+                     for x in (rng.choice(("--sum-a", "--sum-b")), rng.choice(_LISTS))]
         else:
             argv += pick(flag("--sum-a", _LISTS), flag("--game-a", _GAMES))
             argv += pick(flag("--sum-b", _LISTS), flag("--game-b", _GAMES))

@@ -45,9 +45,10 @@ from bipartite_influence.graphs import (
     disjoint_union,
     legal_moves,
 )
-from bipartite_influence.segments import segment_union_tree
+from bipartite_influence.segments import SegmentEngine, SegmentSum, segment_union_tree
 
 from conftest import (
+    full_union_tree,
     leaf_values,
     length,
     random_ground,
@@ -87,12 +88,6 @@ def longest_line(position: Position) -> int:
 
 def seg_tree(n: int) -> Game:
     return from_position(Position.make(build_segment(n)))
-
-
-def full_tree(*parts: int) -> Game:
-    """The full tree of a segment union, dominated options and ties kept,
-    with no expansion limit."""
-    return segment_union_tree(parts, canonical=False)
 
 
 class TestConstruction:
@@ -230,33 +225,21 @@ class TestFromPosition:
         import bipartite_influence.games as games_module
 
         expanded = []
-        modes = []  # the mode of each _tree call on the stack
-        tree = games_module._tree
-
-        def recording_tree(key, comp, canonical):
-            modes.append(canonical)
-            try:
-                return tree(key, comp, canonical)
-            finally:
-                modes.pop()
 
         def recording_legal_moves(position, color):
-            expanded.append((modes[-1], canonical_key(position), color))
+            expanded.append((canonical_key(position), color))
             return legal_moves(position, color)
 
-        monkeypatch.setattr(games_module, "_tree", recording_tree)
         monkeypatch.setattr(games_module, "legal_moves", recording_legal_moves)
         monkeypatch.setattr(games_module, "_tree_cache", {})
         # a 4-cycle, a four-vertex path and an edge in a 4x4 grid
         alive = sum(1 << v for v in (0, 1, 4, 5, 3, 7, 11, 15, 12, 13))
         board = Position.make(build_grid(4, 4), alive)
-        for canonical in (True, False):
-            segment_union_tree([7, 9, 11], canonical=canonical)
-            segment_union_tree([5, 5, -9], canonical=canonical)
-            tree_of_sum([board], canonical=canonical)
+        full_union_tree([7, 9, 11])
+        full_union_tree([5, 5, -9])
+        tree_of_sum([board])
         from_position(board)
-        assert {mode for mode, _, _ in expanded} == {True, False}
-        assert max(Counter(expanded).values()) == 1
+        assert expanded and max(Counter(expanded).values()) == 1
 
     def test_length_of_segment_5(self):
         # every line of play on the 5-segment ends by the second move
@@ -276,15 +259,14 @@ class TestUniverse:
             assert audit_universe(from_position(pos)) is None
 
     def test_canonical_build_rejects_zugzwang(self, monkeypatch):
-        # no Influence position has a zugzwang, so stand one in for the audit
-        import bipartite_influence.games as games_module
+        # no Influence position has a zugzwang, so stand one in for the
+        # audit in SegmentEngine.tree; tree_of_sum builds full trees unaudited
+        import bipartite_influence.segments as segments_module
 
-        monkeypatch.setattr(games_module, "_tree_cache", {})
-        monkeypatch.setattr(games_module, "audit_universe", lambda g: "zugzwang subtree")
-        position = Position.make(build_segment(3))
+        monkeypatch.setattr(segments_module, "audit_universe", lambda g: "zugzwang subtree")
         with pytest.raises(ValueError, match="zugzwang subtree"):
-            tree_of_sum([position], canonical=True)
-        assert ls(tree_of_sum([position])) == 3
+            SegmentEngine().tree(SegmentSum([3]))
+        assert ls(full_union_tree([3])) == 3
 
     def test_equivalent_rejects_zugzwang(self):
         g = parse_game("<-1|1>")
@@ -353,9 +335,9 @@ class TestMemoLifetimes:
         return not games_module._rs_nonneg_cache and not games_module._ls_nonneg_cache
 
     def test_comparison_memos_are_emptied(self):
-        a, b = full_tree(9), full_tree(4, 5)
+        a, b = full_union_tree([9]), full_union_tree([4, 5])
         dominates(a, b)  # a bare comparison may leave entries behind
-        g = full_tree(15)
+        g = full_union_tree([15])
         s = simplify(g)
         assert self.memos_empty()
         dominates(a, b)
@@ -391,7 +373,7 @@ class TestComparisonOracle:
     def test_subtrees_of_segment_trees(self):
         subs: dict[int, Game] = {}
         for n in range(1, 10):
-            subgames(full_tree(n), subs)
+            subgames(full_union_tree([n]), subs)
         games = list(subs.values())
         seen = set()
         for i, g in enumerate(games):
@@ -405,7 +387,7 @@ class TestComparisonOracle:
         def sample() -> Game:
             parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
             offset = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
-            return add(number(offset), full_tree(*parts))
+            return full_union_tree(parts, offset)
 
         equal = 0
         for _ in range(100):
@@ -417,7 +399,7 @@ class TestComparisonOracle:
     def test_numbers_against_nodes(self):
         rng = random.Random(8)
         nodes = [g for n in range(1, 8)
-                 for g in subgames(full_tree(n), {}).values()
+                 for g in subgames(full_union_tree([n]), {}).values()
                  if not g.is_number]
         for _ in range(300):
             x = number(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4))))
@@ -464,7 +446,8 @@ def _interned_growth(code: str) -> int:
 class TestComparisonBuildsNothing:
     def test_simplify_segment_21_interns_few_games(self):
         grown = _interned_growth("""
-            tree = segment_union_tree([21], canonical=False)
+            from bipartite_influence.graphs import Position, build_segment
+            tree = games.tree_of_sum([Position.make(build_segment(21))])
             games.simplify(tree)
         """)
         assert grown < 1000
@@ -488,16 +471,16 @@ class TestNotation:
 
     def test_size_counts_the_notation(self):
         games = [parse_game(text) for text in ("4", "-7/2", "<1,<2|0>|-1>", "<-5/4|<3|-10>>")]
-        games += [seg_tree(n) for n in range(1, 9)] + [segment_union_tree([2] * 8)]
+        games += [seg_tree(n) for n in range(1, 9)] + [segment_union_tree([3, 5, 7])]
         for g in games:
             assert notation_size(g) == len(format_game(g))
 
     def test_notation_over_the_cap_is_not_built(self):
-        g = segment_union_tree([2] * 27)
-        assert notation_size(g) == 663313181 > MAX_NOTATION_SIZE
-        with pytest.raises(ValueError, match="663313181 characters"):
+        g = segment_union_tree([7] * 10)
+        assert notation_size(g) == 759452185 > MAX_NOTATION_SIZE
+        with pytest.raises(ValueError, match="759452185 characters"):
             format_game(g)
-        assert repr(g).startswith(f"Game(#{g.uid}, ") and "663313181 characters" in repr(g)
+        assert repr(g).startswith(f"Game(#{g.uid}, ") and "759452185 characters" in repr(g)
         assert repr(number(-3)) == "Game(-3)"
 
     def test_parse_whitespace(self):

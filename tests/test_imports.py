@@ -1,6 +1,7 @@
 """Each package module imports by itself in a fresh interpreter, uses
-every name it imports and holds no ``global`` statement; every function
-the benchmark traces, and every attribute it counts, exists.
+every name it imports and holds no ``global`` statement; ``segments``
+imports nothing from ``graphs``; every function the benchmark traces, and
+every attribute it counts, exists.
 
 ``solver`` imports ``symmetry``, so ``symmetry`` imports ``Solver`` only
 inside ``certify_draw``: a module-level import would be a cycle.  A fresh
@@ -64,6 +65,17 @@ def test_module_has_no_global_statement(module):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [f"{', '.join(node.names)} (line {node.lineno})"
             for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
+
+
+def test_segments_import_nothing_from_graphs():
+    """The segment engine builds scores and game trees on its own keys, so
+    it needs no graph: its module imports nothing from ``graphs``."""
+    path = SRC / "bipartite_influence" / "segments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [getattr(node, "module", None) or alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.split(".")[-1] == "graphs"]
 
 
 def test_traced_names_resolve():

@@ -38,12 +38,12 @@ from bipartite_influence.games import (
     number,
     rs,
     simplify,
-    tree_of_sum,
 )
 from bipartite_influence.thermo import thermograph
 from bipartite_influence.solver import ScorePair, Solver
 
 from conftest import (
+    full_union_tree,
     random_position,
     raw_score,
     ref_is_simplified,
@@ -490,12 +490,6 @@ UNION_SUMS = [
 ]
 
 
-def full_union_tree(parts, offset=0):
-    """The full tree of a segment union, built by ``tree_of_sum`` on the
-    same segment positions as ``segment_union_tree``."""
-    return add(number(offset), tree_of_sum([Position.make(build_segment(p)) for p in parts]))
-
-
 def assert_canonical_form_of(tree, full):
     """``tree`` is a simplified game equal to the full tree ``full``."""
     assert (ls(tree), rs(tree)) == (ls(full), rs(full))
@@ -507,10 +501,10 @@ def assert_canonical_form_of(tree, full):
 class TestUnionTrees:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_interned_with_graph_expansion(self, n):
-        full = full_union_tree([n])
-        assert full is from_position(Position.make(build_segment(n)))
-        assert full is segment_union_tree([n], canonical=False)
-        assert_canonical_form_of(segment_union_tree([n]), full)
+        for signed in (n, -n):
+            full = full_union_tree([signed])
+            assert full is from_position(Position.make(build_segment(signed)))
+            assert_canonical_form_of(segment_union_tree([signed]), full)
 
     @pytest.mark.parametrize("parts, offset", UNION_SUMS)
     def test_sum_matches_the_union_board(self, parts, offset):
@@ -541,9 +535,7 @@ class TestUnionTrees:
         full = from_position(position)
         assert full is full_union_tree(parts)
         assert full is whole_position_tree(position)
-        canonical = segment_union_tree(parts)
-        assert tree_of_sum([position], canonical=True) is canonical
-        assert_canonical_form_of(canonical, full)
+        assert_canonical_form_of(segment_union_tree(parts), full)
 
     def test_offset_and_singles_absorbed(self):
         assert add(number(-2), segment_union_tree([1, 1, 3])) is segment_union_tree([3])
@@ -576,3 +568,27 @@ class TestCanonicalTrees:
             offset = rng.randint(-3, 3)
             assert_canonical_form_of(add(number(offset), segment_union_tree(parts)),
                                      full_union_tree(parts, offset))
+
+
+class TestRulesAsGameEqualities:
+    """Each rewrite of ``_reduce`` is an equality of games, not only of
+    scores: trees built on the rewritten keys equal the trees of the
+    rewrite-free engine, which keeps only orientation, pair cancellation
+    and the pruned extremity moves."""
+
+    def test_single_segments(self, engine, oracle):
+        for n in range(1, 27):
+            for signed in (n, -n):
+                s = SegmentSum([signed])
+                assert equivalent(engine.tree(s), oracle.tree(s)), signed
+
+    def test_random_unions(self, engine, oracle):
+        rng = random.Random(16)
+        for _ in range(200):
+            parts, room = [], rng.randint(1, 24)
+            while room:
+                size = rng.randint(1, room)
+                room -= size
+                parts.append(rng.choice((size, -size)))
+            s = SegmentSum(parts, rng.randint(-3, 3))
+            assert equivalent(engine.tree(s), oracle.tree(s)), s
