@@ -112,11 +112,15 @@ def rs(g: Game) -> Fraction:
 
 
 def negate(g: Game) -> Game:
+    # Negation reverses the order of games, so the negative of a simplified
+    # game is simplified: mark it so that ``simplify`` does not walk it.
     if g._neg is None:
         if g.is_number:
             out = number(-g.value)
         else:
             out = node([negate(o) for o in g.right], [negate(o) for o in g.left])
+            if g._simple is g:
+                out._simple = out
         g._neg = out
         out._neg = g
     return g._neg

@@ -53,6 +53,8 @@ class GroundGraph:
 
     Vertices are integers ``0..n-1``.  Every edge must join a Black vertex
     and a White vertex; self-loops and duplicate edges are rejected.
+    ``adj[v]`` masks the neighbors of ``v`` and ``two_step[v]`` the
+    vertices two steps away, all of ``v``'s color.
     """
 
     __slots__ = (
@@ -64,6 +66,7 @@ class GroundGraph:
         "white_mask",
         "full_mask",
         "uid",
+        "two_step",
         "_edge_list",
         "_swapped",
     )
@@ -96,6 +99,13 @@ class GroundGraph:
             adj[v] |= 1 << u
             edge_list.append((u, v) if u < v else (v, u))
         self.adj = tuple(adj)
+        two_step = []
+        for v in range(n):
+            reach = 0
+            for u in _bits(adj[v]):
+                reach |= adj[u]
+            two_step.append(reach & ~(1 << v))
+        self.two_step = tuple(two_step)
         self._edge_list = tuple(sorted(edge_list))
         black = 0
         for i, c in enumerate(self.colors):
@@ -359,8 +369,10 @@ def removal_closure(position: Position, v: int) -> RemovalSet:
     """The move made by playing alive vertex ``v``.
 
     Removes ``v``, its alive neighbors, and every vertex of ``v``'s color
-    whose alive neighborhood that just emptied.  The gain is the signed
-    count of removed vertices (positive for Black).
+    whose alive neighborhood that just emptied.  In a stripped position
+    only vertices two steps from ``v`` can lose their last neighbor, so
+    only ``two_step[v]`` is scanned.  The gain is the signed count of
+    removed vertices (positive for Black).
     """
     g = position.ground
     bit = 1 << v
@@ -369,7 +381,7 @@ def removal_closure(position: Position, v: int) -> RemovalSet:
     removed = bit | (g.adj[v] & position.alive)
     rest = position.alive & ~removed
     mover = g.colors[v]
-    for w in _bits(rest & g.color_mask(mover)):
+    for w in _bits(rest & g.two_step[v]):
         if g.adj[w] & rest == 0:
             removed |= 1 << w
     size = removed.bit_count()

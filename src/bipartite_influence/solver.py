@@ -10,7 +10,10 @@ exact.  Its memo keeps those bounds, and the scores they prove, across
 passes and queries.  Two child generators drive it: ``Solver`` over sums
 of connected components, and ``segments.SegmentEngine`` over reduced
 unions of segments.  The solver tries moves in order of immediate gain
-and builds each successor only when the search reaches it.  Transposition
+and builds each successor only when the search reaches it.  It generates
+the moves of each exact component once per mover and keeps the list as
+long as the solver lives: a move in one component of a sum leaves the
+others, and their lists, as they were.  Transposition
 keys bring path components to canonical form, and pairs of components
 cancel before lookup when a mirror certificate on their union
 (``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
@@ -230,12 +233,16 @@ class ZeroWindowSearch:
 class Solver(ZeroWindowSearch):
     """Exact scores of sums of components.  A node is the sign of the
     mover's gains (1 for Left, -1 for Right) and the components from
-    :meth:`_cancel`; its key is that sign and the component keys."""
+    :meth:`_cancel`; its key is that sign and the component keys.
+    ``_moves`` keeps the move list of each exact component and mover, and
+    ``_masks`` one int per distinct removed set, for the solver's life."""
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
         super().__init__(node_budget)
         self.prune = prune
         self._pair_cache: dict = {}
+        self._moves: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._masks: dict[int, int] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -273,23 +280,35 @@ class Solver(ZeroWindowSearch):
     def _bound(self, node: tuple[int, tuple[Keyed, ...]]) -> int:
         return sum(c.vertex_count for _, c in node[1])
 
+    def _move_list(self, sign: int, comp: Position) -> tuple[int, ...]:
+        """The removed masks of the mover's moves in ``comp``, largest gain
+        first: generated (and pruned) once, then read from ``_moves``."""
+        key = (sign, comp.ground.uid, comp.alive)
+        masks = self._moves.get(key)
+        if masks is None:
+            found = legal_moves(comp, BLACK if sign > 0 else WHITE)
+            if self.prune:
+                found = prune_dominated(found)
+            same = self._masks  # one int object per distinct removed set
+            masks = tuple(sorted((same.setdefault(m.removed, m.removed) for m in found),
+                                 key=lambda r: -r.bit_count()))
+            self._moves[key] = masks
+        return masks
+
     def _children(self, node: tuple[int, tuple[Keyed, ...]]):
         """Each distinct successor once, the mover's largest gains first;
         a successor is built only when the search reaches it."""
         sign, comps = node
-        mover = BLACK if sign > 0 else WHITE
         moves = []
         for idx, (key, comp) in enumerate(comps):
             if idx and key == comps[idx - 1][0]:
                 continue  # identical component, symmetric moves
-            found = legal_moves(comp, mover)
-            if self.prune:
-                found = prune_dominated(found)
-            moves.extend((idx, m) for m in found)
-        moves.sort(key=lambda im: -abs(im[1].gain))
+            moves.extend((idx, removed) for removed in self._move_list(sign, comp))
+        moves.sort(key=lambda im: -im[1].bit_count())
         seen = set()
-        for idx, move in moves:
-            succ = apply_move(comps[idx][1], move)
+        for idx, removed in moves:
+            comp = comps[idx][1]
+            succ = Position.make(comp.ground, comp.alive & ~removed, sign * removed.bit_count())
             merged = self._cancel(list(comps[:idx] + comps[idx + 1 :]) + keyed_components(succ))
             gain_key = (sign * succ.offset, (-sign, tuple(k for k, _ in merged)))
             if gain_key not in seen:

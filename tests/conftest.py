@@ -90,6 +90,19 @@ def raw_scores(ground: GroundGraph, alive: int | None = None) -> tuple[int, int]
     )
 
 
+def ref_removal_closure(position: Position, v: int) -> int:
+    """The removed mask of playing ``v``, scanning every alive vertex of
+    ``v``'s colour for one the removal isolated: the reference for
+    ``removal_closure``, which scans only the vertices two steps away."""
+    g = position.ground
+    removed = (1 << v) | (g.adj[v] & position.alive)
+    rest = position.alive & ~removed
+    for w in _bits(rest & g.color_mask(g.colors[v])):
+        if g.adj[w] & rest == 0:
+            removed |= 1 << w
+    return removed
+
+
 _REF_SEGMENT_MEMO: dict[tuple[tuple[int, ...], bool], int] = {}
 
 

@@ -320,6 +320,18 @@ class TestSimplify:
             assert ref_is_simplified(simplify(raw_shift))
             assert equivalent(simplify(raw_shift), shifted)
 
+    def test_negation_keeps_simplified_games_simplified(self):
+        rng = random.Random(1717)
+        trees = [full_union_tree([n]) for n in range(-12, 13) if n]
+        trees += [from_position(Position.make(random_ground(rng, max_n=8)))
+                  for _ in range(60)]
+        for g in trees:
+            neg = negate(simplify(g))
+            assert neg._simple is neg  # marked, so simplify does not walk it
+            assert simplify(neg) is neg
+            assert ref_is_simplified(neg)
+            assert simplify(negate(g)) is neg
+
     def test_numbers_survive(self):
         assert simplify(number(7)) is number(7)
 

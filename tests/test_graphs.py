@@ -27,7 +27,9 @@ from bipartite_influence.graphs import (
     strip_isolated,
 )
 
-from conftest import random_ground, twin_classes
+from bipartite_influence.reduction import PosCnf, gadget_graph
+
+from conftest import random_ground, ref_removal_closure, twin_classes
 
 
 def closure_at(ground, v):
@@ -202,6 +204,29 @@ class TestClosure:
                 for move in legal_moves(pos, color):
                     succ = Position(g, pos.alive & ~move.removed, 0)
                     assert strip_isolated(succ).alive == succ.alive
+
+    def test_two_step_scan_matches_full_scan(self):
+        rng = random.Random(2317)
+        boards = [build_grid(5, 6), build_grid(3, 9), build_torus(4, 6), build_torus(6, 6),
+                  build_hypercube(4), build_hypercube(5),
+                  gadget_graph(PosCnf(3, [(1, 2), (2, 3)])),
+                  gadget_graph(PosCnf(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))]
+        moves = closed = 0
+        for _ in range(400):
+            g = rng.choice(boards)
+            density = rng.choice((0.5, 0.7, 0.9, 1.0))
+            alive = sum(1 << v for v in range(g.n) if rng.random() < density)
+            pos = Position.make(g, alive)
+            for v in pos.alive_vertices():
+                move = removal_closure(pos, v)
+                want = ref_removal_closure(pos, v)
+                assert move.removed == want, (g, pos.alive, v)
+                size = want.bit_count()
+                assert move.gain == (size if g.colors[v] is BLACK else -size)
+                moves += 1
+                closed += want != (1 << v) | (g.adj[v] & pos.alive)
+        # a fair share of moves also take a vertex the removal isolated
+        assert moves > 5000 and closed > 2000
 
     def test_move_count_matches_color(self):
         pos = Position.make(build_grid(2, 7))

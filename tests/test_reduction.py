@@ -1,10 +1,11 @@
 """Formula parsing and the board gadget for the variable-picking game."""
 
-from itertools import combinations_with_replacement
+import time
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import random_ground, twin_classes
+from conftest import random_ground, record_verdict, twin_classes
 
 from bipartite_influence.graphs import (
     BLACK,
@@ -217,6 +218,22 @@ class TestSoundness:
             assert report.sound, (f, report)
             assert report.threshold == f.num_clauses
             assert report.graph_vertices == gadget_vertex_count(2, f.num_clauses)
+
+    def test_all_three_variable_formulas(self):
+        """Every formula of one to three distinct clauses on three variables,
+        on one shared solver; the time lands in the end-of-run summary."""
+        start = time.monotonic()
+        solver = Solver()
+        atoms = [c for k in (1, 2, 3) for c in combinations((1, 2, 3), k)]
+        formulas = [PosCnf(3, list(cs)) for k in (1, 2, 3) for cs in combinations(atoms, k)]
+        assert len(formulas) == 63
+        for f in formulas:
+            report = reduction_soundness_check(f, solver=solver)
+            assert report.sound, (f, report)
+            assert report.graph_vertices == gadget_vertex_count(3, f.num_clauses)
+        elapsed = time.monotonic() - start
+        record_verdict(f"[PASS] hardness reduction sound on all 63 formulas of up to "
+                       f"3 clauses on 3 variables, {solver.nodes} nodes, {elapsed:.2f}s")
 
     def test_report_fields(self):
         report = reduction_soundness_check(PosCnf(2, [(1, 2)]))

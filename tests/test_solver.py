@@ -309,6 +309,87 @@ class TestPruning:
             assert (a.ls, a.rs) == (b.ls, b.rs)
 
 
+MEMO_BOARDS = [build_grid(6, 6), build_torus(6, 6)]
+
+
+def _fragment(rng, g, pieces):
+    """A position on ``g`` made of ``pieces`` random pieces of 2 to 5
+    vertices; pieces that touch merge into one component."""
+    alive = 0
+    for _ in range(pieces):
+        alive |= _grow_piece(rng, g, rng.randint(2, 5))
+    return Position.make(g, alive)
+
+
+def _memo_queries(rng, count):
+    """Sums of many components: one fragment of 2 to 5 pieces, a fragment
+    with its negative, or two fragments."""
+    queries = []
+    for i in range(count):
+        g, h = rng.choice(MEMO_BOARDS), rng.choice(MEMO_BOARDS)
+        if i % 3 == 0:
+            queries.append([_fragment(rng, g, rng.randint(2, 5))])
+        elif i % 3 == 1:
+            p = _fragment(rng, g, rng.randint(2, 3))
+            queries.append([p, p.negated()])
+        else:
+            queries.append([_fragment(rng, g, rng.randint(2, 3)),
+                            _fragment(rng, h, rng.randint(2, 3))])
+    return queries
+
+
+class TestMoveMemo:
+    """``Solver._moves`` keeps each exact component's move list for the
+    solver's life; the search must not change."""
+
+    def test_shared_solver_matches_unpruned_and_reference(self):
+        shared = Solver()
+        raw_checked = 0
+        for parts in _memo_queries(random.Random(1701), 90):
+            pair = shared.score_of_sum(parts)
+            plain = Solver(prune=False).score_of_sum(parts)
+            assert (pair.ls, pair.rs) == (plain.ls, plain.rs), parts
+            if sum(p.vertex_count for p in parts) <= PROPERTY_MAX_ALIVE:
+                offset = sum(p.offset for p in parts)
+                ls, rs = raw_scores(disjoint_union(parts))
+                assert (pair.ls, pair.rs) == (ls + offset, rs + offset), parts
+                raw_checked += 1
+        assert raw_checked >= 40
+        assert shared._moves
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_entries_are_the_move_lists(self, prune):
+        rng = random.Random(1702)
+        solver = Solver(prune=prune)
+        grounds = {}
+        for parts in _memo_queries(rng, 30) + [[Position.make(build_grid(3, 6))]]:
+            solver.score_of_sum(parts)
+            grounds.update((p.ground.uid, p.ground) for p in parts)
+        assert len(solver._moves) > 100
+        for (sign, uid, alive), masks in solver._moves.items():
+            found = legal_moves(Position(grounds[uid], alive), BLACK if sign > 0 else WHITE)
+            if prune:
+                found = prune_dominated(found)
+            want = sorted((m.removed for m in found), key=lambda r: -r.bit_count())
+            assert masks == tuple(want)
+            assert all(solver._masks[r] is r for r in masks)  # one object per set
+        assert Solver()._moves == {}
+
+    def test_memo_leaves_the_search_unchanged(self):
+        class Regenerating(Solver):
+            def _move_list(self, sign, comp):
+                self._moves.clear()
+                return super()._move_list(sign, comp)
+
+        board = Position.make(build_grid(3, 8))
+        kept, fresh = Solver(), Regenerating()
+        assert kept.scores(board) == fresh.scores(board)
+        assert kept.nodes == fresh.nodes
+        assert kept.table.memo == fresh.table.memo
+        assert kept.table.bounds == fresh.table.bounds
+        assert kept.table.lookups == fresh.table.lookups
+
+
 class TestBudget:
     def test_budget_error(self):
         tiny = Solver(node_budget=5)
