@@ -19,7 +19,9 @@ place keys are made, folds the remaining parts into a memo key:
 
 The engine generates the children of ``solver.ZeroWindowSearch``, the
 zero-window search the board solver runs too: MTD(f) passes of fail-soft
-negamax from Black's seat, children tried in order of immediate gain.
+negamax from Black's seat.  Moves are tried most vertices pocketed first,
+and a child's key is reduced only when the search reaches its move, so
+the children a cutoff skips cost nothing.
 Proven scores go in the memo, which is what the cache file holds; bounds
 that have not met stay in memory only.
 Each caller makes its own engine: none lives for the whole process.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .games import Game, add, audit_universe, negate, node, number, simplify
 from .solver import ScorePair, ZeroWindowSearch
@@ -272,23 +274,22 @@ class SegmentEngine(ZeroWindowSearch):
     def _bound(self, parts: tuple[int, ...]) -> int:
         return sum(map(abs, parts))
 
-    def _children(self, parts: tuple[int, ...]) -> list:
-        """Black's moves, each leaving a key mirrored to Black's seat,
-        sorted by immediate gain, highest first."""
-        children = []
+    def _children(self, parts: tuple[int, ...]) -> Iterator[tuple]:
+        """Black's moves, most vertices pocketed first, each leaving a key
+        mirrored to Black's seat; a key is reduced only when the search
+        reaches its move."""
+        mirrored = tuple(-p if p & 1 else p for p in parts)
+        moves = []
         for i, part in enumerate(parts):
             if i and parts[i - 1] == part:
                 continue  # identical part, identical moves
-            base = parts[:i] + parts[i + 1 :]
-            mirror_base = tuple(-p if p & 1 else p for p in base)
-            for count, remnants in self._move_list(part):
-                core, shift = self._reduce(
-                    mirror_base
-                    + tuple(-r if r & 1 else r for r in remnants)
-                )
-                children.append((count - shift, core, core))
-        children.sort(key=itemgetter(0), reverse=True)
-        return children
+            base = mirrored[:i] + mirrored[i + 1 :]
+            moves.extend((count, base, rem) for count, rem in self._move_list(part))
+        moves.sort(key=itemgetter(0), reverse=True)
+        for count, base, remnants in moves:
+            # a list of at most two remnants builds faster than a generator
+            core, shift = self._reduce(base + tuple([-r if r & 1 else r for r in remnants]))
+            yield count - shift, core, core
 
     # -- persistence ---------------------------------------------------------
 

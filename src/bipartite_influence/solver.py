@@ -82,7 +82,13 @@ def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
 
     All moves must belong to the same mover.  Playing the larger set is at
     least as good, since it only hands the opponent a position that is a
-    gift of extra removals away.  Equal sets keep one representative.
+    gift of extra removals away.  Equal sets keep the lowest vertex played.
+    The kept moves come back in their given order.
+
+    One pass keeps the undominated moves seen so far.  A new move is
+    compared with those alone: dominance is transitive, so a move
+    dominated by an earlier one is dominated by a kept one.  A kept move
+    the new move dominates leaves the list.
     """
     if len(moves) <= 1:
         return list(moves)
@@ -91,18 +97,17 @@ def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
         raise ValueError("prune_dominated expects moves of a single mover")
     kept: list[RemovalSet] = []
     for m in moves:
-        drop = False
-        for other in moves:
-            if other is m:
-                continue
-            union = m.removed | other.removed
-            if union == other.removed and m.removed != other.removed:
-                drop = True  # strictly contained in another removal
-                break
-            if m.removed == other.removed and other.played < m.played:
-                drop = True  # duplicate set; keep the lowest vertex id
-                break
-        if not drop:
+        removed, played = m.removed, m.played
+        beaten = []
+        for k in kept:
+            union = removed | k.removed
+            if union == k.removed and (union != removed or k.played < played):
+                break  # k dominates m
+            if union == removed and (union != k.removed or played < k.played):
+                beaten.append(k)
+        else:
+            if beaten:
+                kept = [k for k in kept if k not in beaten]
             kept.append(m)
     return kept
 
@@ -166,9 +171,12 @@ class ZeroWindowSearch:
 
     Scores are offset-free and seen from the mover's seat.  A subclass
     says what a node is: ``_children(node)`` yields ``(gain, key, child)``
-    for each move, best first, where ``gain`` is what the mover banks and
-    ``child`` is the node the opponent then moves in, stored under
-    ``key``.  ``_bound(node)`` bounds the absolute score (0 for the empty
+    for each move, where ``gain`` is what the mover banks and ``child`` is
+    the node the opponent then moves in, stored under ``key``.  The order
+    of the moves affects only the speed of the search, not its result:
+    a likely best move first cuts off sooner.  A generator that builds each
+    child only when the search reaches it saves the children a cutoff
+    skips.  ``_bound(node)`` bounds the absolute score (0 for the empty
     position, which has no children); a node not in the memo starts from
     those bounds, which alone can decide a test.  ``nodes`` counts
     expansions.

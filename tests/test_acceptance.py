@@ -5,8 +5,8 @@ Each test covers one headline guarantee and prints a single [PASS] or
 run shows the whole scorecard at a glance.  Budgets are asserted with
 ``time.monotonic`` around the actual work.
 
-The extended 120-row table rerun takes about two minutes and only
-runs when ``INFLUENCE_STRETCH`` is set in the environment.  Everything
+The extended 120-row table rerun takes under a minute and only runs
+when ``INFLUENCE_STRETCH`` is set in the environment.  Everything
 else is desk scale.
 """
 
@@ -153,7 +153,7 @@ class TestSegmentTable:
 
     @pytest.mark.skipif(
         not os.environ.get("INFLUENCE_STRETCH"),
-        reason="the 120-row rerun takes ~2 min; set INFLUENCE_STRETCH=1",
+        reason="the 120-row rerun takes ~1 min; set INFLUENCE_STRETCH=1",
     )
     def test_table_to_120(self, tmp_path):
         out_file = tmp_path / "table120.csv"

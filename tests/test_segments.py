@@ -250,6 +250,54 @@ class TestSearch:
                 room -= size
             assert eng.scores(SegmentSum(parts)) == _reference_pair(parts), parts
 
+    def test_children_reduce_only_what_the_search_reaches(self):
+        eng = SegmentEngine()
+        key = eng._reduce([7, 11, 16, 20])[0]
+        assert sum(len(eng._move_list(p)) for p in set(key)) > 15
+        calls = []
+        reduce = eng._reduce
+        eng._reduce = lambda values: calls.append(values) or reduce(values)
+        children = eng._children(key)
+        assert calls == []
+        next(children)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("use_rewrite", [True, False])
+    def test_lazy_children_are_the_eager_ones(self, use_rewrite):
+        """Every key the table search reached yields, move by move, what an
+        eager expansion of ``segment_moves`` gives, most vertices pocketed
+        first."""
+        eng = SegmentEngine(use_rewrite=use_rewrite)
+        segment_table(40, eng)
+        keys = set(eng.memo) | set(eng._bounds)
+        assert len(keys) > 500
+        reduce = eng._reduce
+        shifts = []
+
+        def recording(values):
+            core, shift = reduce(values)
+            shifts.append(shift)
+            return core, shift
+
+        eng._reduce = recording
+        for key in keys:
+            eager = []
+            for part in set(key):
+                rest = list(key)
+                rest.remove(part)
+                for count, rem in {(c, tuple(sorted(r)))
+                                   for c, r in segment_moves(part, True, prune=True)}:
+                    core, shift = reduce([-p if p & 1 else p for p in rest + list(rem)])
+                    eager.append((count - shift, core))
+            shifts.clear()
+            lazy, counts = [], []
+            for gain, child_key, child in eng._children(key):
+                assert child is child_key and len(shifts) == len(lazy) + 1
+                lazy.append((gain, child_key))
+                counts.append(gain + shifts[-1])
+            assert sorted(lazy) == sorted(eager), key
+            assert counts == sorted(counts, reverse=True), key
+
     @pytest.mark.parametrize("search", ["segments", "solver"])
     def test_memo_holds_only_exact_scores(self, search):
         """Both engines share the zero-window search and its memo layout:

@@ -9,6 +9,7 @@ from bipartite_influence.graphs import (
     WHITE,
     GroundGraph,
     Position,
+    RemovalSet,
     build_cylinder,
     build_grid,
     build_hypercube,
@@ -298,6 +299,30 @@ class TestPruning:
         pos = Position.make(star)
         kept = prune_dominated(legal_moves(pos, WHITE))
         assert len(kept) == 1
+
+    def test_matches_the_pairwise_definition(self):
+        """Comparing each move only with the moves kept so far drops
+        exactly the moves the all-pairs definition drops, in order."""
+
+        def pairwise(moves):
+            return [m for m in moves if not any(
+                o is not m and m.removed | o.removed == o.removed
+                and (m.removed != o.removed or o.played < m.played)
+                for o in moves)]
+
+        rng = random.Random(1801)
+        dropped = 0
+        for _ in range(3000):
+            pool = [rng.getrandbits(8) for _ in range(3)]
+            sign = rng.choice((1, -1))
+            moves = []
+            for v in rng.sample(range(8), rng.randint(0, 8)):
+                removed = (1 << v) | (rng.choice(pool) & rng.choice((-1, rng.getrandbits(8))))
+                moves.append(RemovalSet(v, removed, sign * removed.bit_count()))
+            kept = prune_dominated(moves)
+            assert kept == pairwise(moves), moves
+            dropped += len(moves) - len(kept)
+        assert dropped > 1000
 
     def test_pruned_scores_match_unpruned(self, rng):
         plain = Solver(prune=False)
