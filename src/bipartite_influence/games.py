@@ -27,7 +27,8 @@ class ExpansionLimitError(RuntimeError):
 
 
 class Game:
-    __slots__ = ("value", "left", "right", "uid", "_ls", "_rs", "_neg", "_simple", "_zugzwang")
+    __slots__ = ("value", "left", "right", "uid",
+                 "_ls", "_rs", "_neg", "_simple", "_zugzwang", "_thermo")
 
     def __init__(self, value, left, right, uid):
         self.value = value  # Fraction for numbers, None for nodes
@@ -39,6 +40,7 @@ class Game:
         self._neg = None
         self._simple = None
         self._zugzwang = None
+        self._thermo = None
 
     @property
     def is_number(self) -> bool:

@@ -4,9 +4,10 @@ A segment ``S_n`` is a path on ``|n|`` vertices whose first vertex is Black
 when ``n > 0`` and White when ``n < 0``.  Sums of segments close under play:
 every move removes two to five consecutive vertices and leaves at most two
 shorter segments.  This module evaluates such sums with a dedicated engine
-whose transposition keys are aggressively reduced.  Single Black or White
-vertices are banked points, not parts; ``SegmentEngine._reduce``, the one
-place keys are made, folds the remaining parts into a memo key:
+whose transposition keys are aggressively reduced.  ``SegmentEngine._reduce``
+is the one place keys are made.  It banks each single Black or White
+vertex as a point, not a part, and folds the remaining parts into a memo
+key:
 
 * an even segment reads the same from either end up to a color swap, so
   even parts are stored positive, and a pair of equal even parts (each the
@@ -139,12 +140,6 @@ _PARTNER_RULES: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {
 }
 
 
-def _banked(parts: Sequence[int], offset: int) -> tuple[list[int], int]:
-    """The parts ``_reduce`` takes, and the points: a single vertex is banked."""
-    return ([p for p in parts if p != 1 and p != -1],
-            offset + parts.count(1) - parts.count(-1))
-
-
 class SegmentEngine(ZeroWindowSearch):
     """The zero-window search of ``solver`` over canonical segment multisets.
 
@@ -156,33 +151,31 @@ class SegmentEngine(ZeroWindowSearch):
     ``[lower, upper]`` bounds in ``_bounds`` met during a search, leaving
     that dict.  Entries are final and inserts are idempotent, so one
     engine can be shared, and ``save`` writes the memo alone.  With
-    ``use_rewrite=False`` the engine keeps only orientation and pair
-    cancellation, skipping the ``4k + 2`` split and the rule tables, and
+    ``use_rewrite=False`` the engine keeps only banking, orientation and
+    pair cancellation, skipping the ``4k + 2`` split and the rule tables, and
     serves as an independent oracle for them; it shares the search.
     """
 
     def __init__(self, use_rewrite: bool = True):
         super().__init__()
         self.use_rewrite = use_rewrite
+        # a single vertex is a banked point in both modes
+        self._singles = {1: ((), 1), -1: ((), -1), **(_SINGLE_RULES if use_rewrite else {})}
         self._moves: dict[int, tuple] = {}
         self._trees: dict[tuple[int, ...], Game] = {(): number(0)}
 
     # -- scores and trees --------------------------------------------------
 
     def scores(self, s: SegmentSum) -> ScorePair:
-        parts, offset = s.parts, s.offset
-        if 1 in parts or -1 in parts:
-            parts, offset = _banked(parts, offset)
-        core, shift = self._reduce(parts)
-        mcore, mshift = self._reduce([-p if p & 1 else p for p in parts])
-        return ScorePair(offset + shift + self._exact(core, core),
-                         offset - mshift - self._exact(mcore, mcore))
+        core, shift = self._reduce(s.parts)
+        mcore, mshift = self._reduce([-p if p & 1 else p for p in s.parts])
+        return ScorePair(s.offset + shift + self._exact(core, core),
+                         s.offset - mshift - self._exact(mcore, mcore))
 
     def tree(self, s: SegmentSum) -> Game:
         """The game tree of ``s``, built on the memo keys and simplified."""
-        parts, offset = _banked(s.parts, s.offset)
-        core, shift = self._reduce(parts)
-        return add(self._tree(core), number(offset + shift))
+        core, shift = self._reduce(s.parts)
+        return add(self._tree(core), number(s.offset + shift))
 
     def _tree(self, key: tuple[int, ...]) -> Game:
         """The simplified, offset-free game of a ``_reduce`` key.
@@ -218,27 +211,27 @@ class SegmentEngine(ZeroWindowSearch):
     def _reduce(self, values) -> tuple[tuple[int, ...], int]:
         """Fold a multiset into the engine's memo key plus banked points.
 
-        Orients even parts and inserts parts one by one, in sorted order,
-        keeping the residents closed under pair cancellation and (when
-        rewriting is on) the ``4k + 2`` split and the exact equivalences in
-        ``_SINGLE_RULES`` and ``_PARTNER_RULES``.  Every firing shrinks the
-        multiset, or flips a lone negative three, so this terminates; the
-        key depends only on the multiset, not on the order of ``values``.
-        ``values`` must hold no part of size one.
+        Banks single vertices, orients even parts and inserts parts one by
+        one, in sorted order, keeping the residents closed under pair
+        cancellation and (when rewriting is on) the ``4k + 2`` split and
+        the exact equivalences in ``_SINGLE_RULES`` and ``_PARTNER_RULES``.
+        Every firing shrinks the multiset, or flips a lone negative three,
+        so this terminates; the key depends only on the multiset, not on
+        the order of ``values``.
         """
         rules = self.use_rewrite
+        singles = self._singles
         out: list[int] = []
         delta = 0
         stack = sorted(values, reverse=True)
         while stack:
             r = stack.pop()
-            if rules:
-                single = _SINGLE_RULES.get(r)
-                if single is not None:
-                    repl, c = single
-                    delta += c
-                    stack.extend(repl)
-                    continue
+            single = singles.get(r)
+            if single is not None:
+                repl, c = single
+                delta += c
+                stack.extend(repl)
+                continue
             a = -r if r < 0 else r
             if a & 1 == 0:
                 if rules and a & 3 == 2 and a > 2:

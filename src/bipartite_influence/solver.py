@@ -10,14 +10,15 @@ exact.  Its memo keeps those bounds, and the scores they prove, across
 passes and queries.  Two child generators drive it: ``Solver`` over sums
 of connected components, and ``segments.SegmentEngine`` over reduced
 unions of segments.  The solver tries moves in order of immediate gain
-and builds each successor only when the search reaches it.  It generates
-the moves of each exact component once per mover and keeps the list as
-long as the solver lives: a move in one component of a sum leaves the
-others, and their lists, as they were.  Transposition
-keys bring path components to canonical form, and pairs of components
-cancel before lookup when a mirror certificate on their union
-(``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
-free of zugzwang, as every position here) such a game is zero.
+and builds each successor only when the search reaches it.  A move in one
+component of a sum leaves the others as they were, so a successor is
+folded from its parent: only the rest of the played component is split
+and cancelled against them, and their move lists, generated once per
+mover, are kept as long as the solver lives.  Transposition keys bring
+path components to canonical form, and pairs of components cancel before
+lookup when a mirror certificate on their union (``symmetry.find_bw``)
+gives Ls = Rs = 0: in Milnor's universe (dicotic, free of zugzwang, as
+every position here) such a game is zero.
 """
 
 from __future__ import annotations
@@ -273,12 +274,19 @@ class Solver(ZeroWindowSearch):
 
     # -- internals ---------------------------------------------------------
 
-    def _cancel(self, comps: list[Keyed]) -> tuple[Keyed, ...]:
-        """Drop cancelling pairs; the rest sorted by key."""
+    def _cancel(self, new: list[Keyed], others: tuple[Keyed, ...] = ()) -> tuple[Keyed, ...]:
+        """``new`` and ``others`` less their cancelling pairs, sorted by key:
+        in key order, each cancels the first kept one before it that it can.
+        ``others``, the rest of a child's parent, is sorted and cancels no
+        pair, so only pairs with a new piece (known by identity) are tested."""
+        if not new:
+            return others
+        fresh = {id(c) for c in new} if others else None
         out: list[Keyed] = []
-        for c in sorted(comps, key=itemgetter(0)):
+        for c in sorted(others + tuple(new), key=itemgetter(0)):
+            mine = fresh is None or id(c) in fresh
             for i, other in enumerate(out):
-                if _negated_pair(other, c, self._pair_cache):
+                if (mine or id(other) in fresh) and _negated_pair(other, c, self._pair_cache):
                     del out[i]
                     break
             else:
@@ -304,8 +312,10 @@ class Solver(ZeroWindowSearch):
         return masks
 
     def _children(self, node: tuple[int, tuple[Keyed, ...]]):
-        """Each distinct successor once, the mover's largest gains first;
-        a successor is built only when the search reaches it."""
+        """The mover's moves, largest gains first, each successor folded
+        only when the search reaches it: the played component's rest, in
+        which no vertex is stranded, is split and cancelled into the other
+        components.  A repeated successor reads the bounds of its first."""
         sign, comps = node
         moves = []
         for idx, (key, comp) in enumerate(comps):
@@ -313,15 +323,11 @@ class Solver(ZeroWindowSearch):
                 continue  # identical component, symmetric moves
             moves.extend((idx, removed) for removed in self._move_list(sign, comp))
         moves.sort(key=lambda im: -im[1].bit_count())
-        seen = set()
         for idx, removed in moves:
             comp = comps[idx][1]
-            succ = Position.make(comp.ground, comp.alive & ~removed, sign * removed.bit_count())
-            merged = self._cancel(list(comps[:idx] + comps[idx + 1 :]) + keyed_components(succ))
-            gain_key = (sign * succ.offset, (-sign, tuple(k for k, _ in merged)))
-            if gain_key not in seen:
-                seen.add(gain_key)
-                yield *gain_key, (-sign, merged)
+            rest = Position(comp.ground, comp.alive & ~removed)
+            merged = self._cancel(keyed_components(rest), comps[:idx] + comps[idx + 1 :])
+            yield removed.bit_count(), (-sign, tuple(k for k, _ in merged)), (-sign, merged)
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,6 @@ def _freeze(left_wall: PiecewiseLinear, right_wall: PiecewiseLinear) -> Thermogr
                        sigma, mast)
 
 
-_thermo_cache: dict[int, Thermograph] = {}
-
-
 def thermograph(g: Game) -> Thermograph:
     """Exact thermograph of a game inside the universe.
 
@@ -187,9 +184,8 @@ def thermograph(g: Game) -> Thermograph:
     subtree that ``audit_universe`` names: cooling is only meaningful when
     moving first is never a burden.
     """
-    hit = _thermo_cache.get(g.uid)
-    if hit is not None:
-        return hit
+    if g._thermo is not None:
+        return g._thermo
     if g.is_number:
         flat = PiecewiseLinear.constant(g.value)
         out = Thermograph(flat, flat, Fraction(0), g.value)
@@ -201,7 +197,7 @@ def thermograph(g: Game) -> Thermograph:
             upper_envelope([thermograph(o).rs_trajectory for o in g.left]),
             lower_envelope([thermograph(o).ls_trajectory for o in g.right]),
         )
-    _thermo_cache[g.uid] = out
+    g._thermo = out
     return out
 
 

@@ -26,6 +26,7 @@ from bipartite_influence.solver import (
     Solver,
     _negated_pair,
     gift_bounds_check,
+    keyed_components,
     milnor_audit,
     prune_dominated,
 )
@@ -413,6 +414,62 @@ class TestMoveMemo:
         assert kept.table.memo == fresh.table.memo
         assert kept.table.bounds == fresh.table.bounds
         assert kept.table.lookups == fresh.table.lookups
+
+
+class TestFold:
+    """A child is folded from its parent: the played component's rest is
+    cancelled into the other components, which are not tested again."""
+
+    class Rebuilding(Solver):
+        """Every child built from scratch: re-strip the rest, cancel all
+        components anew, and drop a child already yielded."""
+
+        def _children(self, node):
+            sign, comps = node
+            moves = []
+            for idx, (key, comp) in enumerate(comps):
+                if idx and key == comps[idx - 1][0]:
+                    continue
+                moves.extend((idx, removed) for removed in self._move_list(sign, comp))
+            moves.sort(key=lambda im: -im[1].bit_count())
+            seen = set()
+            for idx, removed in moves:
+                comp = comps[idx][1]
+                succ = Position.make(comp.ground, comp.alive & ~removed,
+                                     sign * removed.bit_count())
+                merged = self._cancel(list(comps[:idx] + comps[idx + 1 :])
+                                      + keyed_components(succ))
+                gain_key = (sign * succ.offset, (-sign, tuple(k for k, _ in merged)))
+                if gain_key not in seen:
+                    seen.add(gain_key)
+                    yield *gain_key, (-sign, merged)
+
+    @staticmethod
+    def mirror_queries(rng, count):
+        """A piece, its colour-swapped translate and a random piece on one
+        torus; the first two cancel."""
+        g = build_torus(8, 8)
+        queries = []
+        for _ in range(count):
+            piece = _grow_piece(rng, g, rng.randint(3, 6))
+            cells = [divmod(v, 8) for v in range(g.n) if piece >> v & 1]
+            alive = piece | _torus_cells(8, 8, cells, 4, 3) | _grow_piece(rng, g, rng.randint(3, 6))
+            queries.append([Position.make(g, alive)])
+        return queries
+
+    def test_folded_children_search_as_rebuilt_ones(self):
+        queries = [[Position.make(build_grid(3, 8))], [Position.make(build_torus(4, 6))],
+                   [Position.make(build_hypercube(4))]]
+        queries += _memo_queries(random.Random(1901), 60)
+        queries += self.mirror_queries(random.Random(1902), 12)
+        folded, rebuilt = Solver(), self.Rebuilding()
+        for parts in queries:
+            assert folded.score_of_sum(parts) == rebuilt.score_of_sum(parts), parts
+            assert folded.nodes == rebuilt.nodes, parts
+        assert folded.table.memo == rebuilt.table.memo
+        assert folded.table.bounds == rebuilt.table.bounds
+        # a duplicate child costs a lookup, never an expansion
+        assert folded.table.lookups > rebuilt.table.lookups
 
 
 class TestBudget:

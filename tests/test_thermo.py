@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from bipartite_influence import thermo
 from bipartite_influence.cli import EXIT_INPUT, EXIT_OK, main
 from bipartite_influence.games import (
     add,
@@ -186,8 +185,7 @@ class TestThermograph:
             want = [(s, a + 3, b) for s, a, b in getattr(base, side).pieces]
             assert getattr(shifted, side) == PiecewiseLinear(want)
 
-    def test_matches_the_tax_subtract_root_clamp_chain(self, rng, monkeypatch):
-        monkeypatch.setattr(thermo, "_thermo_cache", {})
+    def test_matches_the_tax_subtract_root_clamp_chain(self, rng):
         games = []
         for _ in range(150):
             g = from_position(Position.make(random_ground(rng, max_n=8)))
@@ -200,6 +198,14 @@ class TestThermograph:
             games += [g for g in (parse_game(f"<{a}|<{b}|{c}>>"), parse_game(f"<<{a}|{b}>|{c}>"))
                       if audit_universe(g) is None]
         games += [add(number(Fraction(k, 2)), g) for k in (-5, 3) for g in games[::7]]
+        # cold: no game met here keeps a thermograph from an earlier test
+        stack, seen = games[:], set()
+        while stack:
+            g = stack.pop()
+            if g.uid not in seen:
+                seen.add(g.uid)
+                g._thermo = None
+                stack.extend(g.left + g.right)
         assert any(thermograph(g).sigma == 0 for g in games if not g.is_number)
         memo = {}
         for g in games:
@@ -227,7 +233,7 @@ class TestUniverseAudit:
                 clean.append(g)
         return pool
 
-    def test_verdicts_and_messages_match_the_reference(self, capsys, monkeypatch):
+    def test_verdicts_and_messages_match_the_reference(self, capsys):
         def cool(g):
             try:
                 thermograph(g)
@@ -250,8 +256,7 @@ class TestUniverseAudit:
             # cold: nothing audited or cooled before each game
             for g, w in zip(pool, want):
                 for sub in pool:
-                    sub._zugzwang = None
-                monkeypatch.setattr(thermo, "_thermo_cache", {})
+                    sub._zugzwang = sub._thermo = None
                 assert surface(g) == (w and f"{head}{w}{tail}"), format_game(g)
             # warm: every game audited and every clean one cooled, parents
             # before their options, so options that an audit skipped past a
