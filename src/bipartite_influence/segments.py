@@ -5,10 +5,13 @@ when ``n > 0`` and White when ``n < 0``.  Sums of segments close under play:
 every move removes two to five consecutive vertices and leaves at most two
 shorter segments.  This module evaluates such sums with a dedicated engine
 whose transposition keys are aggressively reduced.  ``SegmentEngine._reduce``
-is the one place keys are made.  It banks each single Black or White
-vertex as a point, not a part, and folds the remaining parts into a memo
-key:
+is the one place keys are made.  It inserts the parts one by one into a
+sorted key.  Each part reads one rule, a tuple of ``(partner,
+replacement, points)`` triples: the first triple whose partner is in the
+key (which it leaves) or is ``None`` replaces the part by the replacement
+parts plus banked points, and a part that fires none joins the key:
 
+* a single Black or White vertex is banked as a point, not a part;
 * an even segment reads the same from either end up to a color swap, so
   even parts are stored positive, and a pair of equal even parts (each the
   other's negative) cancels, as does an odd pair ``{n, -n}``;
@@ -123,7 +126,8 @@ def segment_moves(
 # inside any disjoint union.  The test suite re-derives every line against
 # the rewrite-free engine.  _SINGLE_RULES maps one part to replacement
 # parts plus banked points; _PARTNER_RULES fires when the inserted part
-# meets a matching resident, consuming both.
+# meets a matching resident, consuming both.  Parts and partners are
+# oriented (odd, or even and positive): _reduce orients before lookup.
 _SINGLE_RULES: dict[int, tuple[tuple[int, ...], int]] = {
     9: ((2,), 1),
     -9: ((2,), -1),
@@ -159,8 +163,7 @@ class SegmentEngine(ZeroWindowSearch):
     def __init__(self, use_rewrite: bool = True):
         super().__init__()
         self.use_rewrite = use_rewrite
-        # a single vertex is a banked point in both modes
-        self._singles = {1: ((), 1), -1: ((), -1), **(_SINGLE_RULES if use_rewrite else {})}
+        self._rules: dict[int, tuple] = {}
         self._moves: dict[int, tuple] = {}
         self._trees: dict[tuple[int, ...], Game] = {(): number(0)}
 
@@ -208,58 +211,52 @@ class SegmentEngine(ZeroWindowSearch):
             self._moves[part] = cached
         return cached
 
+    def _rule(self, r: int) -> tuple:
+        """The ``(partner, replacement, points)`` triples of an oriented
+        part.  A single vertex is a point in both modes.  With rewriting
+        on, ``_SINGLE_RULES``, the ``4k + 2`` split and ``_PARTNER_RULES``
+        come next; any other part cancels its negative."""
+        if r == 1 or r == -1:
+            rule = ((None, (), r),)
+        elif self.use_rewrite and r in _SINGLE_RULES:
+            rule = ((None, *_SINGLE_RULES[r]),)
+        elif self.use_rewrite and r & 3 == 2 and r > 2:
+            rule = ((None, (r - 2, 2), 0),)
+        elif self.use_rewrite and r in _PARTNER_RULES:
+            rule = _PARTNER_RULES[r]
+        else:
+            # a pair of equal evens or opposite odds cancels
+            rule = ((r if r & 1 == 0 else -r, (), 0),)
+        self._rules[r] = rule
+        return rule
+
     def _reduce(self, values) -> tuple[tuple[int, ...], int]:
         """Fold a multiset into the engine's memo key plus banked points.
 
-        Banks single vertices, orients even parts and inserts parts one by
-        one, in sorted order, keeping the residents closed under pair
-        cancellation and (when rewriting is on) the ``4k + 2`` split and
-        the exact equivalences in ``_SINGLE_RULES`` and ``_PARTNER_RULES``.
+        Inserts parts into a sorted key, smallest first and a replacement
+        as soon as it is made.  A part is oriented (even parts positive),
+        then fires the first triple of its ``_rule`` that can, or stays.
         Every firing shrinks the multiset, or flips a lone negative three,
         so this terminates; the key depends only on the multiset, not on
         the order of ``values``.
         """
-        rules = self.use_rewrite
-        singles = self._singles
+        rules = self._rules
         out: list[int] = []
         delta = 0
         stack = sorted(values, reverse=True)
         while stack:
             r = stack.pop()
-            single = singles.get(r)
-            if single is not None:
-                repl, c = single
+            if r < 0 and r & 1 == 0:
+                r = -r
+            for partner, repl, c in rules.get(r) or self._rule(r):
+                if partner is not None:
+                    j = bisect_left(out, partner)
+                    if j == len(out) or out[j] != partner:
+                        continue
+                    del out[j]
                 delta += c
                 stack.extend(repl)
-                continue
-            a = -r if r < 0 else r
-            if a & 1 == 0:
-                if rules and a & 3 == 2 and a > 2:
-                    stack.append(a - 2)
-                    stack.append(2)
-                    continue
-                r = a
-            if rules:
-                partners = _PARTNER_RULES.get(r)
-                if partners is not None:
-                    fired = False
-                    for partner, repl, c in partners:
-                        j = bisect_left(out, partner)
-                        if j < len(out) and out[j] == partner:
-                            del out[j]
-                            delta += c
-                            stack.extend(repl)
-                            fired = True
-                            break
-                    if fired:
-                        continue
-                    insort(out, r)
-                    continue
-            # no special rule: a pair of equal evens or opposite odds cancels
-            partner = r if r & 1 == 0 else -r
-            j = bisect_left(out, partner)
-            if j < len(out) and out[j] == partner:
-                del out[j]
+                break
             else:
                 insort(out, r)
         return tuple(out), delta

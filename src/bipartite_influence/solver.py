@@ -12,17 +12,19 @@ of connected components, and ``segments.SegmentEngine`` over reduced
 unions of segments.  The solver tries moves in order of immediate gain
 and builds each successor only when the search reaches it.  A move in one
 component of a sum leaves the others as they were, so a successor is
-folded from its parent: only the rest of the played component is split
-and cancelled against them, and their move lists, generated once per
-mover, are kept as long as the solver lives.  Transposition keys bring
-path components to canonical form, and pairs of components cancel before
-lookup when a mirror certificate on their union (``symmetry.find_bw``)
-gives Ls = Rs = 0: in Milnor's universe (dicotic, free of zugzwang, as
-every position here) such a game is zero.
+folded from its parent: only the rest of the played component is split,
+and its pieces cancel into them or are inserted among them in key order;
+their move lists, generated once per mover, are kept as long as the
+solver lives.  Transposition keys bring path components to canonical
+form, and pairs of components cancel before lookup when a mirror
+certificate on their union (``symmetry.find_bw``) gives Ls = Rs = 0: in
+Milnor's universe (dicotic, free of zugzwang, as every position here)
+such a game is zero.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
@@ -275,22 +277,21 @@ class Solver(ZeroWindowSearch):
     # -- internals ---------------------------------------------------------
 
     def _cancel(self, new: list[Keyed], others: tuple[Keyed, ...] = ()) -> tuple[Keyed, ...]:
-        """``new`` and ``others`` less their cancelling pairs, sorted by key:
-        in key order, each cancels the first kept one before it that it can.
-        ``others``, the rest of a child's parent, is sorted and cancels no
-        pair, so only pairs with a new piece (known by identity) are tested."""
+        """``others``, sorted by key, with the pieces of ``new`` added in key
+        order: each cancels the first component it can, or is inserted in
+        key order.  ``others``, the rest of a child's parent, cancels no
+        pair, so only pairs with a new piece are tested."""
         if not new:
             return others
-        fresh = {id(c) for c in new} if others else None
-        out: list[Keyed] = []
-        for c in sorted(others + tuple(new), key=itemgetter(0)):
-            mine = fresh is None or id(c) in fresh
+        first = itemgetter(0)
+        out = list(others)
+        for c in sorted(new, key=first):
             for i, other in enumerate(out):
-                if (mine or id(other) in fresh) and _negated_pair(other, c, self._pair_cache):
+                if _negated_pair(other, c, self._pair_cache):
                     del out[i]
                     break
             else:
-                out.append(c)
+                insort(out, c, key=first)
         return tuple(out)
 
     def _bound(self, node: tuple[int, tuple[Keyed, ...]]) -> int:

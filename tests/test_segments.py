@@ -77,7 +77,7 @@ def oracle():
 
 class TestNormalForm:
     """Memo keys come from ``SegmentEngine._reduce``, the only canonicalizer;
-    single vertices are banked by ``scores`` before it runs."""
+    it banks single vertices as points."""
 
     def test_zero_part_rejected(self):
         with pytest.raises(ValueError):
@@ -121,6 +121,29 @@ class TestNormalForm:
         assert oracle._reduce([6]) == ((6,), 0)
         assert oracle._reduce([10]) == ((10,), 0)
         assert oracle._reduce([4, 6]) == ((4, 6), 0)
+
+    @pytest.mark.parametrize("rewrite", [True, False], ids=["rewrite", "oracle"])
+    def test_keys_are_fixed_points_of_any_order(self, rewrite):
+        eng = SegmentEngine(use_rewrite=rewrite)
+        rng = random.Random(2001)
+        sizes = [v for v in range(-30, 31) if v]
+        for _ in range(2000):
+            parts = [rng.choice(sizes) for _ in range(rng.randint(0, 7))]
+            key, points = eng._reduce(parts)
+            assert eng._reduce(key) == (key, 0), parts
+            rng.shuffle(parts)
+            assert eng._reduce(parts) == (key, points), parts
+
+    def test_rule_tables_are_oriented(self):
+        # parts are oriented before their rule is read, so a rule on a
+        # negative even part, or a negative even partner, would never fire
+        def oriented(r):
+            return r & 1 or r > 0
+
+        assert all(map(oriented, _SINGLE_RULES))
+        assert all(map(oriented, _PARTNER_RULES))
+        assert all(oriented(partner) for entries in _PARTNER_RULES.values()
+                   for partner, _, _ in entries)
 
 
 class TestMoveArithmetic:

@@ -159,6 +159,10 @@ def _grow_piece(rng, g, size):
 # only a full search can tell that two copies of it do not cancel.
 BALANCED_PIECE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3), (2, 1)]
 
+# A T with a three-vertex stem: four Black and two White vertices, so it is
+# not its own negative, and not a path.
+T_PIECE = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1), (3, 1)]
+
 
 # Boards of the null-window property test, and the most alive vertices
 # per case: the reference solver's limit.
@@ -282,6 +286,34 @@ class TestCancellation:
                     assert raw_scores(g, a.alive | b.alive) == (0, 0)
                     searched += segment_value(a) is None
         assert searched >= 40 and rejected >= 100
+
+    @staticmethod
+    def t_pieces(*offsets):
+        """Keyed components of a six-vertex T on grid 9x9 and of its
+        translates by ``offsets``, none of which wraps; an odd translate is
+        a colour-swapped copy, so a negative with a different key."""
+        g = build_grid(9, 9)
+        alive = sum(_torus_cells(9, 9, T_PIECE, dr, dc) for dr, dc in ((0, 0),) + offsets)
+        pos = Position.make(g, alive)
+        comps = keyed_components(pos)
+        assert len(comps) == 1 + len(offsets) and segment_value(comps[0][1]) is None
+        return g, alive, comps
+
+    @pytest.mark.parametrize("offsets", [((0, 5), (5, 0)), ((0, 5), (5, 5))],
+                             ids=["two-negatives", "negative-and-copy"])
+    def test_competing_candidates_leave_one_piece(self, offsets):
+        g, alive, comps = self.t_pieces(*offsets)
+        pair = Solver().scores(Position.make(g, alive))
+        assert (pair.ls, pair.rs) == raw_scores(g, alive)
+        assert len(Solver()._cancel(comps)) == 1
+
+    def test_three_mutual_negatives(self):
+        # c1 could cancel the parent's ``a`` or the new ``c2``; either way
+        # the piece left is a game equal to ``a``
+        _, _, (c1, c2, a) = self.t_pieces((0, 5), (5, 0))
+        assert _negated_pair(c1, c2, {}) and _negated_pair(c1, a, {})
+        (left,) = Solver()._cancel([c1, c2], (a,))
+        assert Solver().scores(left[1]) == Solver().scores(a[1])
 
 
 class TestPruning:
