@@ -40,7 +40,6 @@ from .games import (
     dominates,
     equivalent,
     format_game,
-    from_position,
     ls,
     negate,
     node,
@@ -63,6 +62,7 @@ from .segments import (
     SegmentEngine,
     SegmentSum,
     periodicity_scan,
+    raw_union_tree,
     segment_table,
     segment_union_tree,
     sum_bound_check,

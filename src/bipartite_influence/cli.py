@@ -22,7 +22,6 @@ from .games import (
     number,
     parse_game,
     simplify,
-    tree_of_sum,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -42,8 +41,10 @@ from .reduction import (
 )
 from .segments import (
     SegmentEngine,
+    SegmentSum,
     check_period_args,
     periodicity_scan,
+    raw_union_tree,
     segment_table,
     segment_union_tree,
     write_table_csv,
@@ -245,7 +246,7 @@ def game_from_args(args) -> Game:
         return segment_union_tree(parts)
     if (size := sum(map(abs, parts))) > MAX_RAW_VERTICES:
         raise ValueError(f"--raw takes at most {MAX_RAW_VERTICES} vertices, got {size}")
-    return tree_of_sum([Position.make(build_segment(p)) for p in parts])
+    return raw_union_tree(parts)
 
 
 def cmd_thermo(args, settings) -> int:
@@ -269,13 +270,15 @@ def cmd_thermo(args, settings) -> int:
 
 
 def cmd_equiv(args, settings) -> int:
+    engine = SegmentEngine()  # both sides share its keys and trees
+
     def side(sum_text, game_text, offset):
         if (sum_text is None) == (game_text is None):
             raise ValueError("give each side exactly one of a sum or a game")
         if game_text is not None:
             g = parse_game(game_text)
         else:
-            g = segment_union_tree(parse_segment_list(sum_text))
+            g = engine.tree(SegmentSum(parse_segment_list(sum_text)))
         return add(number(offset), g)
 
     a = side(args.sum_a, args.game_a, args.offset_a)

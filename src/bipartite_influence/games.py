@@ -9,6 +9,10 @@ caches key on the object.  All scores are exact rationals because cooling
 The universe of interest is Milnor's: every nonempty position has moves for
 both players (true by construction here) and no position is zugzwang
 (``ls >= rs`` everywhere), which :func:`audit_universe` checks.
+
+This module is game algebra only and imports nothing from the package:
+the game of a board comes from ``solver.Solver.tree``, and that of a
+union of segments from ``segments.SegmentEngine.tree``.
 """
 
 from __future__ import annotations
@@ -17,13 +21,6 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
 from typing import Iterable, Sequence
-
-from .graphs import BLACK, WHITE, Position, apply_move, legal_moves, strip_isolated
-from .solver import keyed_components
-
-
-class ExpansionLimitError(RuntimeError):
-    pass
 
 
 class Game:
@@ -316,59 +313,6 @@ def _undominated(options: list[Game], better) -> list[Game]:
         kept = [k for k in kept if not better(opt, k)]
         kept.append(opt)
     return kept
-
-
-# ---------------------------------------------------------------------------
-# positions -> trees
-
-DEFAULT_EXPANSION_LIMIT = 16
-
-_tree_cache: dict[tuple, Game] = {}
-
-
-def from_position(position: Position, limit: int = DEFAULT_EXPANSION_LIMIT) -> Game:
-    """Expand a position into its full game tree.
-
-    Every legal move becomes an option; leaves are the final net scores.
-    Positions above ``limit`` alive vertices are rejected, since the tree
-    grows too fast to be useful.
-    """
-    position = strip_isolated(position)
-    if position.vertex_count > limit:
-        raise ExpansionLimitError(
-            f"position has {position.vertex_count} vertices, limit is {limit}"
-        )
-    return tree_of_sum([position])
-
-
-def tree_of_sum(parts: Iterable[Position]) -> Game:
-    """The full game tree of a sum of stripped positions (as
-    :meth:`Position.make` builds them), with no expansion limit.
-
-    It is the sum of the components' trees, banked points last, so that
-    sums of the same components share their ``add`` entries.
-    """
-    offset = 0
-    trees: list[Game] = []
-    for part in parts:
-        offset += part.offset
-        trees.extend(_tree(key, comp) for key, comp in keyed_components(part))
-    return add(add_all(trees), number(offset))
-
-
-def _tree(key: tuple, comp: Position) -> Game:
-    """Offset-free game tree of one connected component.
-
-    Equal keys mean isomorphic components, hence equal trees, so trees are
-    cached by key, and path components share trees across boards.
-    """
-    hit = _tree_cache.get(key)
-    if hit is None:
-        lefts, rights = (
-            [tree_of_sum([apply_move(comp, m)]) for m in legal_moves(comp, color)]
-            for color in (BLACK, WHITE))
-        hit = _tree_cache[key] = node(lefts, rights)
-    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ that have not met stay in memory only.
 Each caller makes its own engine: none lives for the whole process.
 
 Everything the rewrite relies on is an equality of games, hence preserved
-under sums, so ``SegmentEngine.tree`` builds game trees on the same keys.
+under sums, so ``SegmentEngine.tree`` builds game trees on the same keys,
+by the search's tree loop; ``raw_union_tree`` builds the full tree, every
+move an option, with no rule at all.
 The test suite cross-checks the engine against the generic graph solver,
 against a rewrite-free twin (for the rules), against a plain minimax with
 no reduction and no cutoffs (for the search), and against full trees.
@@ -42,12 +44,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .games import Game, add, audit_universe, negate, node, number, simplify
+from .games import Game, add, add_all, node, number
 from .solver import ScorePair, ZeroWindowSearch
 
 CACHE_FORMAT = "bipartite-influence-segment-cache"
@@ -165,7 +168,6 @@ class SegmentEngine(ZeroWindowSearch):
         self.use_rewrite = use_rewrite
         self._rules: dict[int, tuple] = {}
         self._moves: dict[int, tuple] = {}
-        self._trees: dict[tuple[int, ...], Game] = {(): number(0)}
 
     # -- scores and trees --------------------------------------------------
 
@@ -178,27 +180,12 @@ class SegmentEngine(ZeroWindowSearch):
     def tree(self, s: SegmentSum) -> Game:
         """The game tree of ``s``, built on the memo keys and simplified."""
         core, shift = self._reduce(s.parts)
-        return add(self._tree(core), number(s.offset + shift))
+        return add(self._tree(core, core), number(s.offset + shift))
 
-    def _tree(self, key: tuple[int, ...]) -> Game:
-        """The simplified, offset-free game of a ``_reduce`` key.
-
-        A child key is what the mover leaves, mirrored, so its game is the
-        negative.  Right's options are the negatives of Left's options in
-        the mirror of ``key``.  A zugzwang node raises ``ValueError``.
-        """
-        hit = self._trees.get(key)
-        if hit is None:
-            mcore, mshift = self._reduce([-p if p & 1 else p for p in key])
-            hit = node(
-                [add(number(gain), negate(self._tree(child)))
-                 for gain, child, _ in self._children(key)],
-                [add(self._tree(child), number(-gain - mshift))
-                 for gain, child, _ in self._children(mcore)])
-            if bad := audit_universe(hit):
-                raise ValueError(f"segment union outside the universe: {bad}")
-            hit = self._trees[key] = simplify(hit)
-        return hit
+    def _other_seat(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The reduced mirror of ``key``: flipping every odd part swaps
+        the colours, which negates the game."""
+        return self._reduce([-p if p & 1 else p for p in key])
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection."""
@@ -427,3 +414,20 @@ def sum_bound_check(s: SegmentSum, engine: SegmentEngine) -> SegmentBoundsReport
 def segment_union_tree(parts: Iterable[int]) -> Game:
     """The game tree of a union of segments, from a fresh engine's keys."""
     return SegmentEngine().tree(SegmentSum(parts))
+
+
+def raw_union_tree(parts: Iterable[int]) -> Game:
+    """The full game tree of a union of segments: every move of
+    :func:`segment_moves` an option, with no rewrite, no pruning and no
+    simplification.  A single vertex is the number it banks."""
+
+    @cache  # a part's tree, for this call
+    def part_tree(part: int) -> Game:
+        if part in (1, -1):
+            return number(part)
+        return node(*(
+            [add(add_all([part_tree(r) for r in remnants]), number(count if black else -count))
+             for count, remnants in segment_moves(part, black)]
+            for black in (True, False)))
+
+    return add_all([part_tree(p) for p in parts])

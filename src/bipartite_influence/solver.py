@@ -7,19 +7,20 @@ moving first.  ``ZeroWindowSearch`` is the package's one search: MTD(f)
 algorithms", AI 87, 1996), repeated fail-soft zero-window negamax passes
 from the mover's seat that narrow a (lower, upper) bound pair until it is
 exact.  Its memo keeps those bounds, and the scores they prove, across
-passes and queries.  Two child generators drive it: ``Solver`` over sums
-of connected components, and ``segments.SegmentEngine`` over reduced
-unions of segments.  The solver tries moves in order of immediate gain
-and builds each successor only when the search reaches it.  A move in one
-component of a sum leaves the others as they were, so a successor is
-folded from its parent: only the rest of the played component is split,
-and its pieces cancel into them or are inserted among them in key order;
-their move lists, generated once per mover, are kept as long as the
-solver lives.  Transposition keys bring path components to canonical
-form, and pairs of components cancel before lookup when a mirror
-certificate on their union (``symmetry.find_bw``) gives Ls = Rs = 0: in
-Milnor's universe (dicotic, free of zugzwang, as every position here)
-such a game is zero.
+passes and queries.  Two child generators drive it: ``Solver`` over sums of
+connected components, and ``segments.SegmentEngine`` over reduced unions of
+segments.  The same generators, on a node and on its other seat (the same
+position with the other player to move), give the one game-tree loop,
+``ZeroWindowSearch._tree``.  The solver tries moves in order of immediate
+gain and builds each successor only when the search reaches it.  A move in
+one component of a sum leaves the others as they were, so a successor is
+folded from its parent: only the rest of the played component is split, and
+its pieces cancel into them or are inserted among them in key order; their
+move lists, generated once per mover, are kept as long as the solver lives.
+Transposition keys bring path components to canonical form, and pairs of
+components cancel before lookup when a mirror certificate on their union
+(``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
+free of zugzwang, as every position here) such a game is zero.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
+from . import games
 from .graphs import (
     BLACK,
     WHITE,
@@ -182,13 +184,18 @@ class ZeroWindowSearch:
     skips.  ``_bound(node)`` bounds the absolute score (0 for the empty
     position, which has no children); a node not in the memo starts from
     those bounds, which alone can decide a test.  ``nodes`` counts
-    expansions.
+    expansions.  ``_other_seat(node)`` is the node's other seat: the
+    same position with the other player to move, as a node ``other`` and
+    banked points ``shift`` such that the game of ``other`` from its
+    mover's seat, plus ``shift``, is minus the game of ``node``.  The two
+    seats give :meth:`_tree` its two sides.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
         self.table = TranspositionTable()
         self.node_budget = node_budget
         self.nodes = 0
+        self._trees: dict = {}
 
     memo = property(lambda self: self.table.memo)
     _bounds = property(lambda self: self.table.bounds)
@@ -240,6 +247,30 @@ class ZeroWindowSearch:
             table.bounds[key] = bounds
         return best
 
+    def _tree(self, key, node) -> games.Game:
+        """The simplified, offset-free game of ``node`` from its mover's
+        seat, with the empty node the number 0.
+
+        The mover's options are ``gain - T(child)`` over its children: a
+        child's game is seen from the opponent's seat.  The opponent's are
+        ``T(child) - gain - shift`` over the children of the other seat.
+        Each node is audited and simplified as soon as it is built, so a
+        dominated option grows no subtree, and is kept per key for the
+        life of the search.  A zugzwang node raises ``ValueError``.
+        """
+        hit = self._trees.get(key)
+        if hit is None:
+            other, shift = self._other_seat(node)
+            lefts = [games.add(games.number(gain), games.negate(self._tree(ck, child)))
+                     for gain, ck, child in self._children(node)]
+            rights = [games.add(self._tree(ck, child), games.number(-gain - shift))
+                      for gain, ck, child in self._children(other)]
+            hit = games.node(lefts, rights) if lefts or rights else games.number(0)
+            if bad := games.audit_universe(hit):
+                raise ValueError(f"position outside the universe: {bad}")
+            hit = self._trees[key] = games.simplify(hit)
+        return hit
+
 
 class Solver(ZeroWindowSearch):
     """Exact scores of sums of components.  A node is the sign of the
@@ -274,7 +305,21 @@ class Solver(ZeroWindowSearch):
         rs = -self._exact((-1, keys), (-1, comps), guess=1 - ls)
         return ScorePair(offset + ls, offset + rs)
 
+    def tree(self, position: Position) -> games.Game:
+        """The game of ``position``, simplified node by node on the
+        solver's keys, so it is built with folding, cancellation and (with
+        ``prune``) dominated-move pruning."""
+        position = strip_isolated(position)
+        comps = self._cancel(keyed_components(position))
+        keys = tuple(k for k, _ in comps)
+        return games.add(self._tree((1, keys), (1, comps)), games.number(position.offset))
+
     # -- internals ---------------------------------------------------------
+
+    def _other_seat(self, node: tuple[int, tuple[Keyed, ...]]):
+        """The same components with the other sign: a colour swap, which
+        negates the game."""
+        return (-node[0], node[1]), 0
 
     def _cancel(self, new: list[Keyed], others: tuple[Keyed, ...] = ()) -> tuple[Keyed, ...]:
         """``others``, sorted by key, with the pieces of ``new`` added in key

@@ -1,8 +1,9 @@
 """Shared helpers: an independent reference solver, a plain minimax on
 unions of segments, random graphs, and game-tree references (play
-length, leaf scores, trees expanded on whole positions, comparisons read
-off the built difference ``g - h``, a universe audit that remembers
-nothing, and thermographs by the tax-subtract-root-clamp chain).
+length, leaf scores, full trees expanded on whole positions and summed
+over segment unions, comparisons read off the built difference
+``g - h``, a universe audit that remembers nothing, and thermographs by
+the tax-subtract-root-clamp chain).
 
 The reference solver implements the game rules in their rawest form: a
 move removes the played vertex and its alive neighbors, nothing else, and
@@ -17,19 +18,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from bipartite_influence.games import (
     Game,
     add,
+    add_all,
     format_game,
     ls,
     negate,
     node,
     number,
     rs,
-    tree_of_sum,
 )
 from bipartite_influence.graphs import (
     BLACK,
@@ -199,9 +201,10 @@ def leaf_values(g: Game) -> set[Fraction]:
 
 
 def whole_position_tree(position: Position):
-    """Game tree expanded move by move on the whole alive set, with no
-    split into components and no sum of component trees: an independent
-    reference for ``from_position`` and ``tree_of_sum``.
+    """The full game tree, every legal move an option, expanded move by
+    move on the whole alive set, with no split into components, no sum of
+    component trees and no simplification: the rule-free reference for
+    ``Solver.tree`` and ``raw_union_tree``.
     Hash-consing makes equal trees the same object."""
     ground = position.ground
     memo = {}
@@ -222,10 +225,15 @@ def whole_position_tree(position: Position):
 
 
 def full_union_tree(parts, offset=0):
-    """The full tree of a segment union, built by ``tree_of_sum`` on the
-    path graphs with no rewrite and no simplification: the rule-free
-    reference for ``SegmentEngine.tree``."""
-    return add(number(offset), tree_of_sum([Position.make(build_segment(p)) for p in parts]))
+    """The full tree of a segment union: the sum of the path graphs'
+    ``whole_position_tree`` with no rewrite and no simplification, the
+    rule-free reference for ``SegmentEngine.tree`` and ``raw_union_tree``."""
+    return add(add_all([_path_tree(p) for p in parts]), number(offset))
+
+
+@cache
+def _path_tree(part: int) -> Game:
+    return whole_position_tree(Position.make(build_segment(part)))
 
 
 def ref_dominates(g: Game, h: Game) -> bool:

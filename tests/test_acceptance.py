@@ -28,6 +28,7 @@ from conftest import (
     random_position,
     record_verdict,
     twin_classes,
+    whole_position_tree,
 )
 
 from bipartite_influence.cli import main
@@ -35,7 +36,6 @@ from bipartite_influence.games import (
     add,
     add_all,
     equivalent,
-    from_position,
     ls,
     number,
     parse_game,
@@ -121,7 +121,7 @@ def alive_position(rnd: random.Random, max_n: int, min_alive: int = 4) -> Positi
 
 
 def random_game(rnd: random.Random, max_n: int, min_alive: int = 4):
-    return simplify(from_position(alive_position(rnd, max_n, min_alive)))
+    return simplify(whole_position_tree(alive_position(rnd, max_n, min_alive)))
 
 
 def submask(rnd: random.Random, mask: int, p: float = 0.4) -> int:
@@ -267,6 +267,22 @@ class TestThermography:
                 f"four copies of a five average to {by_repetition}"
             )
         verdict("segment means and temperatures for sizes up to 20", problems)
+
+    def test_board_temperatures(self):
+        # each from the solver's simplified tree and from the full tree
+        problems = []
+        solver = Solver()
+        for (rows, cols), want in (((3, 5), (8, 1)), ((3, 6), (8, 0)), ((4, 4), (6, 0))):
+            board = Position.make(build_grid(rows, cols))
+            tree, full = solver.tree(board), simplify(whole_position_tree(board))
+            for how, g in (("solver tree", tree), ("full tree", full)):
+                tg = thermograph(g)
+                if (tg.sigma, tg.mast) != want:
+                    problems.append(f"grid {rows}x{cols} {how}: temperature {tg.sigma}, "
+                                    f"mean {tg.mast}, not {want}")
+            if not equivalent(tree, full):
+                problems.append(f"grid {rows}x{cols}: the two trees differ")
+        verdict("temperatures and means of grids 3x5, 3x6 and 4x4", problems)
 
 
 class TestGrids:

@@ -19,10 +19,10 @@ from bipartite_influence.cli import (
     main,
     parse_segment_list,
 )
-from bipartite_influence.games import format_game, from_position
+from bipartite_influence.games import format_game
 from bipartite_influence.graphs import Position, build_segment
 
-from conftest import FROZEN_TABLE_120
+from conftest import FROZEN_TABLE_120, whole_position_tree
 
 
 def run(capsys, *argv):
@@ -279,7 +279,7 @@ class TestThermo:
         rc, out, _ = run(capsys, "thermo", "--raw", "--segment", "5", "--json")
         assert rc == EXIT_OK
         data = json.loads(out)
-        full = from_position(Position.make(build_segment(5)))
+        full = whole_position_tree(Position.make(build_segment(5)))
         assert data["game"] == format_game(full) != "<5|<-1|-5>>"
         assert (data["sigma"], data["mast"]) == ("4", "1")
 
@@ -386,6 +386,22 @@ class TestEquiv:
         rc, out, _ = run(capsys, "equiv", "--sum-a", "3", "--sum-b", "5")
         assert rc == EXIT_OK
         assert "no" in out
+
+    def test_both_sides_share_one_engine(self, capsys, monkeypatch):
+        import bipartite_influence.cli as cli_module
+
+        made = []
+
+        class Counted(cli_module.SegmentEngine):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(cli_module, "SegmentEngine", Counted)
+        rc, out, _ = run(capsys, "equiv", "--sum-a", "5,5", "--sum-b", "2", "--offset-b", "2")
+        assert (rc, out) == (EXIT_OK, "equivalent: yes\n")
+        # 5,5 reduces to the key of 2 plus 2 points, so side B reads side A's tree
+        assert len(made) == 1 and (2,) in made[0]._trees
 
     def test_side_needs_exactly_one_source(self, capsys):
         rc, _, err = run(capsys, "equiv", "--sum-a", "3",

@@ -11,9 +11,7 @@ from pathlib import Path
 import pytest
 
 from bipartite_influence.games import (
-    DEFAULT_EXPANSION_LIMIT,
     MAX_NOTATION_SIZE,
-    ExpansionLimitError,
     Game,
     add,
     add_all,
@@ -21,7 +19,6 @@ from bipartite_influence.games import (
     dominates,
     equivalent,
     format_game,
-    from_position,
     ls,
     negate,
     node,
@@ -31,7 +28,6 @@ from bipartite_influence.games import (
     repeated,
     rs,
     simplify,
-    tree_of_sum,
 )
 from bipartite_influence.graphs import (
     BLACK,
@@ -39,13 +35,17 @@ from bipartite_influence.graphs import (
     GroundGraph,
     Position,
     apply_move,
-    build_grid,
     build_segment,
-    canonical_key,
     disjoint_union,
     legal_moves,
 )
-from bipartite_influence.segments import SegmentEngine, SegmentSum, segment_union_tree
+from bipartite_influence.segments import (
+    SegmentEngine,
+    SegmentSum,
+    raw_union_tree,
+    segment_union_tree,
+)
+from bipartite_influence.solver import Solver
 
 from conftest import (
     full_union_tree,
@@ -87,7 +87,7 @@ def longest_line(position: Position) -> int:
 
 
 def seg_tree(n: int) -> Game:
-    return from_position(Position.make(build_segment(n)))
+    return whole_position_tree(Position.make(build_segment(n)))
 
 
 class TestConstruction:
@@ -165,6 +165,9 @@ class TestArithmetic:
 
 
 class TestFromPosition:
+    """Full trees of positions, from the rule-free ``whole_position_tree``
+    of conftest and the library's ``raw_union_tree``."""
+
     def test_segment_5_tree(self):
         g = seg_tree(5)
         assert format_game(simplify(g)) == "<5|<-1|-5>>"
@@ -172,7 +175,7 @@ class TestFromPosition:
         assert rs(g) == -1
 
     def test_house_graph_tree(self):
-        g = from_position(Position.make(house_graph()))
+        g = whole_position_tree(Position.make(house_graph()))
         assert leaf_values(g) == {Fraction(5), Fraction(-1), Fraction(-5)}
         assert leaf_multiset(g) == Counter({5: 2, -1: 2, -5: 2})
         assert ls(g) == 5
@@ -180,28 +183,16 @@ class TestFromPosition:
 
     def test_offset_carried_into_tree(self):
         pos = Position.make(build_segment(2), offset=3)
-        g = from_position(pos)
+        g = whole_position_tree(pos)
         assert ls(g) == 5
         assert rs(g) == 1
 
-    def test_expansion_limit(self):
-        with pytest.raises(ExpansionLimitError):
-            from_position(Position.make(build_segment(DEFAULT_EXPANSION_LIMIT + 1)))
-        # raising the limit unlocks the build
-        g = from_position(
-            Position.make(build_segment(DEFAULT_EXPANSION_LIMIT + 1)),
-            limit=DEFAULT_EXPANSION_LIMIT + 1,
-        )
-        assert ls(g) == 3
-
     def test_tree_scores_match_solver(self, rng):
-        from bipartite_influence.solver import Solver
-
         solver = Solver()
         for _ in range(80):
             ground = random_ground(rng, max_n=8)
             pos = Position.make(ground)
-            g = from_position(pos)
+            g = whole_position_tree(pos)
             pair = solver.scores(pos)
             assert ls(g) == pair.ls
             assert rs(g) == pair.rs
@@ -209,7 +200,7 @@ class TestFromPosition:
     def test_length_matches_play_oracle(self):
         for n in range(1, 9):
             pos = Position.make(build_segment(n))
-            assert length(from_position(pos)) == longest_line(pos)
+            assert length(whole_position_tree(pos)) == longest_line(pos)
 
     def test_sum_is_the_tree_of_the_union(self, rng):
         # random pieces, most of them not paths, summed with their offsets
@@ -218,33 +209,30 @@ class TestFromPosition:
                       for _ in range(rng.randint(0, 3))]
             offset = sum(p.offset for p in pieces)
             board = Position.make(disjoint_union(pieces), offset=offset)
-            assert tree_of_sum(pieces) is from_position(board)
-            assert tree_of_sum(pieces) is whole_position_tree(board)
+            summed = add_all([whole_position_tree(p) for p in pieces])
+            assert summed is whole_position_tree(board)
 
     def test_each_component_expanded_once(self, monkeypatch):
-        import bipartite_influence.games as games_module
+        # raw_union_tree expands each distinct part once per mover
+        import bipartite_influence.segments as segments_module
 
         expanded = []
 
-        def recording_legal_moves(position, color):
-            expanded.append((canonical_key(position), color))
-            return legal_moves(position, color)
+        def recording_segment_moves(part, black, prune=False):
+            expanded.append((part, black))
+            return segment_moves(part, black, prune)
 
-        monkeypatch.setattr(games_module, "legal_moves", recording_legal_moves)
-        monkeypatch.setattr(games_module, "_tree_cache", {})
-        # a 4-cycle, a four-vertex path and an edge in a 4x4 grid
-        alive = sum(1 << v for v in (0, 1, 4, 5, 3, 7, 11, 15, 12, 13))
-        board = Position.make(build_grid(4, 4), alive)
-        full_union_tree([7, 9, 11])
-        full_union_tree([5, 5, -9])
-        tree_of_sum([board])
-        from_position(board)
-        assert expanded and max(Counter(expanded).values()) == 1
+        segment_moves = segments_module.segment_moves
+        monkeypatch.setattr(segments_module, "segment_moves", recording_segment_moves)
+        for parts in ([7, 9, 11], [5, 5, -9], [6, -6, 6, 2]):
+            expanded.clear()
+            assert raw_union_tree(parts) is full_union_tree(parts)
+            assert expanded and max(Counter(expanded).values()) == 1
 
     def test_length_of_segment_5(self):
         # every line of play on the 5-segment ends by the second move
         assert length(seg_tree(5)) == 2
-        assert length(from_position(Position.make(house_graph()))) == 2
+        assert length(whole_position_tree(Position.make(house_graph()))) == 2
         assert length(number(4)) == 0
 
 
@@ -256,17 +244,20 @@ class TestUniverse:
     def test_clean_trees_pass(self, rng):
         for _ in range(40):
             pos = Position.make(random_ground(rng, max_n=8))
-            assert audit_universe(from_position(pos)) is None
+            assert audit_universe(whole_position_tree(pos)) is None
 
     def test_canonical_build_rejects_zugzwang(self, monkeypatch):
         # no Influence position has a zugzwang, so stand one in for the
-        # audit in SegmentEngine.tree; tree_of_sum builds full trees unaudited
-        import bipartite_influence.segments as segments_module
+        # audit of the search's tree loop; raw_union_tree builds full trees
+        # unaudited
+        import bipartite_influence.games as games_module
 
-        monkeypatch.setattr(segments_module, "audit_universe", lambda g: "zugzwang subtree")
+        monkeypatch.setattr(games_module, "audit_universe", lambda g: "zugzwang subtree")
         with pytest.raises(ValueError, match="zugzwang subtree"):
             SegmentEngine().tree(SegmentSum([3]))
-        assert ls(full_union_tree([3])) == 3
+        with pytest.raises(ValueError, match="zugzwang subtree"):
+            Solver().tree(Position.make(build_segment(3)))
+        assert ls(raw_union_tree([3])) == 3
 
     def test_equivalent_rejects_zugzwang(self):
         g = parse_game("<-1|1>")
@@ -300,7 +291,7 @@ class TestSimplify:
     def test_simplify_preserves_equivalence(self, rng):
         for _ in range(30):
             pos = Position.make(random_ground(rng, max_n=7))
-            g = from_position(pos)
+            g = whole_position_tree(pos)
             assert equivalent(simplify(g), g)
 
     def test_simplify_prunes_dominated_option(self):
@@ -323,7 +314,7 @@ class TestSimplify:
     def test_negation_keeps_simplified_games_simplified(self):
         rng = random.Random(1717)
         trees = [full_union_tree([n]) for n in range(-12, 13) if n]
-        trees += [from_position(Position.make(random_ground(rng, max_n=8)))
+        trees += [whole_position_tree(Position.make(random_ground(rng, max_n=8)))
                   for _ in range(60)]
         for g in trees:
             neg = negate(simplify(g))
@@ -458,8 +449,8 @@ def _interned_growth(code: str) -> int:
 class TestComparisonBuildsNothing:
     def test_simplify_segment_21_interns_few_games(self):
         grown = _interned_growth("""
-            from bipartite_influence.graphs import Position, build_segment
-            tree = games.tree_of_sum([Position.make(build_segment(21))])
+            from bipartite_influence.segments import raw_union_tree
+            tree = raw_union_tree([21])
             games.simplify(tree)
         """)
         assert grown < 1000

@@ -1,12 +1,14 @@
 """Each package module imports by itself in a fresh interpreter, uses
 every name it imports and holds no ``global`` statement; ``segments``
-imports nothing from ``graphs``; every function the benchmark traces, and
+imports nothing from ``graphs``, and ``games`` nothing from ``graphs``,
+``solver`` or ``segments``; every function the benchmark traces, and
 every attribute it counts, exists.
 
-``solver`` imports ``symmetry``, so ``symmetry`` imports ``Solver`` only
-inside ``certify_draw``: a module-level import would be a cycle.  A fresh
-interpreter per module checks each import path without the modules the
-test session has already loaded.
+``solver`` imports ``symmetry`` and ``games``, so ``symmetry`` imports
+``Solver`` only inside ``certify_draw`` (a module-level import would be a
+cycle), and ``games``, game algebra only, imports nothing from the
+package.  A fresh interpreter per module checks each import path without
+the modules the test session has already loaded.
 """
 
 import ast
@@ -67,15 +69,28 @@ def test_module_has_no_global_statement(module):
             for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
 
 
+def _imported_modules(module: str) -> list[str]:
+    """The last dotted part of each module that package ``module`` imports."""
+    path = SRC / "bipartite_influence" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(getattr(node, "module", None) or alias.name).split(".")[-1]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names]
+
+
 def test_segments_import_nothing_from_graphs():
     """The segment engine builds scores and game trees on its own keys, so
     it needs no graph: its module imports nothing from ``graphs``."""
-    path = SRC / "bipartite_influence" / "segments.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported = [getattr(node, "module", None) or alias.name
-                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names]
-    assert imported and not [name for name in imported if name.split(".")[-1] == "graphs"]
+    imported = _imported_modules("segments")
+    assert imported and "graphs" not in imported
+
+
+def test_games_import_nothing_from_the_package():
+    """``games`` is game algebra only: the game of a position comes from a
+    search's tree loop, so the module imports nothing from ``graphs``,
+    ``solver`` or ``segments``."""
+    imported = _imported_modules("games")
+    assert imported and not {"graphs", "solver", "segments"} & set(imported)
 
 
 def test_traced_names_resolve():

@@ -23,6 +23,7 @@ from bipartite_influence.segments import (
     _PARTNER_RULES,
     _SINGLE_RULES,
     periodicity_scan,
+    raw_union_tree,
     segment_moves,
     segment_table,
     segment_union_tree,
@@ -33,7 +34,6 @@ from bipartite_influence.games import (
     add,
     add_all,
     equivalent,
-    from_position,
     ls,
     number,
     rs,
@@ -574,7 +574,7 @@ class TestUnionTrees:
     def test_interned_with_graph_expansion(self, n):
         for signed in (n, -n):
             full = full_union_tree([signed])
-            assert full is from_position(Position.make(build_segment(signed)))
+            assert full is raw_union_tree([signed])
             assert_canonical_form_of(segment_union_tree([signed]), full)
 
     @pytest.mark.parametrize("parts, offset", UNION_SUMS)
@@ -584,10 +584,10 @@ class TestUnionTrees:
         board = Position.make(disjoint_union(pieces), offset=banked)
         assert board.vertex_count <= 16
         tree = full_union_tree(parts, offset)
-        assert tree is from_position(board)
         assert tree is whole_position_tree(board)
-        singles = [from_position(Position.make(build_segment(p))) for p in parts]
+        singles = [whole_position_tree(Position.make(build_segment(p))) for p in parts]
         assert tree is add_all([number(offset)] + singles)
+        assert tree is add(raw_union_tree(parts), number(offset))
         assert_canonical_form_of(add(number(offset), segment_union_tree(parts)), tree)
 
     # Induced paths in a 4x4 grid (vertex i * 4 + j, Black on even i + j):
@@ -603,14 +603,31 @@ class TestUnionTrees:
         grid = build_grid(4, 4)
         position = Position.make(grid, sum(1 << v for v in alive))
         assert position.vertex_count == len(alive)
-        full = from_position(position)
+        full = whole_position_tree(position)
         assert full is full_union_tree(parts)
-        assert full is whole_position_tree(position)
+        assert full is raw_union_tree(parts)
         assert_canonical_form_of(segment_union_tree(parts), full)
 
     def test_offset_and_singles_absorbed(self):
         assert add(number(-2), segment_union_tree([1, 1, 3])) is segment_union_tree([3])
         assert full_union_tree([1, 1, 3], offset=-2) is full_union_tree([3])
+        assert add(number(-2), raw_union_tree([1, 1, 3])) is raw_union_tree([3])
+
+    def test_raw_trees_of_every_small_union(self):
+        # every multiset of signed parts of at most 12 vertices in all
+        def unions(room, least):
+            yield []
+            for size in range(least, room + 1):
+                for part in (size, -size):
+                    for rest in unions(room - size, size):
+                        if not rest or (abs(rest[0]), rest[0]) >= (size, part):
+                            yield [part] + rest
+
+        seen = 0
+        for parts in unions(12, 1):
+            assert raw_union_tree(parts) is full_union_tree(parts), parts
+            seen += 1
+        assert seen == 3132
 
     def test_zero_part_rejected(self):
         with pytest.raises(ValueError):

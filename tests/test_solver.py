@@ -1,9 +1,10 @@
-"""Exact graph solver: scores, pruning, sums, audits."""
+"""Exact graph solver: scores, pruning, sums, game trees, audits."""
 
 import random
 
 import pytest
 
+from bipartite_influence.games import equivalent, ls, number, rs
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
@@ -31,7 +32,7 @@ from bipartite_influence.solver import (
     prune_dominated,
 )
 
-from conftest import random_ground, random_position, raw_scores
+from conftest import random_ground, random_position, raw_scores, whole_position_tree
 
 # First 12 rows of the segment score table, checked again at full width
 # (and against the segment engine) in the acceptance suite.
@@ -502,6 +503,36 @@ class TestFold:
         assert folded.table.bounds == rebuilt.table.bounds
         # a duplicate child costs a lookup, never an expansion
         assert folded.table.lookups > rebuilt.table.lookups
+
+
+class TestTree:
+    """``Solver.tree``, the search's tree loop on the solver's two seats,
+    against the full tree expanded on the whole alive set."""
+
+    BOARDS = [build_grid(3, 4), build_grid(4, 4), build_torus(4, 4),
+              build_cylinder(4, 3), build_hypercube(4)]
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    def test_matches_the_full_tree(self, prune):
+        rng = random.Random(21)
+        shared = Solver(prune=prune)
+        for _ in range(60):
+            g = rng.choice(self.BOARDS)
+            alive = rng.getrandbits(g.n) if rng.random() < 0.7 else g.full_mask
+            position = Position.make(g, alive, rng.randint(-2, 2))
+            tree = shared.tree(position)
+            assert equivalent(tree, whole_position_tree(position)), (g.name, alive)
+            pair = shared.scores(position)
+            assert (ls(tree), rs(tree)) == (pair.ls, pair.rs), (g.name, alive)
+
+    def test_trees_are_kept_per_key(self):
+        solver = Solver()
+        board = Position.make(build_grid(3, 4))
+        tree = solver.tree(board)
+        kept = len(solver._trees)
+        assert solver.tree(board) is tree and len(solver._trees) == kept
+        # the empty position is the number 0, plus what was banked
+        assert solver.tree(Position.make(build_segment(1))) is number(1)
 
 
 class TestBudget:

@@ -11,7 +11,6 @@ from bipartite_influence.games import (
     add,
     audit_universe,
     format_game,
-    from_position,
     node,
     number,
     parse_game,
@@ -31,7 +30,7 @@ from bipartite_influence.thermo import (
     upper_envelope,
 )
 
-from conftest import random_ground, ref_audit_universe, ref_thermograph
+from conftest import random_ground, ref_audit_universe, ref_thermograph, whole_position_tree
 
 
 def F(x):
@@ -39,7 +38,7 @@ def F(x):
 
 
 def seg_tree(n):
-    return from_position(Position.make(build_segment(n)))
+    return whole_position_tree(Position.make(build_segment(n)))
 
 
 class TestPiecewiseLinear:
@@ -188,7 +187,7 @@ class TestThermograph:
     def test_matches_the_tax_subtract_root_clamp_chain(self, rng):
         games = []
         for _ in range(150):
-            g = from_position(Position.make(random_ground(rng, max_n=8)))
+            g = whole_position_tree(Position.make(random_ground(rng, max_n=8)))
             games += [g, simplify(g)]
         # <a|a> freezes at 0; a hot option puts cuts past where the taxed
         # walls meet, or exactly there
@@ -292,15 +291,15 @@ class TestChecks:
         for _ in range(40):
             a = Position.make(random_ground(rng, max_n=6))
             b = Position.make(random_ground(rng, max_n=6))
-            g = simplify(from_position(a))
-            h = simplify(from_position(b))
+            g = simplify(whole_position_tree(a))
+            h = simplify(whole_position_tree(b))
             assert sum_temperature_check(g, h).all_ok
 
     def test_sandwich_random(self, rng):
         from bipartite_influence.games import ls, rs
 
         for _ in range(60):
-            g = simplify(from_position(Position.make(random_ground(rng, max_n=8))))
+            g = simplify(whole_position_tree(Position.make(random_ground(rng, max_n=8))))
             tg = thermograph(g)
             assert tg.mast - tg.sigma <= rs(g) <= tg.mast <= ls(g) <= tg.mast + tg.sigma
 
