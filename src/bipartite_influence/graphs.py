@@ -365,27 +365,47 @@ class RemovalSet:
         return list(_bits(self.removed))
 
 
-def removal_closure(position: Position, v: int) -> RemovalSet:
-    """The move made by playing alive vertex ``v``.
+def _closure(adj: Sequence[int], two_step: Sequence[int], alive: int, v: int) -> int:
+    """The mask a move at alive vertex ``v`` removes: ``v``, its alive
+    neighbors, and every vertex of ``v``'s color whose alive neighborhood
+    that just emptied.  In a stripped position only vertices two steps
+    from ``v`` can lose their last neighbor, so only ``two_step[v]`` is
+    scanned, one lowest set bit at a time."""
+    removed = (1 << v) | (adj[v] & alive)
+    rest = alive & ~removed
+    scan = rest & two_step[v]
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        if adj[low.bit_length() - 1] & rest == 0:
+            removed |= low
+    return removed
 
-    Removes ``v``, its alive neighbors, and every vertex of ``v``'s color
-    whose alive neighborhood that just emptied.  In a stripped position
-    only vertices two steps from ``v`` can lose their last neighbor, so
-    only ``two_step[v]`` is scanned.  The gain is the signed count of
-    removed vertices (positive for Black).
-    """
+
+def removal_closure(position: Position, v: int) -> RemovalSet:
+    """The move made by playing alive vertex ``v`` (see :func:`_closure`).
+    The gain is the signed count of removed vertices (positive for
+    Black)."""
     g = position.ground
-    bit = 1 << v
-    if not position.alive & bit:
+    if not position.alive & 1 << v:
         raise ValueError(f"vertex {v} is not alive")
-    removed = bit | (g.adj[v] & position.alive)
-    rest = position.alive & ~removed
-    mover = g.colors[v]
-    for w in _bits(rest & g.two_step[v]):
-        if g.adj[w] & rest == 0:
-            removed |= 1 << w
+    removed = _closure(g.adj, g.two_step, position.alive, v)
     size = removed.bit_count()
-    return RemovalSet(v, removed, size if mover is BLACK else -size)
+    return RemovalSet(v, removed, size if g.colors[v] is BLACK else -size)
+
+
+def move_masks(position: Position, color: VertexColor) -> list[int]:
+    """The removed masks of ``color``'s moves, in vertex order: the
+    ``removed`` fields of :func:`legal_moves`, with no move object made."""
+    g = position.ground
+    adj, two_step, alive = g.adj, g.two_step, position.alive
+    out = []
+    mine = alive & g.color_mask(color)
+    while mine:
+        low = mine & -mine
+        mine ^= low
+        out.append(_closure(adj, two_step, alive, low.bit_length() - 1))
+    return out
 
 
 def legal_moves(position: Position, color: VertexColor) -> list[RemovalSet]:

@@ -182,10 +182,11 @@ class SegmentEngine(ZeroWindowSearch):
         core, shift = self._reduce(s.parts)
         return add(self._tree(core, core), number(s.offset + shift))
 
-    def _other_seat(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """The reduced mirror of ``key``: flipping every odd part swaps
-        the colours, which negates the game."""
-        return self._reduce([-p if p & 1 else p for p in key])
+    def _other_seat(self, key: tuple[int, ...], node: tuple[int, ...]) -> tuple:
+        """The reduced mirror of ``key``, which is its own node: flipping
+        every odd part swaps the colours, which negates the game."""
+        mirror, shift = self._reduce([-p if p & 1 else p for p in key])
+        return mirror, mirror, shift
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection."""

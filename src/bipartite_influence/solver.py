@@ -17,6 +17,8 @@ one component of a sum leaves the others as they were, so a successor is
 folded from its parent: only the rest of the played component is split, and
 its pieces cancel into them or are inserted among them in key order; their
 move lists, generated once per mover, are kept as long as the solver lives.
+A move list is a tuple of removed masks: ``graphs.move_masks`` makes them
+and ``maximal_masks`` prunes them, plain ints with no move object.
 Transposition keys bring path components to canonical form, and pairs of
 components cancel before lookup when a mirror certificate on their union
 (``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
@@ -41,6 +43,7 @@ from .graphs import (
     components,
     disjoint_union,
     legal_moves,
+    move_masks,
     strip_isolated,
 )
 from .symmetry import find_bw
@@ -82,39 +85,46 @@ class TranspositionTable:
         return len(self.memo) + len(self.bounds)
 
 
+def maximal_masks(masks: list[int]) -> list[int]:
+    """The masks no other mask contains, in their given order; of equal
+    masks the first is kept.
+
+    One pass keeps the maximal masks seen so far.  A new mask is compared
+    with those alone: containment is transitive, so a mask inside an
+    earlier one is inside a kept one.  A new mask evicts the kept masks
+    it strictly contains.
+    """
+    kept: list[int] = []
+    for m in masks:
+        for k in kept:
+            if m | k == k:
+                break  # m is inside k, or equal to it
+        else:
+            for k in kept:
+                if k | m == m:  # m evicts the kept masks inside it
+                    kept = [k for k in kept if k | m != m]
+                    break
+            kept.append(m)
+    return kept
+
+
 def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
     """Drop moves whose removed set is contained in another move's set.
 
     All moves must belong to the same mover.  Playing the larger set is at
     least as good, since it only hands the opponent a position that is a
     gift of extra removals away.  Equal sets keep the lowest vertex played.
-    The kept moves come back in their given order.
-
-    One pass keeps the undominated moves seen so far.  A new move is
-    compared with those alone: dominance is transitive, so a move
-    dominated by an earlier one is dominated by a kept one.  A kept move
-    the new move dominates leaves the list.
+    The kept moves come back in their given order: those whose sets
+    :func:`maximal_masks` keeps.
     """
-    if len(moves) <= 1:
-        return list(moves)
-    signs = {m.gain > 0 for m in moves}
-    if len(signs) > 1:
+    if len({m.gain > 0 for m in moves}) > 1:
         raise ValueError("prune_dominated expects moves of a single mover")
-    kept: list[RemovalSet] = []
+    first: dict[int, RemovalSet] = {}
     for m in moves:
-        removed, played = m.removed, m.played
-        beaten = []
-        for k in kept:
-            union = removed | k.removed
-            if union == k.removed and (union != removed or k.played < played):
-                break  # k dominates m
-            if union == removed and (union != k.removed or played < k.played):
-                beaten.append(k)
-        else:
-            if beaten:
-                kept = [k for k in kept if k not in beaten]
-            kept.append(m)
-    return kept
+        if m.removed not in first or m.played < first[m.removed].played:
+            first[m.removed] = m
+    kept = set(maximal_masks(list(first)))
+    return [m for m in moves if m.removed in kept and first[m.removed] is m]
 
 
 def mtdf(test: Callable[[int], int], lo: int, hi: int, guess: int = 0) -> int:
@@ -184,11 +194,11 @@ class ZeroWindowSearch:
     skips.  ``_bound(node)`` bounds the absolute score (0 for the empty
     position, which has no children); a node not in the memo starts from
     those bounds, which alone can decide a test.  ``nodes`` counts
-    expansions.  ``_other_seat(node)`` is the node's other seat: the
-    same position with the other player to move, as a node ``other`` and
-    banked points ``shift`` such that the game of ``other`` from its
-    mover's seat, plus ``shift``, is minus the game of ``node``.  The two
-    seats give :meth:`_tree` its two sides.
+    expansions.  ``_other_seat(key, node)`` is the node's other seat: the
+    same position with the other player to move, as a key, a node
+    ``other`` and banked points ``shift`` such that the game of ``other``
+    from its mover's seat, plus ``shift``, is minus the game of ``node``.
+    The two seats give :meth:`_tree` its two sides.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -256,19 +266,26 @@ class ZeroWindowSearch:
         ``T(child) - gain - shift`` over the children of the other seat.
         Each node is audited and simplified as soon as it is built, so a
         dominated option grows no subtree, and is kept per key for the
-        life of the search.  A zugzwang node raises ``ValueError``.
+        life of the search.  A node whose other seat is already built is
+        that tree negated, less ``shift``.  A zugzwang node raises
+        ``ValueError``.
         """
         hit = self._trees.get(key)
         if hit is None:
-            other, shift = self._other_seat(node)
-            lefts = [games.add(games.number(gain), games.negate(self._tree(ck, child)))
-                     for gain, ck, child in self._children(node)]
-            rights = [games.add(self._tree(ck, child), games.number(-gain - shift))
-                      for gain, ck, child in self._children(other)]
-            hit = games.node(lefts, rights) if lefts or rights else games.number(0)
-            if bad := games.audit_universe(hit):
-                raise ValueError(f"position outside the universe: {bad}")
-            hit = self._trees[key] = games.simplify(hit)
+            other_key, other, shift = self._other_seat(key, node)
+            twin = self._trees.get(other_key)
+            if twin is not None:
+                hit = games.add(games.negate(twin), games.number(-shift))
+            else:
+                lefts = [games.add(games.number(gain), games.negate(self._tree(ck, child)))
+                         for gain, ck, child in self._children(node)]
+                rights = [games.add(self._tree(ck, child), games.number(-gain - shift))
+                          for gain, ck, child in self._children(other)]
+                hit = games.node(lefts, rights) if lefts or rights else games.number(0)
+                if bad := games.audit_universe(hit):
+                    raise ValueError(f"position outside the universe: {bad}")
+                hit = games.simplify(hit)
+            self._trees[key] = hit
         return hit
 
 
@@ -316,10 +333,10 @@ class Solver(ZeroWindowSearch):
 
     # -- internals ---------------------------------------------------------
 
-    def _other_seat(self, node: tuple[int, tuple[Keyed, ...]]):
+    def _other_seat(self, key, node: tuple[int, tuple[Keyed, ...]]):
         """The same components with the other sign: a colour swap, which
         negates the game."""
-        return (-node[0], node[1]), 0
+        return (-key[0], key[1]), (-node[0], node[1]), 0
 
     def _cancel(self, new: list[Keyed], others: tuple[Keyed, ...] = ()) -> tuple[Keyed, ...]:
         """``others``, sorted by key, with the pieces of ``new`` added in key
@@ -348,12 +365,12 @@ class Solver(ZeroWindowSearch):
         key = (sign, comp.ground.uid, comp.alive)
         masks = self._moves.get(key)
         if masks is None:
-            found = legal_moves(comp, BLACK if sign > 0 else WHITE)
+            found = move_masks(comp, BLACK if sign > 0 else WHITE)
             if self.prune:
-                found = prune_dominated(found)
+                found = maximal_masks(found)
             same = self._masks  # one int object per distinct removed set
-            masks = tuple(sorted((same.setdefault(m.removed, m.removed) for m in found),
-                                 key=lambda r: -r.bit_count()))
+            masks = tuple(sorted((same.setdefault(r, r) for r in found),
+                                 key=int.bit_count, reverse=True))
             self._moves[key] = masks
         return masks
 

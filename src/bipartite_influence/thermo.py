@@ -176,17 +176,28 @@ def _freeze(left_wall: PiecewiseLinear, right_wall: PiecewiseLinear) -> Thermogr
                        sigma, mast)
 
 
+def _negated(f: PiecewiseLinear) -> PiecewiseLinear:
+    return PiecewiseLinear([(start, -a, -b) for start, a, b in f.pieces])
+
+
 def thermograph(g: Game) -> Thermograph:
     """Exact thermograph of a game inside the universe.
 
     The walls are the envelopes of the options' trajectories, taxed and
     frozen where they meet in one walk.  Rejects zugzwang games, naming the
     subtree that ``audit_universe`` names: cooling is only meaningful when
-    moving first is never a burden.
+    moving first is never a burden.  A game whose negative has a cached
+    thermograph reads its own off it: the two trajectories swap and
+    negate, ``sigma`` stays and the mast negates.
     """
     if g._thermo is not None:
         return g._thermo
-    if g.is_number:
+    neg = g._neg
+    if neg is not None and neg._thermo is not None:
+        tg = neg._thermo
+        out = Thermograph(_negated(tg.rs_trajectory), _negated(tg.ls_trajectory),
+                          tg.sigma, -tg.mast)
+    elif g.is_number:
         flat = PiecewiseLinear.constant(g.value)
         out = Thermograph(flat, flat, Fraction(0), g.value)
     else:

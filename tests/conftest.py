@@ -32,6 +32,7 @@ from bipartite_influence.games import (
     node,
     number,
     rs,
+    simplify,
 )
 from bipartite_influence.graphs import (
     BLACK,
@@ -222,6 +223,23 @@ def whole_position_tree(position: Position):
 
     position = strip_isolated(position)
     return add(number(position.offset), tree(position.alive))
+
+
+def alive_position(rnd: random.Random, max_n: int, min_alive: int = 4) -> Position:
+    """A random position that kept at least ``min_alive`` vertices.
+
+    Sparse random graphs often collapse once isolated vertices are folded
+    into the offset; resampling keeps the property suites on positions
+    with actual play in them.
+    """
+    while True:
+        pos = random_position(rnd, max_n=max_n)
+        if pos.alive.bit_count() >= min_alive:
+            return pos
+
+
+def random_game(rnd: random.Random, max_n: int, min_alive: int = 4):
+    return simplify(whole_position_tree(alive_position(rnd, max_n, min_alive)))
 
 
 def full_union_tree(parts, offset=0):

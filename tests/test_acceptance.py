@@ -25,7 +25,8 @@ import pytest
 from conftest import (
     FROZEN_TABLE_120,
     FROZEN_TABLE_38,
-    random_position,
+    alive_position,
+    random_game,
     record_verdict,
     twin_classes,
     whole_position_tree,
@@ -105,23 +106,6 @@ def verdict(label: str, problems: list[str]) -> None:
 def parse_table_csv(text: str) -> list[tuple[int, int, int]]:
     reader = csv.DictReader(io.StringIO(text))
     return [(int(r["n"]), int(r["ls"]), int(r["rs"])) for r in reader]
-
-
-def alive_position(rnd: random.Random, max_n: int, min_alive: int = 4) -> Position:
-    """A random position that kept at least ``min_alive`` vertices.
-
-    Sparse random graphs often collapse once isolated vertices are folded
-    into the offset; resampling keeps the property suites on positions
-    with actual play in them.
-    """
-    while True:
-        pos = random_position(rnd, max_n=max_n)
-        if pos.alive.bit_count() >= min_alive:
-            return pos
-
-
-def random_game(rnd: random.Random, max_n: int, min_alive: int = 4):
-    return simplify(whole_position_tree(alive_position(rnd, max_n, min_alive)))
 
 
 def submask(rnd: random.Random, mask: int, p: float = 0.4) -> int:

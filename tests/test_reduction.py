@@ -235,6 +235,22 @@ class TestSoundness:
         record_verdict(f"[PASS] hardness reduction sound on all 63 formulas of up to "
                        f"3 clauses on 3 variables, {solver.nodes} nodes, {elapsed:.2f}s")
 
+    def test_all_four_variable_formulas(self):
+        """Every formula of one to three distinct clauses on four variables,
+        on one shared solver; the time lands in the end-of-run summary."""
+        start = time.monotonic()
+        solver = Solver()
+        atoms = [c for k in (1, 2, 3, 4) for c in combinations((1, 2, 3, 4), k)]
+        formulas = [PosCnf(4, list(cs)) for k in (1, 2, 3) for cs in combinations(atoms, k)]
+        assert len(formulas) == 575
+        for f in formulas:
+            report = reduction_soundness_check(f, solver=solver)
+            assert report.sound, (f, report)
+            assert report.graph_vertices == gadget_vertex_count(4, f.num_clauses)
+        elapsed = time.monotonic() - start
+        record_verdict(f"[PASS] hardness reduction sound on all 575 formulas of up to "
+                       f"3 clauses on 4 variables, {solver.nodes} nodes, {elapsed:.2f}s")
+
     def test_report_fields(self):
         report = reduction_soundness_check(PosCnf(2, [(1, 2)]))
         assert report.alice_wins is True

@@ -645,6 +645,29 @@ class TestCanonicalTrees:
                 assert ref_is_simplified(tree)
                 assert thermograph(tree) == thermograph(full)
 
+    def test_a_seat_is_its_built_twin_negated(self):
+        """S_±5..S_±21 built in either order, on one engine per order: the
+        segment built second is read off the first, with no move
+        expanded, and each segment's two trees are equivalent with its
+        scores."""
+        def expand(node):
+            raise AssertionError("the second seat expanded a node")
+
+        trees = {}
+        for order in ((1, -1), (-1, 1)):
+            engine = SegmentEngine()
+            for n in range(5, 22):
+                first, second = order
+                trees[order, first * n] = engine.tree(SegmentSum([first * n]))
+                engine._children = expand
+                trees[order, second * n] = engine.tree(SegmentSum([second * n]))
+                del engine._children
+        for signed in (s for n in range(5, 22) for s in (n, -n)):
+            a, b = trees[(1, -1), signed], trees[(-1, 1), signed]
+            pair = engine.scores(SegmentSum([signed]))
+            assert equivalent(a, b), signed
+            assert (ls(a), rs(a)) == (ls(b), rs(b)) == (pair.ls, pair.rs), signed
+
     def test_random_unions(self):
         rng = random.Random(2022)
         for _ in range(200):

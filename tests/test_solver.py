@@ -20,19 +20,28 @@ from bipartite_influence.graphs import (
     components,
     disjoint_union,
     legal_moves,
+    move_masks,
     segment_value,
 )
+from bipartite_influence.reduction import PosCnf, gadget_graph
 from bipartite_influence.solver import (
     SearchBudgetError,
     Solver,
     _negated_pair,
     gift_bounds_check,
     keyed_components,
+    maximal_masks,
     milnor_audit,
     prune_dominated,
 )
 
-from conftest import random_ground, random_position, raw_scores, whole_position_tree
+from conftest import (
+    random_ground,
+    random_position,
+    raw_scores,
+    ref_removal_closure,
+    whole_position_tree,
+)
 
 # First 12 rows of the segment score table, checked again at full width
 # (and against the segment engine) in the acceptance suite.
@@ -368,6 +377,61 @@ class TestPruning:
             assert (a.ls, a.rs) == (b.ls, b.rs)
 
 
+class TestMoveMasks:
+    """The search's move lists, made and pruned on ints, against the
+    ``RemovalSet`` moves of ``legal_moves`` and ``prune_dominated``."""
+
+    BOARDS = [build_grid(4, 5), build_cylinder(4, 3), build_torus(4, 4),
+              build_hypercube(4), gadget_graph(PosCnf(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))]
+
+    @staticmethod
+    def positions():
+        rng = random.Random(2201)
+        for g in TestMoveMasks.BOARDS:
+            yield Position.make(g)
+            for _ in range(40):
+                yield Position.make(g, rng.getrandbits(g.n))
+
+    def test_masks_are_the_moves(self):
+        dropped = 0
+        for pos in self.positions():
+            for color in (BLACK, WHITE):
+                moves = legal_moves(pos, color)
+                masks = move_masks(pos, color)
+                assert masks == [m.removed for m in moves]
+                assert masks == [ref_removal_closure(pos, m.played) for m in moves]
+                kept = maximal_masks(masks)
+                assert kept == [m.removed for m in prune_dominated(moves)]
+                dropped += len(masks) - len(kept)
+        assert dropped > 500  # pruning had work to do
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    def test_move_lists_are_the_pruned_moves_by_size(self, prune):
+        solver = Solver(prune=prune)
+        for pos in self.positions():
+            for comp in components(pos):
+                for sign, color in ((1, BLACK), (-1, WHITE)):
+                    found = legal_moves(comp, color)
+                    if prune:
+                        found = prune_dominated(found)
+                    want = tuple(sorted((m.removed for m in found), key=lambda r: -r.bit_count()))
+                    assert solver._move_list(sign, comp) == want
+
+    def test_equal_masks_keep_the_first(self):
+        a = (1 << 100) | 1
+        b = int(str(a))  # equal, but another object
+        assert a is not b
+        kept = maximal_masks([a, 0b110, b])
+        assert kept == [a, 0b110] and kept[0] is a
+        assert maximal_masks([0b11, 0b11, 0b11]) == [0b11]
+
+    def test_a_later_superset_evicts_earlier_subsets(self):
+        assert maximal_masks([0b0001, 0b1000, 0b0010, 0b0111]) == [0b1000, 0b0111]
+        assert maximal_masks([0b0111, 0b0011, 0b0101]) == [0b0111]
+        assert maximal_masks([0b0011, 0b0110, 0b1100, 0b0111]) == [0b1100, 0b0111]
+        assert maximal_masks([]) == []
+
+
 MEMO_BOARDS = [build_grid(6, 6), build_torus(6, 6)]
 
 
@@ -524,6 +588,33 @@ class TestTree:
             assert equivalent(tree, whole_position_tree(position)), (g.name, alive)
             pair = shared.scores(position)
             assert (ls(tree), rs(tree)) == (pair.ls, pair.rs), (g.name, alive)
+
+    def test_a_seat_is_its_built_twin_negated(self):
+        """Both seats of grids 3x5 and 4x4, built in either order on one
+        solver per order: the seat built second is read off the first,
+        with no move expanded, and each seat's two trees are equivalent
+        with the scores of the board from that seat."""
+        def expand(node):
+            raise AssertionError("the second seat expanded a node")
+
+        boards = [Position.make(build_grid(3, 5)), Position.make(build_grid(4, 4))]
+        trees = {}
+        for order in ((1, -1), (-1, 1)):
+            solver = Solver()
+            for board in boards:
+                comps = solver._cancel(keyed_components(board))
+                keys = tuple(k for k, _ in comps)
+                first, second = order
+                trees[order, board, first] = solver._tree((first, keys), (first, comps))
+                solver._children = expand
+                trees[order, board, second] = solver._tree((second, keys), (second, comps))
+                del solver._children
+        for board in boards:
+            pair = Solver().scores(board)
+            for sign, want in ((1, (pair.ls, pair.rs)), (-1, (-pair.rs, -pair.ls))):
+                a, b = trees[(1, -1), board, sign], trees[(-1, 1), board, sign]
+                assert equivalent(a, b), (board, sign)
+                assert (ls(a), rs(a)) == (ls(b), rs(b)) == want, (board, sign)
 
     def test_trees_are_kept_per_key(self):
         solver = Solver()

@@ -7,16 +7,19 @@ from fractions import Fraction
 import pytest
 
 from bipartite_influence.cli import EXIT_INPUT, EXIT_OK, main
+from bipartite_influence import thermo
 from bipartite_influence.games import (
     add,
     audit_universe,
     format_game,
+    negate,
     node,
     number,
     parse_game,
     simplify,
 )
 from bipartite_influence.graphs import Position, build_segment
+from bipartite_influence.segments import segment_union_tree
 from bipartite_influence.thermo import (
     PiecewiseLinear,
     cooled_score_bounds_check,
@@ -30,7 +33,13 @@ from bipartite_influence.thermo import (
     upper_envelope,
 )
 
-from conftest import random_ground, ref_audit_universe, ref_thermograph, whole_position_tree
+from conftest import (
+    random_game,
+    random_ground,
+    ref_audit_universe,
+    ref_thermograph,
+    whole_position_tree,
+)
 
 
 def F(x):
@@ -39,6 +48,17 @@ def F(x):
 
 def seg_tree(n):
     return whole_position_tree(Position.make(build_segment(n)))
+
+
+def forget_thermographs(*games):
+    """Drop the cached thermograph of every subtree of ``games``."""
+    stack, seen = list(games), set()
+    while stack:
+        g = stack.pop()
+        if g.uid not in seen:
+            seen.add(g.uid)
+            g._thermo = None
+            stack.extend(g.left + g.right)
 
 
 class TestPiecewiseLinear:
@@ -197,18 +217,39 @@ class TestThermograph:
             games += [g for g in (parse_game(f"<{a}|<{b}|{c}>>"), parse_game(f"<<{a}|{b}>|{c}>"))
                       if audit_universe(g) is None]
         games += [add(number(Fraction(k, 2)), g) for k in (-5, 3) for g in games[::7]]
-        # cold: no game met here keeps a thermograph from an earlier test
-        stack, seen = games[:], set()
-        while stack:
-            g = stack.pop()
-            if g.uid not in seen:
-                seen.add(g.uid)
-                g._thermo = None
-                stack.extend(g.left + g.right)
+        forget_thermographs(*games)  # cold: none kept from an earlier test
         assert any(thermograph(g).sigma == 0 for g in games if not g.is_number)
         memo = {}
         for g in games:
             assert thermograph(g) == ref_thermograph(g, memo), format_game(g)
+
+    def test_negation_is_read_off_its_negative(self, monkeypatch):
+        """The thermograph of ``-g`` read off a cached one of ``g`` equals
+        the one cooled from its own options: cache ``g`` first or ``-g``
+        first, each game gets equal pieces, sigma and mast."""
+        freezes = []
+
+        def counted(left_wall, right_wall):
+            freezes.append(1)
+            return freeze(left_wall, right_wall)
+
+        freeze = thermo._freeze
+        monkeypatch.setattr(thermo, "_freeze", counted)
+        rnd = random.Random(22)
+        cases = [random_game(rnd, 8) for _ in range(60)]
+        cases += [segment_union_tree([s]) for n in range(1, 22) for s in (n, -n)]
+        memo = {}
+        for g in cases:
+            h = negate(g)
+            by_order = []
+            for first, second in ((g, h), (h, g)):
+                forget_thermographs(g, h)
+                thermograph(first)
+                del freezes[:]
+                by_order.append({first: thermograph(first), second: thermograph(second)})
+                assert not freezes, format_game(g)  # read off, nothing cooled
+            assert by_order[0] == by_order[1], format_game(g)
+            assert by_order[0][h] == ref_thermograph(h, memo), format_game(g)
 
 
 class TestUniverseAudit:
