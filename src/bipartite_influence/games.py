@@ -3,8 +3,11 @@
 A game is either a number (an empty position with settled score) or a node
 with nonempty sets of Left and Right options.  Trees are hash-consed:
 structurally equal games are the same object, so equality is identity and
-caches key on the object.  All scores are exact rationals because cooling
-(see :mod:`bipartite_influence.thermo`) moves them off the integers.
+caches key on the object.  Scores are exact: a number's value is an ``int``
+when it is integral and a ``Fraction`` only off the integers, where cooling
+(see :mod:`bipartite_influence.thermo`) moves it.  Every score of an
+Influence tree is an integer, so the algebra runs on native ints, and only
+the public :func:`ls` and :func:`rs` turn their result into a ``Fraction``.
 
 The universe of interest is Milnor's: every nonempty position has moves for
 both players (true by construction here) and no position is zugzwang
@@ -28,7 +31,7 @@ class Game:
                  "_ls", "_rs", "_neg", "_simple", "_zugzwang", "_thermo")
 
     def __init__(self, value, left, right, uid):
-        self.value = value  # Fraction for numbers, None for nodes
+        self.value = value  # int, or Fraction off the integers, for numbers; None for nodes
         self.left = left  # tuple[Game] sorted by uid, deduped
         self.right = right
         self.uid = uid
@@ -54,8 +57,21 @@ _intern: dict[tuple, Game] = {}
 _uid = count(1)
 
 
+def exact(value):
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``:
+    the form of every value and score inside the package."""
+    if type(value) is not int:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value.denominator == 1:
+            value = value.numerator
+    return value
+
+
 def number(value) -> Game:
-    value = Fraction(value)
+    # 3 == Fraction(3) and the two hash alike, so either spelling of an
+    # integral value finds the one interned game.
+    value = exact(value)
     key = ("n", value)
     g = _intern.get(key)
     if g is None:
@@ -94,15 +110,27 @@ def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
 
 def ls(g: Game) -> Fraction:
     """Best score with Left moving first."""
-    if g._ls is None:
-        g._ls = g.value if g.is_number else max(rs(o) for o in g.left)
-    return g._ls
+    return Fraction(_left_score(g))
 
 
 def rs(g: Game) -> Fraction:
     """Best score with Right moving first."""
+    return Fraction(_right_score(g))
+
+
+# The recursion behind ls and rs, memoised in each game's ``_ls`` and
+# ``_rs`` slots in the type of its leaves: int, or Fraction off the integers.
+
+
+def _left_score(g: Game):
+    if g._ls is None:
+        g._ls = g.value if g.value is not None else max(map(_right_score, g.left))
+    return g._ls
+
+
+def _right_score(g: Game):
     if g._rs is None:
-        g._rs = g.value if g.is_number else min(ls(o) for o in g.right)
+        g._rs = g.value if g.value is not None else min(map(_left_score, g.right))
     return g._rs
 
 
@@ -184,8 +212,9 @@ def audit_universe(g: Game) -> str | None:
     its verdict, so a game is walked once however often it is audited.
     """
     if g._zugzwang is None:
-        if ls(g) < rs(g):
-            g._zugzwang = f"zugzwang subtree {format_game(g)}: Ls={ls(g)} < Rs={rs(g)}"
+        left, right = _left_score(g), _right_score(g)
+        if left < right:
+            g._zugzwang = f"zugzwang subtree {format_game(g)}: Ls={left} < Rs={right}"
         else:
             g._zugzwang = next(filter(None, map(audit_universe, g.left + g.right)), "")
     return g._zugzwang or None
@@ -231,9 +260,9 @@ _ls_nonneg_cache: dict[tuple[int, int], bool] = {}
 def _rs_diff_nonneg(g: Game, h: Game) -> bool:
     """Rs(g - h) >= 0: every Right move in g - h leaves Ls >= 0."""
     if h.value is not None:
-        return rs(g) >= h.value
+        return _right_score(g) >= h.value
     if g.value is not None:
-        return g.value >= ls(h)
+        return g.value >= _left_score(h)
     key = (g.uid, h.uid)
     hit = _rs_nonneg_cache.get(key)
     if hit is None:
@@ -254,9 +283,9 @@ def _rs_diff_nonneg(g: Game, h: Game) -> bool:
 def _ls_diff_nonneg(g: Game, h: Game) -> bool:
     """Ls(g - h) >= 0: some Left move in g - h leaves Rs >= 0."""
     if h.value is not None:
-        return ls(g) >= h.value
+        return _left_score(g) >= h.value
     if g.value is not None:
-        return g.value >= rs(h)
+        return g.value >= _right_score(h)
     key = (g.uid, h.uid)
     hit = _ls_nonneg_cache.get(key)
     if hit is None:

@@ -456,8 +456,11 @@ def segment_value(position: Position) -> int | None:
     if n < 2:
         return None
     edge_bits = 0
-    for v in _bits(alive):
-        d = (adj[v] & alive).bit_count()
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (adj[low.bit_length() - 1] & alive).bit_count()
         if d > 2:
             return None
         edge_bits += d

@@ -10,7 +10,10 @@ walls, and one walk taxes both walls and freezes them where they meet.
 
 Score trajectories of cooled games are piecewise linear in ``t`` with
 rational breakpoints, so everything here works on exact piecewise-linear
-functions over ``[0, oo)`` rather than floats.
+functions over ``[0, oo)`` rather than floats.  Their breakpoints and
+coefficients are ints while they are integral, as a game's leaves are, and
+``Fraction`` only off the integers; ``sigma``, the mast and every other
+result of the public functions is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .games import Game, add, audit_universe, ls, repeated, rs
+from .games import Game, add, audit_universe, exact, ls, repeated, rs
 
 
 class PiecewiseLinear:
@@ -29,15 +32,16 @@ class PiecewiseLinear:
     ``a + b*t`` from ``start`` up to the next piece's start (the last piece
     extends to infinity).  Starts are strictly increasing and begin at 0;
     adjacent pieces agree at the joins and never share the same line.
+    Each number is stored by ``games.exact``: an ``int`` when it is
+    integral, else a ``Fraction``.
     """
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces):
-        merged: list[tuple[Fraction, Fraction, Fraction]] = []
+        merged: list[tuple] = []
         for start, a, b in pieces:
-            if not (type(start) is type(a) is type(b) is Fraction):
-                start, a, b = Fraction(start), Fraction(a), Fraction(b)
+            start, a, b = exact(start), exact(a), exact(b)
             if merged and (a, b) == merged[-1][1:]:
                 continue  # same line, extend the previous piece
             if merged and start <= merged[-1][0]:
@@ -93,10 +97,11 @@ def _merged_cuts(f: PiecewiseLinear, g: PiecewiseLinear):
         yield t, end, fp[i][1], fp[i][2], gp[j][1], gp[j][2]
 
 
-def _crossing(t, end, a1, b1, a2, b2) -> Fraction | None:
-    """Where two lines cross strictly between ``t`` and ``end``, or None."""
+def _crossing(t, end, a1, b1, a2, b2):
+    """Where two lines cross strictly between ``t`` and ``end``, or None;
+    an ``int`` when the crossing is integral, else a ``Fraction``."""
     if b1 != b2:
-        cross = (a2 - a1) / (b1 - b2)
+        cross = exact(Fraction(a2 - a1, b1 - b2))
         if t < cross and (end is None or cross < end):
             return cross
     return None
@@ -173,7 +178,7 @@ def _freeze(left_wall: PiecewiseLinear, right_wall: PiecewiseLinear) -> Thermogr
     ls_pieces.append((sigma, mast, 0))
     rs_pieces.append((sigma, mast, 0))
     return Thermograph(PiecewiseLinear(ls_pieces), PiecewiseLinear(rs_pieces),
-                       sigma, mast)
+                       Fraction(sigma), Fraction(mast))
 
 
 def _negated(f: PiecewiseLinear) -> PiecewiseLinear:
@@ -199,7 +204,7 @@ def thermograph(g: Game) -> Thermograph:
                           tg.sigma, -tg.mast)
     elif g.is_number:
         flat = PiecewiseLinear.constant(g.value)
-        out = Thermograph(flat, flat, Fraction(0), g.value)
+        out = Thermograph(flat, flat, Fraction(0), Fraction(g.value))
     else:
         bad = audit_universe(g)
         if bad:

@@ -319,7 +319,7 @@ def ref_thermograph(g: Game, memo: dict[int, Thermograph] | None = None) -> Ther
         return memo[g.uid]
     if g.is_number:
         flat = PiecewiseLinear.constant(g.value)
-        memo[g.uid] = Thermograph(flat, flat, Fraction(0), g.value)
+        memo[g.uid] = Thermograph(flat, flat, Fraction(0), Fraction(g.value))
         return memo[g.uid]
 
     def piece_at(pieces, t):
@@ -339,8 +339,8 @@ def ref_thermograph(g: Game, memo: dict[int, Thermograph] | None = None) -> Ther
         if a + b * s == 0:
             sigma = s
             break
-        if b != 0 and s < -a / b and (end is None or -a / b < end):
-            sigma = -a / b
+        if b != 0 and s < Fraction(-a, b) and (end is None or Fraction(-a, b) < end):
+            sigma = Fraction(-a, b)
             break
     else:
         raise AssertionError(f"taxed walls of {format_game(g)} never meet")

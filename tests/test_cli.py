@@ -306,6 +306,30 @@ class TestThermo:
         assert lines[0] == "t,ls,rs"
         assert any(line.startswith("4,") for line in lines)
 
+    def test_rational_breakpoints_print_exactly(self, capsys, tmp_path):
+        # The whole output of a thermograph with breakpoints off the
+        # integers: ints and Fractions inside must print as they always did.
+        path = tmp_path / "t.csv"
+        rc, out, _ = run(capsys, "thermo", "--segments", "5,7", "--json", "--csv", str(path))
+        assert rc == EXIT_OK
+        assert out == (
+            '{"game": "<<<12|6>|2,<6|-2>>|<<6|-2>,<6|<0|-4>>|<-2|<-8|-12>>,'
+            '<<0|-4>|<-8|-12>>>,<<<6|2>|<0|-4>>|<-4|-8>,<<0|-4>|<-8|-12>>>>", '
+            '"sigma": "4", "mast": "3/2", "ls_trajectory": ['
+            '{"start": "0", "value_at_start": "2", "slope": "0"}, '
+            '{"start": "7/2", "value_at_start": "2", "slope": "-1"}, '
+            '{"start": "4", "value_at_start": "3/2", "slope": "0"}], "rs_trajectory": ['
+            '{"start": "0", "value_at_start": "0", "slope": "0"}, '
+            '{"start": "2", "value_at_start": "0", "slope": "1"}, '
+            '{"start": "3", "value_at_start": "1", "slope": "0"}, '
+            '{"start": "7/2", "value_at_start": "1", "slope": "1"}, '
+            '{"start": "4", "value_at_start": "3/2", "slope": "0"}]}\n'
+        )
+        assert path.read_text() == "t,ls,rs\n0,2,0\n2,2,0\n3,2,1\n7/2,2,1\n4,3/2,3/2\n5,3/2,3/2\n"
+        rc, out, _ = run(capsys, "thermo", "--segments", "5,7")
+        assert rc == EXIT_OK
+        assert out.splitlines()[1] == "temperature = 4, mean = 3/2"
+
     def test_explicit_game(self, capsys):
         rc, out, _ = run(capsys, "thermo", "--game", "<-1|-5>", "--json")
         assert rc == EXIT_OK

@@ -363,6 +363,27 @@ def subgames(g: Game, out: dict[int, Game]) -> dict[int, Game]:
     return out
 
 
+class TestIntegerLeaves:
+    """A number's value is an int when integral and a Fraction only off the
+    integers; the scores ``ls`` and ``rs`` return are Fractions."""
+
+    def test_an_integral_fraction_is_its_numerator(self):
+        assert number(Fraction(6, 2)) is number(3)
+        assert type(number(Fraction(6, 2)).value) is int
+        assert type(number(Fraction(1, 2)).value) is Fraction
+        half = number(Fraction(1, 2))
+        assert add(half, half) is number(1) and type(add(half, half).value) is int
+        assert type(parse_game("<4/2|-6/3>").left[0].value) is int
+
+    def test_segment_trees_score_on_ints(self):
+        for k in range(1, 15):
+            for g in (segment_union_tree([k]), segment_union_tree([-k])):
+                for sub in subgames(g, {}).values():
+                    assert type(ls(sub)) is Fraction and type(rs(sub)) is Fraction
+                    assert type(sub._ls) is int and type(sub._rs) is int
+                    assert sub.value is None or type(sub.value) is int
+
+
 class TestComparisonOracle:
     """``dominates`` and ``equivalent`` against the difference-building
     references in conftest."""

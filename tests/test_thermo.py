@@ -363,3 +363,41 @@ class TestExport:
         assert rows[0][0] == "0"
         # header-free rows: (t, ls, rs)
         assert all(len(r) == 3 for r in rows)
+
+
+class TestExactTypes:
+    """Trajectories compute on ints while they are integral; crossings
+    divide exactly; the public results are Fractions."""
+
+    def test_crossing_divides_exactly(self):
+        # t and 1 - 2t meet at 1/3
+        cross = thermo._crossing(0, None, 0, 1, 1, -2)
+        assert cross == Fraction(1, 3) and type(cross) is Fraction
+        # t and 2 - t meet at 1
+        cross = thermo._crossing(0, None, 0, 1, 2, -1)
+        assert cross == 1 and type(cross) is int
+        assert thermo._crossing(0, 1, 0, 1, 1, -2) == Fraction(1, 3)
+        assert thermo._crossing(Fraction(1, 3), 1, 0, 1, 1, -2) is None
+
+    def test_trajectories_are_ints_on_the_integers(self):
+        kinds = set()
+        for k in range(1, 15):
+            for parts in ([k], [-k], [2, k]):
+                tg = thermograph(segment_union_tree(parts))
+                for f in (tg.ls_trajectory, tg.rs_trajectory):
+                    for x in (x for piece in f.pieces for x in piece):
+                        assert type(x) is (int if x.denominator == 1 else Fraction)
+                        kinds.add(type(x))
+        assert kinds == {int, Fraction}
+
+    def test_public_results_are_fractions(self):
+        from bipartite_influence.games import ls, rs
+
+        for g in (number(3), number(Fraction(7, 2)), segment_union_tree([5]),
+                  segment_union_tree([5, 7]), parse_game("<-1|-5>")):
+            tg = thermograph(g)
+            assert type(tg.sigma) is Fraction and type(tg.mast) is Fraction
+            assert type(mean(g)) is Fraction
+            assert type(ls(g)) is Fraction and type(rs(g)) is Fraction
+            assert all(type(x) is Fraction for x in mean_by_repetition(g, 2))
+            assert type(thermograph(negate(g)).mast) is Fraction
