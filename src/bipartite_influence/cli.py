@@ -191,7 +191,7 @@ def cmd_solve(args, settings) -> int:
 
 def cmd_table(args, settings) -> int:
     if args.check_period:
-        check_period_args(*args.check_period)
+        check_period_args(*args.check_period, args.max)
     engine = SegmentEngine()
     cache_file = None
     if not args.no_cache:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -93,15 +94,12 @@ def node(left_options: Iterable[Game], right_options: Iterable[Game]) -> Game:
     return g
 
 
+_by_uid = attrgetter("uid")
+
+
 def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
-    out: list[Game] = []
-    seen = set()
-    for g in options:
-        if g.uid not in seen:
-            seen.add(g.uid)
-            out.append(g)
-    out.sort(key=lambda g: g.uid)
-    return tuple(out)
+    # interned games are equal only when identical, so a set dedups them
+    return tuple(sorted(set(options), key=_by_uid))
 
 
 # ---------------------------------------------------------------------------

@@ -174,19 +174,18 @@ class SegmentEngine(ZeroWindowSearch):
     def scores(self, s: SegmentSum) -> ScorePair:
         core, shift = self._reduce(s.parts)
         mcore, mshift = self._reduce([-p if p & 1 else p for p in s.parts])
-        return ScorePair(s.offset + shift + self._exact(core, core),
-                         s.offset - mshift - self._exact(mcore, mcore))
+        return ScorePair(s.offset + shift + self._exact(core),
+                         s.offset - mshift - self._exact(mcore))
 
     def tree(self, s: SegmentSum) -> Game:
         """The game tree of ``s``, built on the memo keys and simplified."""
         core, shift = self._reduce(s.parts)
-        return add(self._tree(core, core), number(s.offset + shift))
+        return add(self._tree(core), number(s.offset + shift))
 
-    def _other_seat(self, key: tuple[int, ...], node: tuple[int, ...]) -> tuple:
-        """The reduced mirror of ``key``, which is its own node: flipping
+    def _other_seat(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The reduced mirror of ``key`` and its banked points: flipping
         every odd part swaps the colours, which negates the game."""
-        mirror, shift = self._reduce([-p if p & 1 else p for p in key])
-        return mirror, mirror, shift
+        return self._reduce([-p if p & 1 else p for p in key])
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection."""
@@ -267,7 +266,7 @@ class SegmentEngine(ZeroWindowSearch):
         for count, base, remnants in moves:
             # a list of at most two remnants builds faster than a generator
             core, shift = self._reduce(base + tuple([-r if r & 1 else r for r in remnants]))
-            yield count - shift, core, core
+            yield count - shift, core
 
     # -- persistence ---------------------------------------------------------
 
@@ -342,12 +341,15 @@ def write_table_csv(rows, fh) -> None:
         fh.write(f"{n},{ls_val},{rs_val}\n")
 
 
-def check_period_args(period: int, preperiod: int) -> None:
-    """Reject a period below 1 or a preperiod below 0."""
+def check_period_args(period: int, preperiod: int, max_n: int) -> None:
+    """Reject a period below 1, a preperiod below 0, or rows up to
+    ``max_n`` too few to compare any pair."""
     if period < 1:
         raise ValueError("period must be positive")
     if preperiod < 0:
         raise ValueError("preperiod must be at least 0")
+    if max_n <= period + preperiod:
+        raise ValueError(f"period {period} and preperiod {preperiod} compare no rows up to {max_n}")
 
 
 def periodicity_scan(
@@ -358,14 +360,10 @@ def periodicity_scan(
     An empty result means the table is consistent with eventual periodicity
     at the given parameters, as far as it extends.
     """
-    check_period_args(period, preperiod)
     by_n = {n: (a, b) for n, a, b in rows}
     max_n = max(by_n)
-    out = []
-    for n in range(preperiod + 1, max_n - period + 1):
-        if by_n[n] != by_n[n + period]:
-            out.append(n)
-    return out
+    check_period_args(period, preperiod, max_n)
+    return [n for n in range(preperiod + 1, max_n - period + 1) if by_n[n] != by_n[n + period]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,19 @@ moving first.  ``ZeroWindowSearch`` is the package's one search: MTD(f)
 algorithms", AI 87, 1996), repeated fail-soft zero-window negamax passes
 from the mover's seat that narrow a (lower, upper) bound pair until it is
 exact.  Its memo keeps those bounds, and the scores they prove, across
-passes and queries.  Two child generators drive it: ``Solver`` over sums of
-connected components, and ``segments.SegmentEngine`` over reduced unions of
-segments.  The same generators, on a node and on its other seat (the same
-position with the other player to move), give the one game-tree loop,
-``ZeroWindowSearch._tree``.  The solver tries moves in order of immediate
-gain and builds each successor only when the search reaches it.  A move in
-one component of a sum leaves the others as they were, so a successor is
-folded from its parent: only the rest of the played component is split, and
-its pieces cancel into them or are inserted among them in key order; their
-move lists, generated once per mover, are kept as long as the solver lives.
+passes and queries.  A node is its own memo key, so each search method takes
+one node.  Two child generators drive it: ``Solver`` over sums of connected
+components, and ``segments.SegmentEngine`` over reduced unions of segments.
+The same generators, on a node and on its other seat (the same position with
+the other player to move, with ``_other_seat`` returning ``(other, shift)``),
+make the one game-tree loop, ``ZeroWindowSearch._tree``.  The solver tries
+moves in order of immediate gain and builds each successor only when the
+search reaches it.  A move in one component of a sum leaves the others as
+they were, so a successor is folded from its parent: only the rest of the
+played component is split, and its pieces cancel into them or are inserted
+among them in key order.  Move lists are made once per mover and component
+key, on the first position seen under it, so equal paths on different
+grounds share one for the solver's life.
 A move list is a tuple of removed masks: ``graphs.move_masks`` makes them
 and ``maximal_masks`` prunes them, plain ints with no move object.
 Transposition keys bring path components to canonical form, and pairs of
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 from . import games
@@ -146,16 +148,9 @@ def mtdf(test: Callable[[int], int], lo: int, hi: int, guess: int = 0) -> int:
     return lo
 
 
-Keyed = tuple[tuple, Position]
-
-
-def keyed_components(position: Position) -> list[Keyed]:
-    """The components of ``position``, each paired with its canonical key."""
-    return [(canonical_key(c), c) for c in components(position)]
-
-
-def _negated_pair(a: Keyed, b: Keyed, cache: dict) -> bool:
-    """True when keyed components ``a`` and ``b`` cancel: ``a + b = 0``.
+def _negated_pair(ka: tuple, kb: tuple, positions: dict, cache: dict) -> bool:
+    """True when the components under keys ``ka`` and ``kb`` cancel:
+    ``a + b = 0``, with ``positions`` mapping each key to its component.
 
     Paths compare the segment values in their keys.  ``b = a.negated()``
     cancels at any size.  Other equal-size pairs of at most ten vertices
@@ -163,13 +158,13 @@ def _negated_pair(a: Keyed, b: Keyed, cache: dict) -> bool:
     Ls = Rs = 0 on ``a + b``.  This accepts every negative pair: swapping
     ``a`` and ``b`` is a certificate whose pairs lie in different components.
     """
-    (ka, pa), (kb, pb) = a, b
     if ka[0] == "seg" or kb[0] == "seg":
         if ka[0] != kb[0]:
             return False
         if ka[1] % 2 == 0:
             return ka == kb  # even paths are their own negatives
         return ka[1] == -kb[1]
+    pa, pb = positions[ka], positions[kb]
     if pb.alive == pa.alive and pb.ground is pa.ground.color_swapped():
         return True
     if pa.vertex_count != pb.vertex_count or pa.vertex_count > 10:
@@ -185,20 +180,21 @@ class ZeroWindowSearch:
     """Exact scores by MTD(f) over one fail-soft zero-window negamax.
 
     Scores are offset-free and seen from the mover's seat.  A subclass
-    says what a node is: ``_children(node)`` yields ``(gain, key, child)``
-    for each move, where ``gain`` is what the mover banks and ``child`` is
-    the node the opponent then moves in, stored under ``key``.  The order
+    says what a node is; a node is hashable and is its own memo key, so
+    every search method takes one node.  ``_children(node)`` yields
+    ``(gain, child)`` for each move, where ``gain`` is what the mover
+    banks and ``child`` is the node the opponent then moves in.  The order
     of the moves affects only the speed of the search, not its result:
     a likely best move first cuts off sooner.  A generator that builds each
     child only when the search reaches it saves the children a cutoff
     skips.  ``_bound(node)`` bounds the absolute score (0 for the empty
     position, which has no children); a node not in the memo starts from
     those bounds, which alone can decide a test.  ``nodes`` counts
-    expansions.  ``_other_seat(key, node)`` is the node's other seat: the
-    same position with the other player to move, as a key, a node
-    ``other`` and banked points ``shift`` such that the game of ``other``
-    from its mover's seat, plus ``shift``, is minus the game of ``node``.
-    The two seats give :meth:`_tree` its two sides.
+    expansions.  ``_other_seat(node)`` is the node's other seat, the same
+    position with the other player to move: a pair ``(other, shift)`` such
+    that the game of ``other`` from its mover's seat, plus the banked
+    points ``shift``, is minus the game of ``node``.  The two seats give
+    :meth:`_tree` its two sides.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -210,24 +206,24 @@ class ZeroWindowSearch:
     memo = property(lambda self: self.table.memo)
     _bounds = property(lambda self: self.table.bounds)
 
-    def _exact(self, key, node, guess: int = 0) -> int:
+    def _exact(self, node, guess: int = 0) -> int:
         """The exact score of ``node``, by :func:`mtdf` over :meth:`_test`."""
-        exact = self.table.memo.get(key)
+        exact = self.table.memo.get(node)
         if exact is not None:
             return exact
         n = self._bound(node)
-        return mtdf(lambda beta: self._test(key, node, beta), -n, n, guess)
+        return mtdf(lambda beta: self._test(node, beta), -n, n, guess)
 
-    def _test(self, key, node, beta: int) -> int:
+    def _test(self, node, beta: int) -> int:
         """Fail-soft zero-window search: a value ``v >= beta`` is a lower
         bound on the score, a value ``v < beta`` an upper bound."""
         table = self.table
         table.lookups += 1
-        exact = table.memo.get(key)
+        exact = table.memo.get(node)
         if exact is not None:
             table.hits += 1
             return exact
-        bounds = table.bounds.get(key)
+        bounds = table.bounds.get(node)
         if bounds is None:
             n = self._bound(node)
             bounds = [-n, n]
@@ -241,8 +237,8 @@ class ZeroWindowSearch:
         if self.nodes > self.node_budget:
             raise SearchBudgetError(self.node_budget)
         best = None
-        for gain, child_key, child in self._children(node):
-            val = gain - self._test(child_key, child, gain - beta + 1)
+        for gain, child in self._children(node):
+            val = gain - self._test(child, gain - beta + 1)
             if best is None or val > best:
                 best = val
                 if best >= beta:
@@ -251,13 +247,13 @@ class ZeroWindowSearch:
         # the stored bounds did not decide the test, so ``best`` narrows them
         bounds[0 if best >= beta else 1] = best
         if bounds[0] == bounds[1]:
-            table.bounds.pop(key, None)
-            table.memo[key] = best
+            table.bounds.pop(node, None)
+            table.memo[node] = best
         else:
-            table.bounds[key] = bounds
+            table.bounds[node] = bounds
         return best
 
-    def _tree(self, key, node) -> games.Game:
+    def _tree(self, node) -> games.Game:
         """The simplified, offset-free game of ``node`` from its mover's
         seat, with the empty node the number 0.
 
@@ -265,42 +261,43 @@ class ZeroWindowSearch:
         child's game is seen from the opponent's seat.  The opponent's are
         ``T(child) - gain - shift`` over the children of the other seat.
         Each node is audited and simplified as soon as it is built, so a
-        dominated option grows no subtree, and is kept per key for the
-        life of the search.  A node whose other seat is already built is
-        that tree negated, less ``shift``.  A zugzwang node raises
-        ``ValueError``.
+        dominated option grows no subtree, and is kept for the life of the
+        search.  A node whose other seat is already built is that tree
+        negated, less ``shift``.  A zugzwang node raises ``ValueError``.
         """
-        hit = self._trees.get(key)
+        hit = self._trees.get(node)
         if hit is None:
-            other_key, other, shift = self._other_seat(key, node)
-            twin = self._trees.get(other_key)
+            other, shift = self._other_seat(node)
+            twin = self._trees.get(other)
             if twin is not None:
                 hit = games.add(games.negate(twin), games.number(-shift))
             else:
-                lefts = [games.add(games.number(gain), games.negate(self._tree(ck, child)))
-                         for gain, ck, child in self._children(node)]
-                rights = [games.add(self._tree(ck, child), games.number(-gain - shift))
-                          for gain, ck, child in self._children(other)]
+                lefts = [games.add(games.number(gain), games.negate(self._tree(child)))
+                         for gain, child in self._children(node)]
+                rights = [games.add(self._tree(child), games.number(-gain - shift))
+                          for gain, child in self._children(other)]
                 hit = games.node(lefts, rights) if lefts or rights else games.number(0)
                 if bad := games.audit_universe(hit):
                     raise ValueError(f"position outside the universe: {bad}")
                 hit = games.simplify(hit)
-            self._trees[key] = hit
+            self._trees[node] = hit
         return hit
 
 
 class Solver(ZeroWindowSearch):
     """Exact scores of sums of components.  A node is the sign of the
-    mover's gains (1 for Left, -1 for Right) and the components from
-    :meth:`_cancel`; its key is that sign and the component keys.
-    ``_moves`` keeps the move list of each exact component and mover, and
+    mover's gains (1 for Left, -1 for Right) and the sorted keys of the
+    components from :meth:`_cancel`.  ``_positions`` keeps the first
+    position seen under each component key, the one the search plays on;
+    ``_moves`` keeps, per mover, the move list of each component key, and
     ``_masks`` one int per distinct removed set, for the solver's life."""
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
         super().__init__(node_budget)
         self.prune = prune
         self._pair_cache: dict = {}
-        self._moves: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._positions: dict[tuple, Position] = {}
+        self._moves: dict[int, dict[tuple, tuple[int, ...]]] = {1: {}, -1: {}}
         self._masks: dict[int, int] = {}
 
     # -- public API --------------------------------------------------------
@@ -310,16 +307,15 @@ class Solver(ZeroWindowSearch):
 
     def score_of_sum(self, parts: list[Position]) -> ScorePair:
         offset = 0
-        comps: list[Keyed] = []
+        keys: list[tuple] = []
         for part in parts:
             part = strip_isolated(part)
             offset += part.offset
-            comps.extend(keyed_components(part))
-        comps = self._cancel(comps)
-        keys = tuple(k for k, _ in comps)
-        ls = self._exact((1, keys), (1, comps))
+            keys.extend(self._keys(part))
+        keys = self._cancel(keys)
+        ls = self._exact((1, keys))
         # White's first pass asks whether Rs reaches Ls
-        rs = -self._exact((-1, keys), (-1, comps), guess=1 - ls)
+        rs = -self._exact((-1, keys), guess=1 - ls)
         return ScorePair(offset + ls, offset + rs)
 
     def tree(self, position: Position) -> games.Game:
@@ -327,70 +323,78 @@ class Solver(ZeroWindowSearch):
         solver's keys, so it is built with folding, cancellation and (with
         ``prune``) dominated-move pruning."""
         position = strip_isolated(position)
-        comps = self._cancel(keyed_components(position))
-        keys = tuple(k for k, _ in comps)
-        return games.add(self._tree((1, keys), (1, comps)), games.number(position.offset))
+        keys = self._cancel(self._keys(position))
+        return games.add(self._tree((1, keys)), games.number(position.offset))
 
     # -- internals ---------------------------------------------------------
 
-    def _other_seat(self, key, node: tuple[int, tuple[Keyed, ...]]):
+    def _keys(self, position: Position) -> list[tuple]:
+        """The canonical keys of the components of ``position``; a key
+        seen for the first time keeps its component in ``_positions``."""
+        comps = components(position)
+        keys = [canonical_key(c) for c in comps]
+        for key, comp in zip(keys, comps):
+            self._positions.setdefault(key, comp)
+        return keys
+
+    def _other_seat(self, node: tuple[int, tuple]):
         """The same components with the other sign: a colour swap, which
         negates the game."""
-        return (-key[0], key[1]), (-node[0], node[1]), 0
+        return (-node[0], node[1]), 0
 
-    def _cancel(self, new: list[Keyed], others: tuple[Keyed, ...] = ()) -> tuple[Keyed, ...]:
-        """``others``, sorted by key, with the pieces of ``new`` added in key
-        order: each cancels the first component it can, or is inserted in
-        key order.  ``others``, the rest of a child's parent, cancels no
-        pair, so only pairs with a new piece are tested."""
+    def _cancel(self, new: list[tuple], others: tuple = ()) -> tuple:
+        """``others``, sorted, with the keys in ``new`` added in order: each
+        cancels the first component it can, or is inserted in order.
+        ``others``, the rest of a child's parent, cancels no pair, so only
+        pairs with a new piece are tested."""
         if not new:
             return others
-        first = itemgetter(0)
         out = list(others)
-        for c in sorted(new, key=first):
+        for c in sorted(new):
             for i, other in enumerate(out):
-                if _negated_pair(other, c, self._pair_cache):
+                if _negated_pair(other, c, self._positions, self._pair_cache):
                     del out[i]
                     break
             else:
-                insort(out, c, key=first)
+                insort(out, c)
         return tuple(out)
 
-    def _bound(self, node: tuple[int, tuple[Keyed, ...]]) -> int:
-        return sum(c.vertex_count for _, c in node[1])
+    def _bound(self, node: tuple[int, tuple]) -> int:
+        return sum(self._positions[k].vertex_count for k in node[1])
 
-    def _move_list(self, sign: int, comp: Position) -> tuple[int, ...]:
-        """The removed masks of the mover's moves in ``comp``, largest gain
-        first: generated (and pruned) once, then read from ``_moves``."""
-        key = (sign, comp.ground.uid, comp.alive)
-        masks = self._moves.get(key)
+    def _move_list(self, sign: int, key: tuple) -> tuple[int, ...]:
+        """The removed masks of the mover's moves in the component kept
+        under ``key``, largest gain first: generated (and pruned) once,
+        then read from ``_moves``."""
+        lists = self._moves[sign]
+        masks = lists.get(key)
         if masks is None:
-            found = move_masks(comp, BLACK if sign > 0 else WHITE)
+            found = move_masks(self._positions[key], BLACK if sign > 0 else WHITE)
             if self.prune:
                 found = maximal_masks(found)
             same = self._masks  # one int object per distinct removed set
             masks = tuple(sorted((same.setdefault(r, r) for r in found),
                                  key=int.bit_count, reverse=True))
-            self._moves[key] = masks
+            lists[key] = masks
         return masks
 
-    def _children(self, node: tuple[int, tuple[Keyed, ...]]):
+    def _children(self, node: tuple[int, tuple]):
         """The mover's moves, largest gains first, each successor folded
         only when the search reaches it: the played component's rest, in
         which no vertex is stranded, is split and cancelled into the other
         components.  A repeated successor reads the bounds of its first."""
-        sign, comps = node
+        sign, keys = node
         moves = []
-        for idx, (key, comp) in enumerate(comps):
-            if idx and key == comps[idx - 1][0]:
+        for idx, key in enumerate(keys):
+            if idx and key == keys[idx - 1]:
                 continue  # identical component, symmetric moves
-            moves.extend((idx, removed) for removed in self._move_list(sign, comp))
+            moves.extend((idx, removed) for removed in self._move_list(sign, key))
         moves.sort(key=lambda im: -im[1].bit_count())
         for idx, removed in moves:
-            comp = comps[idx][1]
+            comp = self._positions[keys[idx]]
             rest = Position(comp.ground, comp.alive & ~removed)
-            merged = self._cancel(keyed_components(rest), comps[:idx] + comps[idx + 1 :])
-            yield removed.bit_count(), (-sign, tuple(k for k, _ in merged)), (-sign, merged)
+            merged = self._cancel(self._keys(rest), keys[:idx] + keys[idx + 1 :])
+            yield removed.bit_count(), (-sign, merged)
 
 
 # ---------------------------------------------------------------------------

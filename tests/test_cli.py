@@ -184,7 +184,7 @@ class TestTable:
         assert out == ""
         assert err.startswith("error:") and "preperiod" in err
 
-    @pytest.mark.parametrize("period", [("2", "-5"), ("0", "3")])
+    @pytest.mark.parametrize("period", [("2", "-5"), ("0", "3"), ("4", "6")])
     def test_bad_period_rejected_before_building(self, capsys, tmp_path, period):
         cache = tmp_path / "cache"
         rc, out, err = run(capsys, "table", "--max", "10", "--cache-dir", str(cache),

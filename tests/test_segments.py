@@ -314,9 +314,9 @@ class TestSearch:
                     eager.append((count - shift, core))
             shifts.clear()
             lazy, counts = [], []
-            for gain, child_key, child in eng._children(key):
-                assert child is child_key and len(shifts) == len(lazy) + 1
-                lazy.append((gain, child_key))
+            for gain, child in eng._children(key):
+                assert len(shifts) == len(lazy) + 1
+                lazy.append((gain, child))
                 counts.append(gain + shifts[-1])
             assert sorted(lazy) == sorted(eager), key
             assert counts == sorted(counts, reverse=True), key
@@ -330,19 +330,12 @@ class TestSearch:
             segment_table(30, eng)
             reference = ref_segment_black_score
         else:
-            nodes = {}
-
-            class Recording(Solver):
-                def _test(self, key, node, beta):
-                    nodes[key] = node
-                    return super()._test(key, node, beta)
-
-            def reference(key):
-                sign, comps = nodes[key]
-                union = disjoint_union([c for _, c in comps])
+            def reference(node):
+                sign, keys = node
+                union = disjoint_union([eng._positions[k] for k in keys])
                 return sign * raw_score(union, union.full_mask, sign > 0)
 
-            eng = Recording()
+            eng = Solver()
             rng = random.Random(15)
             for _ in range(40):
                 eng.scores(random_position(rng, max_n=14, p=0.3))

@@ -29,7 +29,6 @@ from bipartite_influence.solver import (
     Solver,
     _negated_pair,
     gift_bounds_check,
-    keyed_components,
     maximal_masks,
     milnor_audit,
     prune_dominated,
@@ -251,8 +250,9 @@ class TestCancellation:
         alive = _torus_cells(8, 8, piece) | _torus_cells(8, 8, piece, 4, 3)
         a, b = components(Position.make(g, alive))
         assert a.vertex_count == b.vertex_count == 6
-        ka, kb = (canonical_key(a), a), (canonical_key(b), b)
-        assert _negated_pair(ka, kb, {}) and _negated_pair(kb, ka, {})
+        ka, kb = canonical_key(a), canonical_key(b)
+        positions = {ka: a, kb: b}
+        assert _negated_pair(ka, kb, positions, {}) and _negated_pair(kb, ka, positions, {})
         solver = Solver(node_budget=1000)
         pair = solver.scores(Position.make(g, alive))
         assert (pair.ls, pair.rs) == (0, 0) == raw_scores(g, alive)
@@ -268,9 +268,10 @@ class TestCancellation:
         alive = _torus_cells(8, 8, piece) | _torus_cells(8, 8, piece, 4, 4)
         a, b = components(Position.make(g, alive))
         assert a.vertex_count == b.vertex_count
-        ka, kb = (canonical_key(a), a), (canonical_key(b), b)
-        assert not _negated_pair(ka, kb, {})
-        assert Solver()._cancel([ka, kb]) == tuple(sorted([ka, kb], key=lambda c: c[0]))
+        solver = Solver()
+        ka, kb = solver._keys(Position.make(g, alive))
+        assert not _negated_pair(ka, kb, solver._positions, {})
+        assert solver._cancel([ka, kb]) == tuple(sorted([ka, kb]))
         assert raw_scores(g, alive) != (0, 0)
 
     def test_accepted_pairs_score_zero(self, rng):
@@ -288,9 +289,11 @@ class TestCancellation:
             alive = (piece | _torus_cells(rows, cols, cells, dr, dc)
                      | _grow_piece(rng, g, rng.randint(2, 6)))
             comps = components(Position.make(g, alive))
+            keys = [canonical_key(c) for c in comps]
+            positions = dict(zip(keys, comps))  # equal keys are paths, read off the key
             for i, a in enumerate(comps):
-                for b in comps[i + 1:]:
-                    if not _negated_pair((canonical_key(a), a), (canonical_key(b), b), cache):
+                for j, b in enumerate(comps[i + 1:], i + 1):
+                    if not _negated_pair(keys[i], keys[j], positions, cache):
                         rejected += 1
                         continue
                     assert raw_scores(g, a.alive | b.alive) == (0, 0)
@@ -299,31 +302,33 @@ class TestCancellation:
 
     @staticmethod
     def t_pieces(*offsets):
-        """Keyed components of a six-vertex T on grid 9x9 and of its
-        translates by ``offsets``, none of which wraps; an odd translate is
-        a colour-swapped copy, so a negative with a different key."""
+        """A solver holding the components of a six-vertex T on grid 9x9
+        and of its translates by ``offsets``, none of which wraps, with
+        their keys; an odd translate is a colour-swapped copy, so a
+        negative with a different key."""
         g = build_grid(9, 9)
         alive = sum(_torus_cells(9, 9, T_PIECE, dr, dc) for dr, dc in ((0, 0),) + offsets)
-        pos = Position.make(g, alive)
-        comps = keyed_components(pos)
-        assert len(comps) == 1 + len(offsets) and segment_value(comps[0][1]) is None
-        return g, alive, comps
+        solver = Solver()
+        keys = solver._keys(Position.make(g, alive))
+        assert len(keys) == 1 + len(offsets) and segment_value(solver._positions[keys[0]]) is None
+        return g, alive, solver, keys
 
     @pytest.mark.parametrize("offsets", [((0, 5), (5, 0)), ((0, 5), (5, 5))],
                              ids=["two-negatives", "negative-and-copy"])
     def test_competing_candidates_leave_one_piece(self, offsets):
-        g, alive, comps = self.t_pieces(*offsets)
+        g, alive, solver, keys = self.t_pieces(*offsets)
         pair = Solver().scores(Position.make(g, alive))
         assert (pair.ls, pair.rs) == raw_scores(g, alive)
-        assert len(Solver()._cancel(comps)) == 1
+        assert len(solver._cancel(keys)) == 1
 
     def test_three_mutual_negatives(self):
         # c1 could cancel the parent's ``a`` or the new ``c2``; either way
         # the piece left is a game equal to ``a``
-        _, _, (c1, c2, a) = self.t_pieces((0, 5), (5, 0))
-        assert _negated_pair(c1, c2, {}) and _negated_pair(c1, a, {})
-        (left,) = Solver()._cancel([c1, c2], (a,))
-        assert Solver().scores(left[1]) == Solver().scores(a[1])
+        _, _, solver, (c1, c2, a) = self.t_pieces((0, 5), (5, 0))
+        positions = solver._positions
+        assert _negated_pair(c1, c2, positions, {}) and _negated_pair(c1, a, positions, {})
+        (left,) = solver._cancel([c1, c2], (a,))
+        assert Solver().scores(positions[left]) == Solver().scores(positions[a])
 
 
 class TestPruning:
@@ -409,13 +414,14 @@ class TestMoveMasks:
     def test_move_lists_are_the_pruned_moves_by_size(self, prune):
         solver = Solver(prune=prune)
         for pos in self.positions():
-            for comp in components(pos):
+            for key in solver._keys(pos):
+                comp = solver._positions[key]
                 for sign, color in ((1, BLACK), (-1, WHITE)):
                     found = legal_moves(comp, color)
                     if prune:
                         found = prune_dominated(found)
                     want = tuple(sorted((m.removed for m in found), key=lambda r: -r.bit_count()))
-                    assert solver._move_list(sign, comp) == want
+                    assert solver._move_list(sign, key) == want
 
     def test_equal_masks_keep_the_first(self):
         a = (1 << 100) | 1
@@ -478,31 +484,48 @@ class TestMoveMemo:
                 assert (pair.ls, pair.rs) == (ls + offset, rs + offset), parts
                 raw_checked += 1
         assert raw_checked >= 40
-        assert shared._moves
+        assert all(shared._moves.values())
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_entries_are_the_move_lists(self, prune):
         rng = random.Random(1702)
         solver = Solver(prune=prune)
-        grounds = {}
         for parts in _memo_queries(rng, 30) + [[Position.make(build_grid(3, 6))]]:
             solver.score_of_sum(parts)
-            grounds.update((p.ground.uid, p.ground) for p in parts)
-        assert len(solver._moves) > 100
-        for (sign, uid, alive), masks in solver._moves.items():
-            found = legal_moves(Position(grounds[uid], alive), BLACK if sign > 0 else WHITE)
-            if prune:
-                found = prune_dominated(found)
-            want = sorted((m.removed for m in found), key=lambda r: -r.bit_count())
-            assert masks == tuple(want)
-            assert all(solver._masks[r] is r for r in masks)  # one object per set
-        assert Solver()._moves == {}
+        assert sum(map(len, solver._moves.values())) > 100
+        for sign, lists in solver._moves.items():
+            for key, masks in lists.items():
+                comp = solver._positions[key]
+                assert canonical_key(comp) == key
+                found = legal_moves(comp, BLACK if sign > 0 else WHITE)
+                if prune:
+                    found = prune_dominated(found)
+                want = sorted((m.removed for m in found), key=lambda r: -r.bit_count())
+                assert masks == tuple(want)
+                assert all(solver._masks[r] is r for r in masks)  # one object per set
+        assert Solver()._moves == {1: {}, -1: {}}
+
+    def test_equal_paths_share_one_move_list_per_mover(self):
+        """S_5 and a Black-majority five-vertex path cut out of grid 3x3
+        have one key, so the solver plays both on the one position it saw
+        first and keeps one move list per mover for them."""
+        seg = Position.make(build_segment(5))
+        cells = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]
+        bent = Position.make(build_grid(3, 3), sum(1 << (3 * r + c) for r, c in cells))
+        assert canonical_key(seg) == canonical_key(bent) == ("seg", 5)
+        solver = Solver()
+        pair = solver.score_of_sum([seg, bent])
+        assert (pair.ls, pair.rs) == raw_scores(disjoint_union([seg, bent]))
+        assert solver._positions[("seg", 5)] == seg
+        assert [("seg", 5) in lists for lists in solver._moves.values()] == [True, True]
+        assert {p.ground for p in solver._positions.values()} == {seg.ground}
 
     def test_memo_leaves_the_search_unchanged(self):
         class Regenerating(Solver):
-            def _move_list(self, sign, comp):
-                self._moves.clear()
-                return super()._move_list(sign, comp)
+            def _move_list(self, sign, key):
+                for lists in self._moves.values():
+                    lists.clear()
+                return super()._move_list(sign, key)
 
         board = Position.make(build_grid(3, 8))
         kept, fresh = Solver(), Regenerating()
@@ -522,24 +545,23 @@ class TestFold:
         components anew, and drop a child already yielded."""
 
         def _children(self, node):
-            sign, comps = node
+            sign, keys = node
             moves = []
-            for idx, (key, comp) in enumerate(comps):
-                if idx and key == comps[idx - 1][0]:
+            for idx, key in enumerate(keys):
+                if idx and key == keys[idx - 1]:
                     continue
-                moves.extend((idx, removed) for removed in self._move_list(sign, comp))
+                moves.extend((idx, removed) for removed in self._move_list(sign, key))
             moves.sort(key=lambda im: -im[1].bit_count())
             seen = set()
             for idx, removed in moves:
-                comp = comps[idx][1]
+                comp = self._positions[keys[idx]]
                 succ = Position.make(comp.ground, comp.alive & ~removed,
                                      sign * removed.bit_count())
-                merged = self._cancel(list(comps[:idx] + comps[idx + 1 :])
-                                      + keyed_components(succ))
-                gain_key = (sign * succ.offset, (-sign, tuple(k for k, _ in merged)))
-                if gain_key not in seen:
-                    seen.add(gain_key)
-                    yield *gain_key, (-sign, merged)
+                merged = self._cancel(list(keys[:idx] + keys[idx + 1 :]) + self._keys(succ))
+                child = (sign * succ.offset, (-sign, merged))
+                if child not in seen:
+                    seen.add(child)
+                    yield child
 
     @staticmethod
     def mirror_queries(rng, count):
@@ -602,12 +624,11 @@ class TestTree:
         for order in ((1, -1), (-1, 1)):
             solver = Solver()
             for board in boards:
-                comps = solver._cancel(keyed_components(board))
-                keys = tuple(k for k, _ in comps)
+                keys = solver._cancel(solver._keys(board))
                 first, second = order
-                trees[order, board, first] = solver._tree((first, keys), (first, comps))
+                trees[order, board, first] = solver._tree((first, keys))
                 solver._children = expand
-                trees[order, board, second] = solver._tree((second, keys), (second, comps))
+                trees[order, board, second] = solver._tree((second, keys))
                 del solver._children
         for board in boards:
             pair = Solver().scores(board)
