@@ -7,7 +7,6 @@ from .graphs import (
     WHITE,
     GroundGraph,
     Position,
-    RemovalSet,
     VertexColor,
     apply_move,
     build_cylinder,

@@ -368,11 +368,14 @@ def notation_size(g: Game) -> int:
 
 
 def format_game(g: Game) -> str:
-    """The notation :func:`parse_game` reads; a shared subtree is formatted
-    once per call.  Raises ``ValueError`` above ``MAX_NOTATION_SIZE``."""
+    """The notation :func:`parse_game` reads, each side's options sorted by
+    their notation, so a game prints alike whatever was built before it; a
+    shared subtree is formatted once per call.  Raises ``ValueError`` above
+    ``MAX_NOTATION_SIZE``."""
     if (size := notation_size(g)) > MAX_NOTATION_SIZE:
         raise ValueError(f"game notation has {size} characters, the cap is {MAX_NOTATION_SIZE}")
-    return _spell(g, str, lambda lefts, rights: f"<{','.join(lefts)}|{','.join(rights)}>")
+    return _spell(g, str, lambda lefts, rights:
+                  f"<{','.join(sorted(lefts))}|{','.join(sorted(rights))}>")
 
 
 def parse_game(text: str) -> Game:

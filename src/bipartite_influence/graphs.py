@@ -17,7 +17,6 @@ cheap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from typing import Iterable, Iterator, Sequence
@@ -353,18 +352,6 @@ def strip_isolated(position: Position) -> Position:
     return Position.make(position.ground, position.alive, position.offset)
 
 
-@dataclass(frozen=True)
-class RemovalSet:
-    """One legal move: the vertex played, the full removed set, the score."""
-
-    played: int
-    removed: int
-    gain: int
-
-    def vertices(self) -> list[int]:
-        return list(_bits(self.removed))
-
-
 def _closure(adj: Sequence[int], two_step: Sequence[int], alive: int, v: int) -> int:
     """The mask a move at alive vertex ``v`` removes: ``v``, its alive
     neighbors, and every vertex of ``v``'s color whose alive neighborhood
@@ -382,21 +369,17 @@ def _closure(adj: Sequence[int], two_step: Sequence[int], alive: int, v: int) ->
     return removed
 
 
-def removal_closure(position: Position, v: int) -> RemovalSet:
-    """The move made by playing alive vertex ``v`` (see :func:`_closure`).
-    The gain is the signed count of removed vertices (positive for
-    Black)."""
+def removal_closure(position: Position, v: int) -> int:
+    """The removed mask of playing alive vertex ``v`` (see :func:`_closure`)."""
     g = position.ground
     if not position.alive & 1 << v:
         raise ValueError(f"vertex {v} is not alive")
-    removed = _closure(g.adj, g.two_step, position.alive, v)
-    size = removed.bit_count()
-    return RemovalSet(v, removed, size if g.colors[v] is BLACK else -size)
+    return _closure(g.adj, g.two_step, position.alive, v)
 
 
-def move_masks(position: Position, color: VertexColor) -> list[int]:
-    """The removed masks of ``color``'s moves, in vertex order: the
-    ``removed`` fields of :func:`legal_moves`, with no move object made."""
+def legal_moves(position: Position, color: VertexColor) -> list[int]:
+    """The removed masks of ``color``'s moves, one per alive vertex of that
+    color, in vertex order."""
     g = position.ground
     adj, two_step, alive = g.adj, g.two_step, position.alive
     out = []
@@ -408,20 +391,14 @@ def move_masks(position: Position, color: VertexColor) -> list[int]:
     return out
 
 
-def legal_moves(position: Position, color: VertexColor) -> list[RemovalSet]:
-    """All moves of the given color, one per alive vertex of that color."""
-    return [
-        removal_closure(position, v)
-        for v in _bits(position.alive_of_color(color))
-    ]
-
-
-def apply_move(position: Position, move: RemovalSet) -> Position:
-    """Play a move: bank its gain, drop the removed set, re-strip."""
+def apply_move(position: Position, removed: int, color: VertexColor) -> Position:
+    """Play a move of ``color`` that removes ``removed``: bank one point
+    per removed vertex for the mover, drop the set, re-strip."""
+    size = removed.bit_count()
     return Position.make(
         position.ground,
-        position.alive & ~move.removed,
-        position.offset + move.gain,
+        position.alive & ~removed,
+        position.offset + (size if color is BLACK else -size),
     )
 
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import BLACK, WHITE, GroundGraph, Position
+from .graphs import BLACK, WHITE, GroundGraph, Position, _check_capacity
 from .solver import Solver
 
 MAX_BRUTE_FORCE_VARS = 12
@@ -125,10 +125,12 @@ def gadget_graph(f: PosCnf) -> GroundGraph:
 
     Layout: clause vertices first, then per variable its anchor, its
     connector, and its pendant bag.  Total vertex count is
-    ``m + n * (m + 2n + 1)`` for ``n`` variables and ``m`` clauses.
+    ``m + n * (m + 2n + 1)`` for ``n`` variables and ``m`` clauses, checked
+    against the capacity before any vertex is made.
     """
     f = f.padded()
     n, m = f.num_vars, f.num_clauses
+    _check_capacity(m + n * (m + 2 * n + 1))
     bag = bag_size(n, m)
     colors = []
     edges = []

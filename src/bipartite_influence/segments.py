@@ -188,13 +188,14 @@ class SegmentEngine(ZeroWindowSearch):
         return self._reduce([-p if p & 1 else p for p in key])
 
     def _move_list(self, part: int) -> tuple:
-        """Black's undominated moves on one part, up to reflection."""
+        """Black's undominated moves on one part, up to reflection, in
+        sorted order, so moves of equal count come in a fixed order."""
         cached = self._moves.get(part)
         if cached is None:
-            cached = tuple(
+            cached = tuple(sorted(
                 {(count, tuple(sorted(rem)))
                  for count, rem in segment_moves(part, True, prune=True)}
-            )
+            ))
             self._moves[part] = cached
         return cached
 

@@ -20,8 +20,8 @@ played component is split, and its pieces cancel into them or are inserted
 among them in key order.  Move lists are made once per mover and component
 key, on the first position seen under it, so equal paths on different
 grounds share one for the solver's life.
-A move list is a tuple of removed masks: ``graphs.move_masks`` makes them
-and ``maximal_masks`` prunes them, plain ints with no move object.
+A move is the int mask of the vertices it removes: ``graphs.legal_moves``
+makes a move list and ``prune_dominated`` drops its dominated moves.
 Transposition keys bring path components to canonical form, and pairs of
 components cancel before lookup when a mirror certificate on their union
 (``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
@@ -39,13 +39,11 @@ from .graphs import (
     BLACK,
     WHITE,
     Position,
-    RemovalSet,
     apply_move,
     canonical_key,
     components,
     disjoint_union,
     legal_moves,
-    move_masks,
     strip_isolated,
 )
 from .symmetry import find_bw
@@ -87,8 +85,11 @@ class TranspositionTable:
         return len(self.memo) + len(self.bounds)
 
 
-def maximal_masks(masks: list[int]) -> list[int]:
-    """The masks no other mask contains, in their given order; of equal
+def prune_dominated(masks: list[int]) -> list[int]:
+    """Drop the moves whose removed mask lies inside another move's mask,
+    for one mover's moves: playing the larger set is at least as good,
+    since it only hands the opponent a position that is a gift of extra
+    removals away.  The kept masks come in their given order; of equal
     masks the first is kept.
 
     One pass keeps the maximal masks seen so far.  A new mask is compared
@@ -108,25 +109,6 @@ def maximal_masks(masks: list[int]) -> list[int]:
                     break
             kept.append(m)
     return kept
-
-
-def prune_dominated(moves: list[RemovalSet]) -> list[RemovalSet]:
-    """Drop moves whose removed set is contained in another move's set.
-
-    All moves must belong to the same mover.  Playing the larger set is at
-    least as good, since it only hands the opponent a position that is a
-    gift of extra removals away.  Equal sets keep the lowest vertex played.
-    The kept moves come back in their given order: those whose sets
-    :func:`maximal_masks` keeps.
-    """
-    if len({m.gain > 0 for m in moves}) > 1:
-        raise ValueError("prune_dominated expects moves of a single mover")
-    first: dict[int, RemovalSet] = {}
-    for m in moves:
-        if m.removed not in first or m.played < first[m.removed].played:
-            first[m.removed] = m
-    kept = set(maximal_masks(list(first)))
-    return [m for m in moves if m.removed in kept and first[m.removed] is m]
 
 
 def mtdf(test: Callable[[int], int], lo: int, hi: int, guess: int = 0) -> int:
@@ -369,9 +351,9 @@ class Solver(ZeroWindowSearch):
         lists = self._moves[sign]
         masks = lists.get(key)
         if masks is None:
-            found = move_masks(self._positions[key], BLACK if sign > 0 else WHITE)
+            found = legal_moves(self._positions[key], BLACK if sign > 0 else WHITE)
             if self.prune:
-                found = maximal_masks(found)
+                found = prune_dominated(found)
             same = self._masks  # one int object per distinct removed set
             masks = tuple(sorted((same.setdefault(r, r) for r in found),
                                  key=int.bit_count, reverse=True))
@@ -444,9 +426,10 @@ def milnor_audit(position: Position, depth: int = 3, solver: Solver | None = Non
             return False
         if remaining == 0:
             return True
-        for move in black_moves + white_moves:
-            if not visit(apply_move(pos, move), remaining - 1):
-                return False
+        for color, moves in ((BLACK, black_moves), (WHITE, white_moves)):
+            for removed in moves:
+                if not visit(apply_move(pos, removed, color), remaining - 1):
+                    return False
         return True
 
     visit(strip_isolated(position), depth)

@@ -220,21 +220,21 @@ def mirror_strategy_audit(g: GroundGraph, mapping: Sequence[int]) -> MirrorRepor
                 return f"line ended with score {pos.offset}"
             return None
         for mover in (BLACK, WHITE):
-            for move in legal_moves(pos, mover):
-                u = move.played
-                after = apply_move(pos, move)
+            mine = [v for v in pos.alive_vertices() if g.colors[v] is mover]
+            for u, removed in zip(mine, legal_moves(pos, mover)):
+                after = apply_move(pos, removed, mover)
                 reply_vertex = mapping[u]
                 if not after.alive & (1 << reply_vertex):
                     return f"mirror reply {reply_vertex} to {u} is gone"
                 reply = removal_closure(after, reply_vertex)
-                if reply.removed != map_mask(move.removed):
+                if reply != map_mask(removed):
                     return (
                         f"reply removal to {u} is not the mirror image "
                         f"of the first removal"
                     )
-                if reply.removed & move.removed:
+                if reply & removed:
                     return f"removals around {u} overlap"
-                done = apply_move(after, reply)
+                done = apply_move(after, reply, mover.opponent)
                 if done.offset != pos.offset:
                     return f"move pair around {u} did not net zero"
                 bad = explore(done)

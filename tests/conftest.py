@@ -215,7 +215,7 @@ def whole_position_tree(position: Position):
             base = Position(ground, alive, 0)
             sides = [
                 [add(number(s.offset), tree(s.alive))
-                 for s in (apply_move(base, m) for m in legal_moves(base, color))]
+                 for s in (apply_move(base, m, color) for m in legal_moves(base, color))]
                 for color in (BLACK, WHITE)
             ]
             memo[alive] = node(*sides) if alive else number(0)

@@ -517,6 +517,17 @@ class TestReduce:
         rc, _, err = run(capsys, "reduce", "--cnf", str(cnf))
         assert rc == EXIT_INPUT
 
+    def test_huge_header_is_rejected_before_building(self, tmp_path):
+        """3200 variables make a board of 20486401 vertices: the capacity
+        check comes before the lists of its colours and edges, which would
+        not fit in the 1 GB that ``run_limited`` allows."""
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3200 1\n1 0\n")
+        result = run_limited("-m", "bipartite_influence", "reduce", "--cnf", str(cnf))
+        assert result.returncode == EXIT_INPUT, result.stderr[-2000:]
+        assert result.stdout == ""
+        assert result.stderr == "error: graph has 20486401 vertices, capacity is 128\n"
+
 
 @pytest.mark.parametrize("command", ["symmetry", "audit"])
 def test_segments_flag_only_on_solve_and_thermo(capsys, command):

@@ -81,8 +81,8 @@ def longest_line(position: Position) -> int:
     """Independent play-length oracle, straight off the move rules."""
     best = 0
     for color in (BLACK, WHITE):
-        for move in legal_moves(position, color):
-            best = max(best, 1 + longest_line(apply_move(position, move)))
+        for removed in legal_moves(position, color):
+            best = max(best, 1 + longest_line(apply_move(position, removed, color)))
     return best
 
 
@@ -492,6 +492,16 @@ class TestNotation:
 
     def test_format_simplified_segment(self):
         assert format_game(simplify(seg_tree(5))) == "<5|<-1|-5>>"
+
+    def test_options_print_in_notation_order(self):
+        """Options print sorted by their notation, not in the order the
+        process first built them: two numbers no other test builds,
+        interned larger first, print smaller first."""
+        first = number(Fraction(98765, 3))
+        second = number(Fraction(98764, 3))
+        g = node([second, first], [number(0)])
+        assert g.left == (first, second)  # kept in build order
+        assert format_game(g) == "<98764/3,98765/3|0>"
 
     def test_size_counts_the_notation(self):
         games = [parse_game(text) for text in ("4", "-7/2", "<1,<2|0>|-1>", "<-5/4|<3|-10>>")]

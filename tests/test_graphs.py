@@ -164,31 +164,21 @@ class TestJson:
 class TestClosure:
     def test_segment_center_takes_everything(self):
         # playing the middle of a 5-path strands both Black ends
-        move = closure_at(build_segment(5), 2)
-        assert move.removed.bit_count() == 5
-        assert move.gain == 5
+        assert closure_at(build_segment(5), 2) == 0b11111
 
     def test_segment_white_inner_move(self):
-        move = closure_at(build_segment(5), 1)
-        assert sorted(move.vertices()) == [0, 1, 2]
-        assert move.gain == -3
+        assert closure_at(build_segment(5), 1) == 0b111
 
     def test_segment_endpoint_closure(self):
-        move = closure_at(build_segment(3), 0)
-        assert sorted(move.vertices()) == [0, 1, 2]
-        assert move.gain == 3
+        assert closure_at(build_segment(3), 0) == 0b111
 
     def test_star_leaf_takes_all(self):
         star = GroundGraph([BLACK, WHITE, WHITE, WHITE], [(0, 1), (0, 2), (0, 3)])
-        move = closure_at(star, 1)
-        assert move.removed == 0b1111
-        assert move.gain == -4
+        assert closure_at(star, 1) == 0b1111
 
     def test_grid_center(self):
         g = build_grid(5, 5)
-        move = closure_at(g, 12)
-        assert move.removed.bit_count() == 5
-        assert move.gain == 5
+        assert closure_at(g, 12) == sum(1 << v for v in (7, 11, 12, 13, 17))
 
     def test_dead_vertex_rejected(self):
         pos = Position.make(build_segment(4), 0b0011)
@@ -201,8 +191,8 @@ class TestClosure:
             g = random_ground(rng)
             pos = Position.make(g)
             for color in (BLACK, WHITE):
-                for move in legal_moves(pos, color):
-                    succ = Position(g, pos.alive & ~move.removed, 0)
+                for removed in legal_moves(pos, color):
+                    succ = Position(g, pos.alive & ~removed, 0)
                     assert strip_isolated(succ).alive == succ.alive
 
     def test_two_step_scan_matches_full_scan(self):
@@ -218,11 +208,8 @@ class TestClosure:
             alive = sum(1 << v for v in range(g.n) if rng.random() < density)
             pos = Position.make(g, alive)
             for v in pos.alive_vertices():
-                move = removal_closure(pos, v)
                 want = ref_removal_closure(pos, v)
-                assert move.removed == want, (g, pos.alive, v)
-                size = want.bit_count()
-                assert move.gain == (size if g.colors[v] is BLACK else -size)
+                assert removal_closure(pos, v) == want, (g, pos.alive, v)
                 moves += 1
                 closed += want != (1 << v) | (g.adj[v] & pos.alive)
         # a fair share of moves also take a vertex the removal isolated
@@ -253,14 +240,17 @@ class TestPositions:
 
     def test_apply_move_banks_gain(self):
         pos = Position.make(build_segment(7))
-        move = removal_closure(pos, 3)
-        succ = apply_move(pos, move)
+        succ = apply_move(pos, removal_closure(pos, 3), WHITE)
         assert succ.offset == -3
         assert succ.vertex_count == 4
+        # Black's move at 2 also takes the end it strands
+        succ = apply_move(pos, removal_closure(pos, 2), BLACK)
+        assert succ.offset == 4
+        assert succ.vertex_count == 3
 
     def test_components_of_split_segment(self):
         pos = Position.make(build_segment(7))
-        succ = apply_move(pos, removal_closure(pos, 3))
+        succ = apply_move(pos, removal_closure(pos, 3), WHITE)
         keys = [canonical_key(c) for c in components(succ)]
         assert keys == [("seg", 2), ("seg", 2)]
 
@@ -343,5 +333,5 @@ class TestTwins:
             g = random_ground(rng, max_n=8)
             pos = Position.make(g)
             for cls in twin_classes(pos):
-                moves = {removal_closure(pos, v).removed for v in cls}
+                moves = {removal_closure(pos, v) for v in cls}
                 assert len(moves) == 1

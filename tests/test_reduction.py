@@ -140,6 +140,13 @@ class TestGadget:
         g = gadget_graph(PosCnf(3, [(1, 2, 3)]))
         assert g.n == gadget_vertex_count(4, 1)
 
+    def test_capacity_counts_the_padded_board(self):
+        # six variables fit in 85 vertices; seven pad to eight, 145
+        assert gadget_graph(PosCnf(6, [(1,)])).n == gadget_vertex_count(6, 1) == 85
+        assert gadget_vertex_count(7, 1) == 145
+        with pytest.raises(ValueError, match="graph has 145 vertices, capacity is 128"):
+            gadget_graph(PosCnf(7, [(1,)]))
+
     def test_board_structure(self):
         f = PosCnf(2, [(1, 2), (2,)])
         g = gadget_graph(f)

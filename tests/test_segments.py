@@ -178,14 +178,14 @@ class TestMoveArithmetic:
         start = Position.make(ground)
         for color, black in ((VertexColor.BLACK, True), (VertexColor.WHITE, False)):
             seen = []
-            for move in legal_moves(start, color):
-                after = apply_move(start, move)
+            for removed in legal_moves(start, color):
+                after = apply_move(start, removed, color)
                 keys = []
                 for comp in components(after):
                     key = segment_value(comp)
                     assert key is not None
                     keys.append(abs(key) if key % 2 == 0 else key)
-                seen.append((len(move.vertices()), tuple(sorted(keys))))
+                seen.append((removed.bit_count(), tuple(sorted(keys))))
             arith = [
                 (count, tuple(sorted(abs(r) if r % 2 == 0 else r for r in rem)))
                 for count, rem in segment_moves(part, black)
@@ -458,7 +458,7 @@ class TestCache:
         as earlier versions wrote, still loads and gives the same rows."""
         eng = SegmentEngine()
         stack = [eng._reduce([sign * n])[0]
-                 for n in range(2, 21) for sign in (1, -1)]
+                 for n in range(2, 25) for sign in (1, -1)]
         full = {}
         while stack:
             parts = stack.pop()

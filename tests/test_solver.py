@@ -10,7 +10,6 @@ from bipartite_influence.graphs import (
     WHITE,
     GroundGraph,
     Position,
-    RemovalSet,
     build_cylinder,
     build_grid,
     build_hypercube,
@@ -20,7 +19,6 @@ from bipartite_influence.graphs import (
     components,
     disjoint_union,
     legal_moves,
-    move_masks,
     segment_value,
 )
 from bipartite_influence.reduction import PosCnf, gadget_graph
@@ -29,7 +27,6 @@ from bipartite_influence.solver import (
     Solver,
     _negated_pair,
     gift_bounds_check,
-    maximal_masks,
     milnor_audit,
     prune_dominated,
 )
@@ -331,6 +328,13 @@ class TestCancellation:
         assert Solver().scores(positions[left]) == Solver().scores(positions[a])
 
 
+def pairwise_maximal(masks):
+    """The masks of ``masks`` that no other one contains, comparing every
+    pair; of equal masks the first stays."""
+    return [m for i, m in enumerate(masks) if not any(
+        m | o == o and (m != o or j < i) for j, o in enumerate(masks) if j != i)]
+
+
 class TestPruning:
     def test_subset_moves_dominate(self):
         # endpoint moves on a path remove a subset of the next move over
@@ -338,9 +342,8 @@ class TestPruning:
         white_moves = legal_moves(pos, WHITE)
         kept = prune_dominated(white_moves)
         assert len(kept) < len(white_moves)
-        kept_sets = {m.removed for m in kept}
         for m in white_moves:
-            assert any(m.removed & k == m.removed for k in kept_sets)
+            assert any(m & k == m for k in kept)
 
     def test_equal_sets_keep_one(self):
         star = GroundGraph([BLACK, WHITE, WHITE, WHITE], [(0, 1), (0, 2), (0, 3)])
@@ -352,23 +355,14 @@ class TestPruning:
         """Comparing each move only with the moves kept so far drops
         exactly the moves the all-pairs definition drops, in order."""
 
-        def pairwise(moves):
-            return [m for m in moves if not any(
-                o is not m and m.removed | o.removed == o.removed
-                and (m.removed != o.removed or o.played < m.played)
-                for o in moves)]
-
         rng = random.Random(1801)
         dropped = 0
         for _ in range(3000):
             pool = [rng.getrandbits(8) for _ in range(3)]
-            sign = rng.choice((1, -1))
-            moves = []
-            for v in rng.sample(range(8), rng.randint(0, 8)):
-                removed = (1 << v) | (rng.choice(pool) & rng.choice((-1, rng.getrandbits(8))))
-                moves.append(RemovalSet(v, removed, sign * removed.bit_count()))
+            moves = [(1 << v) | (rng.choice(pool) & rng.choice((-1, rng.getrandbits(8))))
+                     for v in rng.sample(range(8), rng.randint(0, 8))]
             kept = prune_dominated(moves)
-            assert kept == pairwise(moves), moves
+            assert kept == pairwise_maximal(moves), moves
             dropped += len(moves) - len(kept)
         assert dropped > 1000
 
@@ -383,8 +377,9 @@ class TestPruning:
 
 
 class TestMoveMasks:
-    """The search's move lists, made and pruned on ints, against the
-    ``RemovalSet`` moves of ``legal_moves`` and ``prune_dominated``."""
+    """Moves as removed masks: ``legal_moves`` against the full-scan
+    closure, ``prune_dominated`` against the all-pairs definition, and the
+    search's move lists made from the two."""
 
     BOARDS = [build_grid(4, 5), build_cylinder(4, 3), build_torus(4, 4),
               build_hypercube(4), gadget_graph(PosCnf(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))]
@@ -401,12 +396,11 @@ class TestMoveMasks:
         dropped = 0
         for pos in self.positions():
             for color in (BLACK, WHITE):
-                moves = legal_moves(pos, color)
-                masks = move_masks(pos, color)
-                assert masks == [m.removed for m in moves]
-                assert masks == [ref_removal_closure(pos, m.played) for m in moves]
-                kept = maximal_masks(masks)
-                assert kept == [m.removed for m in prune_dominated(moves)]
+                masks = legal_moves(pos, color)
+                mine = [v for v in pos.alive_vertices() if pos.ground.colors[v] is color]
+                assert masks == [ref_removal_closure(pos, v) for v in mine]
+                kept = prune_dominated(masks)
+                assert kept == pairwise_maximal(masks)
                 dropped += len(masks) - len(kept)
         assert dropped > 500  # pruning had work to do
 
@@ -420,22 +414,44 @@ class TestMoveMasks:
                     found = legal_moves(comp, color)
                     if prune:
                         found = prune_dominated(found)
-                    want = tuple(sorted((m.removed for m in found), key=lambda r: -r.bit_count()))
+                    want = tuple(sorted(found, key=lambda r: -r.bit_count()))
                     assert solver._move_list(sign, key) == want
 
     def test_equal_masks_keep_the_first(self):
         a = (1 << 100) | 1
         b = int(str(a))  # equal, but another object
         assert a is not b
-        kept = maximal_masks([a, 0b110, b])
+        kept = prune_dominated([a, 0b110, b])
         assert kept == [a, 0b110] and kept[0] is a
-        assert maximal_masks([0b11, 0b11, 0b11]) == [0b11]
+        assert prune_dominated([0b11, 0b11, 0b11]) == [0b11]
 
     def test_a_later_superset_evicts_earlier_subsets(self):
-        assert maximal_masks([0b0001, 0b1000, 0b0010, 0b0111]) == [0b1000, 0b0111]
-        assert maximal_masks([0b0111, 0b0011, 0b0101]) == [0b0111]
-        assert maximal_masks([0b0011, 0b0110, 0b1100, 0b0111]) == [0b1100, 0b0111]
-        assert maximal_masks([]) == []
+        assert prune_dominated([0b0001, 0b1000, 0b0010, 0b0111]) == [0b1000, 0b0111]
+        assert prune_dominated([0b0111, 0b0011, 0b0101]) == [0b0111]
+        assert prune_dominated([0b0011, 0b0110, 0b1100, 0b0111]) == [0b1100, 0b0111]
+        assert prune_dominated([]) == []
+
+    def test_the_search_makes_its_moves_through_the_move_layer(self, monkeypatch):
+        """The board search takes its move lists from ``legal_moves`` and
+        prunes them with ``prune_dominated``, the names a caller can wrap
+        to count or time the move layer."""
+        import bipartite_influence.solver as solver_module
+
+        calls = {"legal_moves": 0, "prune_dominated": 0}
+
+        def counting(name):
+            inner = getattr(solver_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver_module, name, counting(name))
+        pair = Solver().scores(Position.make(build_grid(3, 4)))
+        assert (pair.ls, pair.rs) == raw_scores(build_grid(3, 4))
+        assert calls["legal_moves"] > 0 and calls["prune_dominated"] > 0
 
 
 MEMO_BOARDS = [build_grid(6, 6), build_torus(6, 6)]
@@ -500,7 +516,7 @@ class TestMoveMemo:
                 found = legal_moves(comp, BLACK if sign > 0 else WHITE)
                 if prune:
                     found = prune_dominated(found)
-                want = sorted((m.removed for m in found), key=lambda r: -r.bit_count())
+                want = sorted(found, key=lambda r: -r.bit_count())
                 assert masks == tuple(want)
                 assert all(solver._masks[r] is r for r in masks)  # one object per set
         assert Solver()._moves == {1: {}, -1: {}}
