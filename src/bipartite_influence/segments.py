@@ -28,12 +28,15 @@ and a child's key is reduced only when the search reaches its move, so
 the children a cutoff skips cost nothing.
 Proven scores go in the memo, which is what the cache file holds; bounds
 that have not met stay in memory only.
-Each caller makes its own engine: none lives for the whole process.
+Each caller makes its own engine, so no search state lives for the whole
+process.
 
 Everything the rewrite relies on is an equality of games, hence preserved
 under sums, so ``SegmentEngine.tree`` builds game trees on the same keys,
 by the search's tree loop; ``raw_union_tree`` builds the full tree, every
-move an option, with no rule at all.
+move an option, with no rule at all.  Every engine of one rewrite mode
+keeps its trees in one table of ``_TREES``, so a tree is built once per
+process.
 The test suite cross-checks the engine against the generic graph solver,
 against a rewrite-free twin (for the rules), against a plain minimax with
 no reduction and no cutoffs (for the search), and against full trees.
@@ -147,6 +150,12 @@ _PARTNER_RULES: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {
 }
 
 
+# A reduced key's game depends only on the key and the rewrite mode, so
+# every engine of one mode reads and fills one tree table, which lives as
+# long as the interned games it points to.
+_TREES: dict[bool, dict] = {True: {}, False: {}}
+
+
 class SegmentEngine(ZeroWindowSearch):
     """The zero-window search of ``solver`` over canonical segment multisets.
 
@@ -161,6 +170,8 @@ class SegmentEngine(ZeroWindowSearch):
     ``use_rewrite=False`` the engine keeps only banking, orientation and
     pair cancellation, skipping the ``4k + 2`` split and the rule tables, and
     serves as an independent oracle for them; it shares the search.
+    Memo, bounds, rules and move lists belong to the engine; the trees of
+    its keys go in its mode's table in ``_TREES``, which outlives it.
     """
 
     def __init__(self, use_rewrite: bool = True):
@@ -168,6 +179,7 @@ class SegmentEngine(ZeroWindowSearch):
         self.use_rewrite = use_rewrite
         self._rules: dict[int, tuple] = {}
         self._moves: dict[int, tuple] = {}
+        self._trees = _TREES[use_rewrite]
 
     # -- scores and trees --------------------------------------------------
 
@@ -412,7 +424,8 @@ def sum_bound_check(s: SegmentSum, engine: SegmentEngine) -> SegmentBoundsReport
 
 
 def segment_union_tree(parts: Iterable[int]) -> Game:
-    """The game tree of a union of segments, from a fresh engine's keys."""
+    """The game tree of a union of segments, on a new engine's keys and
+    from the trees its mode's table already holds."""
     return SegmentEngine().tree(SegmentSum(parts))
 
 

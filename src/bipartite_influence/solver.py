@@ -243,9 +243,11 @@ class ZeroWindowSearch:
         child's game is seen from the opponent's seat.  The opponent's are
         ``T(child) - gain - shift`` over the children of the other seat.
         Each node is audited and simplified as soon as it is built, so a
-        dominated option grows no subtree, and is kept for the life of the
-        search.  A node whose other seat is already built is that tree
-        negated, less ``shift``.  A zugzwang node raises ``ValueError``.
+        dominated option grows no subtree, and is kept in ``_trees``: a
+        ``Solver``'s own table, or the table every ``SegmentEngine`` of one
+        rewrite mode shares.  A node whose other seat is already built is
+        that tree negated, less ``shift``.  A zugzwang node raises
+        ``ValueError``.
         """
         hit = self._trees.get(node)
         if hit is None:

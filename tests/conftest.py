@@ -45,6 +45,7 @@ from bipartite_influence.graphs import (
     legal_moves,
     strip_isolated,
 )
+from bipartite_influence import segments
 from bipartite_influence.segments import segment_moves
 from bipartite_influence.thermo import (
     PiecewiseLinear,
@@ -357,6 +358,16 @@ def ref_thermograph(g: Game, memo: dict[int, Thermograph] | None = None) -> Ther
 @pytest.fixture
 def rng():
     return random.Random(20260819)
+
+
+@pytest.fixture
+def fresh_trees(monkeypatch):
+    """Empty segment tree tables for one test, so every engine it makes
+    builds its trees afresh instead of reading what earlier tests built;
+    the tables the process had come back afterwards."""
+    for use_rewrite in (True, False):
+        monkeypatch.setitem(segments._TREES, use_rewrite, {})
+    return segments._TREES
 
 
 ACCEPTANCE_VERDICTS: list[str] = []

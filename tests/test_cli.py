@@ -411,7 +411,7 @@ class TestEquiv:
         assert rc == EXIT_OK
         assert "no" in out
 
-    def test_both_sides_share_one_engine(self, capsys, monkeypatch):
+    def test_both_sides_share_one_engine(self, capsys, monkeypatch, fresh_trees):
         import bipartite_influence.cli as cli_module
 
         made = []

@@ -246,10 +246,11 @@ class TestUniverse:
             pos = Position.make(random_ground(rng, max_n=8))
             assert audit_universe(whole_position_tree(pos)) is None
 
-    def test_canonical_build_rejects_zugzwang(self, monkeypatch):
+    def test_canonical_build_rejects_zugzwang(self, monkeypatch, fresh_trees):
         # no Influence position has a zugzwang, so stand one in for the
         # audit of the search's tree loop; raw_union_tree builds full trees
-        # unaudited
+        # unaudited, and fresh tables keep a tree built earlier from
+        # skipping the audit
         import bipartite_influence.games as games_module
 
         monkeypatch.setattr(games_module, "audit_universe", lambda g: "zugzwang subtree")

@@ -35,6 +35,7 @@ from bipartite_influence.games import (
     add_all,
     equivalent,
     ls,
+    negate,
     number,
     rs,
     simplify,
@@ -638,16 +639,17 @@ class TestCanonicalTrees:
                 assert ref_is_simplified(tree)
                 assert thermograph(tree) == thermograph(full)
 
-    def test_a_seat_is_its_built_twin_negated(self):
-        """S_±5..S_±21 built in either order, on one engine per order: the
-        segment built second is read off the first, with no move
-        expanded, and each segment's two trees are equivalent with its
-        scores."""
+    def test_a_seat_is_its_built_twin_negated(self, fresh_trees):
+        """S_±5..S_±21 built in either order, on one engine and empty tree
+        tables per order: the segment built second is read off the first,
+        with no move expanded, and each segment's two trees are equivalent
+        with its scores."""
         def expand(node):
             raise AssertionError("the second seat expanded a node")
 
         trees = {}
         for order in ((1, -1), (-1, 1)):
+            fresh_trees[True] = {}
             engine = SegmentEngine()
             for n in range(5, 22):
                 first, second = order
@@ -672,6 +674,68 @@ class TestCanonicalTrees:
             offset = rng.randint(-3, 3)
             assert_canonical_form_of(add(number(offset), segment_union_tree(parts)),
                                      full_union_tree(parts, offset))
+
+
+class TestSharedTrees:
+    """Every engine of one rewrite mode reads and fills one tree table, so
+    a tree is built once per process."""
+
+    def test_warm_trees_expand_nothing(self, monkeypatch, fresh_trees):
+        expanded = []
+        children = SegmentEngine._children
+
+        def counted(self, node):
+            expanded.append(node)
+            return children(self, node)
+
+        monkeypatch.setattr(SegmentEngine, "_children", counted)
+        segment_union_tree([35])
+        assert expanded
+        for parts in ([35], [21, 7], [3, 5, 7], [-6, 9]):
+            first = segment_union_tree(parts)
+            expanded.clear()
+            assert segment_union_tree(parts) is first
+            assert expanded == [], parts
+        for n in range(1, 23, 2):
+            segment_union_tree([n])
+            expanded.clear()
+            assert equivalent(segment_union_tree([-n]), negate(segment_union_tree([n])))
+            assert expanded == [], n
+        a, b = SegmentEngine(), SegmentEngine()
+        assert a._trees is b._trees is fresh_trees[True]
+        s = SegmentSum([11, -4])
+        assert a.tree(s) is b.tree(s)
+
+    def test_warm_trees_equal_cold_trees(self, fresh_trees):
+        # Each union is built warm after its mirror, so it may be read off
+        # its twin: compare values, not forms.
+        rng = random.Random(26)
+        unions = []
+        for _ in range(40):
+            sizes = [rng.randint(1, 14)]
+            while len(sizes) < 3 and sum(sizes) < 14 and rng.random() < 0.6:
+                sizes.append(rng.randint(1, 14 - sum(sizes)))
+            unions.append([rng.choice((size, -size)) for size in sizes])
+        warm = {}
+        for parts in unions:
+            segment_union_tree([-p if p & 1 else p for p in parts])
+            warm[tuple(parts)] = segment_union_tree(parts)
+        for parts in unions:
+            fresh_trees[True] = {}
+            cold = segment_union_tree(parts)
+            hot = warm[tuple(parts)]
+            full = raw_union_tree(parts)
+            assert equivalent(hot, cold), parts
+            assert equivalent(hot, full) and equivalent(cold, full), parts
+            a, b = thermograph(hot), thermograph(cold)
+            assert (a.sigma, a.mast) == (b.sigma, b.mast), parts
+
+    def test_one_table_per_rewrite_mode(self, fresh_trees):
+        s = SegmentSum([13, -10, 5])
+        plain = SegmentEngine(use_rewrite=False).tree(s)
+        assert fresh_trees[True] == {} and fresh_trees[False]
+        assert equivalent(plain, SegmentEngine().tree(s))
+        assert fresh_trees[True]
 
 
 class TestRulesAsGameEqualities:
