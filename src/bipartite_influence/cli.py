@@ -41,7 +41,6 @@ from .reduction import (
 )
 from .segments import (
     SegmentEngine,
-    SegmentSum,
     check_period_args,
     periodicity_scan,
     raw_union_tree,
@@ -270,15 +269,13 @@ def cmd_thermo(args, settings) -> int:
 
 
 def cmd_equiv(args, settings) -> int:
-    engine = SegmentEngine()  # both sides share its keys and trees
-
     def side(sum_text, game_text, offset):
         if (sum_text is None) == (game_text is None):
             raise ValueError("give each side exactly one of a sum or a game")
         if game_text is not None:
             g = parse_game(game_text)
         else:
-            g = engine.tree(SegmentSum(parse_segment_list(sum_text)))
+            g = segment_union_tree(parse_segment_list(sum_text))
         return add(number(offset), g)
 
     a = side(args.sum_a, args.game_a, args.offset_a)

@@ -102,7 +102,7 @@ def parse_pos_cnf(text: str) -> PosCnf:
         clauses.append(current)
     if not clauses:
         raise ValueError("formula has no clauses")
-    num_vars = declared_vars or max(max(c) for c in clauses)
+    num_vars = max(map(max, clauses)) if declared_vars is None else declared_vars
     if declared_clauses is not None and declared_clauses != len(clauses):
         raise ValueError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}"

@@ -23,7 +23,9 @@ parts plus banked points, and a part that fires none joins the key:
 
 The engine generates the children of ``solver.ZeroWindowSearch``, the
 zero-window search the board solver runs too: MTD(f) passes of fail-soft
-negamax from Black's seat.  Moves are tried most vertices pocketed first,
+negamax from Black's seat.  ``scores`` and ``tree`` reduce the parts once
+and hand the key to the search's root helpers, which read White's seat off
+the key's reduced mirror.  Moves are tried most vertices pocketed first,
 and a child's key is reduced only when the search reaches its move, so
 the children a cutoff skips cost nothing.
 Proven scores go in the memo, which is what the cache file holds; bounds
@@ -185,14 +187,12 @@ class SegmentEngine(ZeroWindowSearch):
 
     def scores(self, s: SegmentSum) -> ScorePair:
         core, shift = self._reduce(s.parts)
-        mcore, mshift = self._reduce([-p if p & 1 else p for p in s.parts])
-        return ScorePair(s.offset + shift + self._exact(core),
-                         s.offset - mshift - self._exact(mcore))
+        return self._pair(core, s.offset + shift)
 
     def tree(self, s: SegmentSum) -> Game:
         """The game tree of ``s``, built on the memo keys and simplified."""
         core, shift = self._reduce(s.parts)
-        return add(self._tree(core), number(s.offset + shift))
+        return self._game(core, s.offset + shift)
 
     def _other_seat(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """The reduced mirror of ``key`` and its banked points: flipping

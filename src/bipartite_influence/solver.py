@@ -4,17 +4,19 @@ Left score Ls is the best final score (Left points minus Right points) when
 Left moves first and both players play perfectly; Rs is the same with Right
 moving first.  ``ZeroWindowSearch`` is the package's one search: MTD(f)
 (Plaat, Schaeffer, Pijls and de Bruin, "Best-first fixed-depth minimax
-algorithms", AI 87, 1996), repeated fail-soft zero-window negamax passes
-from the mover's seat that narrow a (lower, upper) bound pair until it is
-exact.  Its memo keeps those bounds, and the scores they prove, across
-passes and queries.  A node is its own memo key, so each search method takes
-one node.  Two child generators drive it: ``Solver`` over sums of connected
-components, and ``segments.SegmentEngine`` over reduced unions of segments.
-The same generators, on a node and on its other seat (the same position with
-the other player to move, with ``_other_seat`` returning ``(other, shift)``),
-make the one game-tree loop, ``ZeroWindowSearch._tree``.  The solver tries
-moves in order of immediate gain and builds each successor only when the
-search reaches it.  A move in one component of a sum leaves the others as
+algorithms", AI 87, 1996), whose loop is ``_exact``: repeated fail-soft
+zero-window negamax passes from the mover's seat that narrow a (lower,
+upper) bound pair until it is exact.  Its memo keeps those bounds, and the
+scores they prove, across passes and queries.  A node is its own memo key,
+so each search method takes one node.  Two child generators drive it:
+``Solver`` over sums of connected components, and ``segments.SegmentEngine``
+over reduced unions of segments.  The same generators, on a node and on its
+other seat (the same position with the other player to move, with
+``_other_seat`` returning ``(other, shift)``), make the one game-tree loop,
+``ZeroWindowSearch._tree``.  An engine turns its input into a root node plus
+banked points, and ``_pair`` and ``_game`` read Ls, Rs and the game off it.
+The solver tries moves in order of immediate gain and builds each successor
+only when the search reaches it.  A move in one component of a sum leaves the others as
 they were, so a successor is folded from its parent: only the rest of the
 played component is split, and its pieces cancel into them or are inserted
 among them in key order.  Move lists are made once per mover and component
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import games
 from .graphs import (
@@ -111,25 +112,6 @@ def prune_dominated(masks: list[int]) -> list[int]:
     return kept
 
 
-def mtdf(test: Callable[[int], int], lo: int, hi: int, guess: int = 0) -> int:
-    """The exact score in ``[lo, hi]`` of a position, by MTD(f).
-
-    ``test(beta)`` is a fail-soft zero-window search: a value ``v >= beta``
-    is a lower bound on the score, a value ``v < beta`` an upper bound.
-    Each pass asks whether the score reaches ``beta`` and narrows the
-    bounds, starting from ``guess``, until they meet.
-    """
-    g = min(max(guess, lo), hi)
-    while lo < hi:
-        beta = g + 1 if g == lo else g
-        g = test(beta)
-        if g < beta:
-            hi = g
-        else:
-            lo = g
-    return lo
-
-
 def _negated_pair(ka: tuple, kb: tuple, positions: dict, cache: dict) -> bool:
     """True when the components under keys ``ka`` and ``kb`` cancel:
     ``a + b = 0``, with ``positions`` mapping each key to its component.
@@ -176,7 +158,7 @@ class ZeroWindowSearch:
     position with the other player to move: a pair ``(other, shift)`` such
     that the game of ``other`` from its mover's seat, plus the banked
     points ``shift``, is minus the game of ``node``.  The two seats give
-    :meth:`_tree` its two sides.
+    :meth:`_tree` its two sides and :meth:`_pair` its two scores.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -189,12 +171,34 @@ class ZeroWindowSearch:
     _bounds = property(lambda self: self.table.bounds)
 
     def _exact(self, node, guess: int = 0) -> int:
-        """The exact score of ``node``, by :func:`mtdf` over :meth:`_test`."""
+        """The exact score of ``node`` by MTD(f): :meth:`_test` passes, the
+        first at ``guess``, narrow its bounds until they meet."""
         exact = self.table.memo.get(node)
         if exact is not None:
             return exact
-        n = self._bound(node)
-        return mtdf(lambda beta: self._test(node, beta), -n, n, guess)
+        hi = self._bound(node)
+        lo = -hi
+        g = min(max(guess, lo), hi)
+        while lo < hi:
+            beta = g + 1 if g == lo else g
+            g = self._test(node, beta)
+            if g < beta:
+                hi = g
+            else:
+                lo = g
+        return lo
+
+    def _pair(self, node, offset: int) -> ScorePair:
+        """Ls and Rs of the root ``node`` plus ``offset``: Rs from the other
+        seat, whose first pass asks whether Rs reaches Ls."""
+        ls = self._exact(node)
+        other, shift = self._other_seat(node)
+        rs = -shift - self._exact(other, guess=1 - ls - shift)
+        return ScorePair(offset + ls, offset + rs)
+
+    def _game(self, node, offset: int) -> games.Game:
+        """The game of the root ``node`` plus banked ``offset``."""
+        return games.add(self._tree(node), games.number(offset))
 
     def _test(self, node, beta: int) -> int:
         """Fail-soft zero-window search: a value ``v >= beta`` is a lower
@@ -290,27 +294,22 @@ class Solver(ZeroWindowSearch):
         return self.score_of_sum([position])
 
     def score_of_sum(self, parts: list[Position]) -> ScorePair:
-        offset = 0
-        keys: list[tuple] = []
-        for part in parts:
-            part = strip_isolated(part)
-            offset += part.offset
-            keys.extend(self._keys(part))
-        keys = self._cancel(keys)
-        ls = self._exact((1, keys))
-        # White's first pass asks whether Rs reaches Ls
-        rs = -self._exact((-1, keys), guess=1 - ls)
-        return ScorePair(offset + ls, offset + rs)
+        return self._pair(*self._root(parts))
 
     def tree(self, position: Position) -> games.Game:
         """The game of ``position``, simplified node by node on the
         solver's keys, so it is built with folding, cancellation and (with
         ``prune``) dominated-move pruning."""
-        position = strip_isolated(position)
-        keys = self._cancel(self._keys(position))
-        return games.add(self._tree((1, keys)), games.number(position.offset))
+        return self._game(*self._root([position]))
 
     # -- internals ---------------------------------------------------------
+
+    def _root(self, parts: list[Position]) -> tuple[tuple[int, tuple], int]:
+        """The root node of a sum of positions, Left to move, and its banked
+        points."""
+        parts = [strip_isolated(part) for part in parts]
+        keys = [key for part in parts for key in self._keys(part)]
+        return (1, self._cancel(keys)), sum(part.offset for part in parts)
 
     def _keys(self, position: Position) -> list[tuple]:
         """The canonical keys of the components of ``position``; a key

@@ -148,9 +148,9 @@ def find_bw(g: GroundGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcom
                 mapping[b] = w
                 mapping[w] = b
             return tuple(mapping)
-        pending = [b for b in blacks if b not in assignment]
-        choice = min(pending, key=lambda b: len(viable(b)))
-        for w in viable(choice):
+        options = {b: viable(b) for b in blacks if b not in assignment}
+        choice = min(options, key=lambda b: len(options[b]))
+        for w in options[choice]:
             nodes += 1
             if nodes > budget:
                 return "budget"

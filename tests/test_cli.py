@@ -21,6 +21,7 @@ from bipartite_influence.cli import (
 )
 from bipartite_influence.games import format_game
 from bipartite_influence.graphs import Position, build_segment
+from bipartite_influence.segments import segment_union_tree
 
 from conftest import FROZEN_TABLE_120, whole_position_tree
 
@@ -411,21 +412,14 @@ class TestEquiv:
         assert rc == EXIT_OK
         assert "no" in out
 
-    def test_both_sides_share_one_engine(self, capsys, monkeypatch, fresh_trees):
-        import bipartite_influence.cli as cli_module
-
-        made = []
-
-        class Counted(cli_module.SegmentEngine):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-        monkeypatch.setattr(cli_module, "SegmentEngine", Counted)
+    def test_side_b_reads_side_a_trees(self, capsys, fresh_trees):
         rc, out, _ = run(capsys, "equiv", "--sum-a", "5,5", "--sum-b", "2", "--offset-b", "2")
         assert (rc, out) == (EXIT_OK, "equivalent: yes\n")
+        keys = set(fresh_trees[True])
+        fresh_trees[True].clear()
+        segment_union_tree([5, 5])
         # 5,5 reduces to the key of 2 plus 2 points, so side B reads side A's tree
-        assert len(made) == 1 and (2,) in made[0]._trees
+        assert (2,) in keys and keys == set(fresh_trees[True])
 
     def test_side_needs_exactly_one_source(self, capsys):
         rc, _, err = run(capsys, "equiv", "--sum-a", "3",
@@ -516,6 +510,13 @@ class TestReduce:
         cnf.write_text("1 -2 0\n")
         rc, _, err = run(capsys, "reduce", "--cnf", str(cnf))
         assert rc == EXIT_INPUT
+
+    def test_zero_declared_variables_is_rejected(self, capsys, tmp_path):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 0 1\n1 0\n")
+        rc, out, err = run(capsys, "reduce", "--cnf", str(cnf))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "error: formula needs at least one variable\n"
 
     def test_huge_header_is_rejected_before_building(self, tmp_path):
         """3200 variables make a board of 20486401 vertices: the capacity

@@ -118,6 +118,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="declares"):
             parse_pos_cnf("p cnf 2 3\n1 0 2 0")
 
+    def test_honours_a_declared_count_of_zero(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            parse_pos_cnf("p cnf 0 1\n1 0")
+        assert parse_pos_cnf("p cnf 3 1\n1 0").num_vars == 3
+
     def test_rejects_malformed_header(self):
         with pytest.raises(ValueError, match="header"):
             parse_pos_cnf("p cnf x y\n1 0")

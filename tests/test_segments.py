@@ -135,6 +135,21 @@ class TestNormalForm:
             rng.shuffle(parts)
             assert eng._reduce(parts) == (key, points), parts
 
+    @pytest.mark.parametrize("rewrite", [True, False], ids=["rewrite", "oracle"])
+    def test_other_seat_of_a_key_is_the_mirrored_key(self, rewrite):
+        """``scores`` reads Rs off the other seat of the reduced key, which
+        is the key of the mirrored parts, with the key's banked points
+        taken off the mirror's."""
+        eng = SegmentEngine(use_rewrite=rewrite)
+        rng = random.Random(2027)
+        sizes = [v for v in range(-30, 31) if v]
+        for _ in range(3000):
+            parts = [rng.choice(sizes) for _ in range(rng.randint(1, 6))]
+            key, shift = eng._reduce(parts)
+            other, oshift = eng._other_seat(key)
+            mirrored = eng._reduce([-p if p & 1 else p for p in parts])
+            assert (other, oshift - shift) == mirrored, parts
+
     def test_rule_tables_are_oriented(self):
         # parts are oriented before their rule is read, so a rule on a
         # negative even part, or a negative even partner, would never fire
@@ -583,6 +598,12 @@ class TestUnionTrees:
         assert tree is add_all([number(offset)] + singles)
         assert tree is add(raw_union_tree(parts), number(offset))
         assert_canonical_form_of(add(number(offset), segment_union_tree(parts)), tree)
+        s = SegmentSum(parts, offset)
+        pair = SegmentEngine().scores(s)
+        assert pair == SegmentEngine(use_rewrite=False).scores(s)
+        assert pair == Solver().score_of_sum([board])
+        alone = Solver().score_of_sum(pieces)
+        assert pair == ScorePair(alone.ls + offset, alone.rs + offset)
 
     # Induced paths in a 4x4 grid (vertex i * 4 + j, Black on even i + j):
     # a staircase from the Black corner, one from a White vertex, an even
