@@ -303,9 +303,12 @@ class Position:
             raise ValueError("alive mask has bits outside the graph")
         adj = ground.adj
         isolated = 0
-        for v in _bits(alive):
-            if adj[v] & alive == 0:
-                isolated |= 1 << v
+        scan = alive
+        while scan:  # one lowest set bit at a time
+            low = scan & -scan
+            scan ^= low
+            if adj[low.bit_length() - 1] & alive == 0:
+                isolated |= low
         if isolated:
             offset += (isolated & ground.black_mask).bit_count()
             offset -= (isolated & ground.white_mask).bit_count()

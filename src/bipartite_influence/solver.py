@@ -16,23 +16,27 @@ other seat (the same position with the other player to move, with
 ``ZeroWindowSearch._tree``.  An engine turns its input into a root node plus
 banked points, and ``_pair`` and ``_game`` read Ls, Rs and the game off it.
 The solver tries moves in order of immediate gain and builds each successor
-only when the search reaches it.  A move in one component of a sum leaves the others as
-they were, so a successor is folded from its parent: only the rest of the
-played component is split, and its pieces cancel into them or are inserted
-among them in key order.  Move lists are made once per mover and component
-key, on the first position seen under it, so equal paths on different
-grounds share one for the solver's life.
+only when the search reaches it.  A move in one component of a sum leaves
+the others as they were, so a successor is folded from its parent: only the
+rest of the played component is split, and its pieces cancel into them or
+are inserted among them in key order.  Those pieces depend only on the
+component key and the move, so a node of two or more components keeps them
+per (key, removed mask), and every later node that plays the same move beside
+other components reads them back.  Move lists are made once per mover and
+component key, on the first position seen under it, so equal paths on
+different grounds share one for the solver's life.
 A move is the int mask of the vertices it removes: ``graphs.legal_moves``
 makes a move list and ``prune_dominated`` drops its dominated moves.
 Transposition keys bring path components to canonical form, and pairs of
-components cancel before lookup when a mirror certificate on their union
-(``symmetry.find_bw``) gives Ls = Rs = 0: in Milnor's universe (dicotic,
-free of zugzwang, as every position here) such a game is zero.
+components cancel before lookup: a path with its one partner key, and other
+pairs when a mirror certificate on their union (``symmetry.find_bw``) gives
+Ls = Rs = 0: in Milnor's universe (dicotic, free of zugzwang, as every
+position here) such a game is zero.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from . import games
@@ -112,26 +116,38 @@ def prune_dominated(masks: list[int]) -> list[int]:
     return kept
 
 
+def _path_partner(key: tuple) -> tuple | None:
+    """The one key a path key ``("seg", n)`` cancels with: the key itself
+    when n is even (an even path is its own negative), ``("seg", -n)`` when
+    n is odd.  None for a key that is not a path."""
+    if key[0] != "seg":
+        return None
+    return key if key[1] % 2 == 0 else ("seg", -key[1])
+
+
 def _negated_pair(ka: tuple, kb: tuple, positions: dict, cache: dict) -> bool:
     """True when the components under keys ``ka`` and ``kb`` cancel:
     ``a + b = 0``, with ``positions`` mapping each key to its component.
 
-    Paths compare the segment values in their keys.  ``b = a.negated()``
+    A path cancels only its :func:`_path_partner`.  ``b = a.negated()``
     cancels at any size.  Other equal-size pairs of at most ten vertices
     cancel when their union has a mirror certificate: mirroring gives
     Ls = Rs = 0 on ``a + b``.  This accepts every negative pair: swapping
     ``a`` and ``b`` is a certificate whose pairs lie in different components.
+    A certificate swaps colours, so a union whose colour counts differ
+    (Black(a) + Black(b) != |a|) is rejected before it is built, as
+    ``find_bw`` would reject it.
     """
-    if ka[0] == "seg" or kb[0] == "seg":
-        if ka[0] != kb[0]:
-            return False
-        if ka[1] % 2 == 0:
-            return ka == kb  # even paths are their own negatives
-        return ka[1] == -kb[1]
+    partner = _path_partner(kb)
+    if partner is not None or ka[0] == "seg":
+        return ka == partner
     pa, pb = positions[ka], positions[kb]
     if pb.alive == pa.alive and pb.ground is pa.ground.color_swapped():
         return True
-    if pa.vertex_count != pb.vertex_count or pa.vertex_count > 10:
+    n = pa.vertex_count
+    if pb.vertex_count != n or n > 10:
+        return False
+    if pa.alive_of_color(BLACK).bit_count() + pb.alive_of_color(BLACK).bit_count() != n:
         return False
     hit = cache.get((ka, kb))
     if hit is None:
@@ -275,18 +291,29 @@ class ZeroWindowSearch:
 class Solver(ZeroWindowSearch):
     """Exact scores of sums of components.  A node is the sign of the
     mover's gains (1 for Left, -1 for Right) and the sorted keys of the
-    components from :meth:`_cancel`.  ``_positions`` keeps the first
-    position seen under each component key, the one the search plays on;
-    ``_moves`` keeps, per mover, the move list of each component key, and
-    ``_masks`` one int per distinct removed set, for the solver's life."""
+    components from :meth:`_cancel`.  The solver keeps these tables for its
+    life:
+
+    - ``_positions``: the first position seen under each component key,
+      the one the search plays on; ``_interned`` holds one object per
+      distinct key, so nodes and tables share their key tuples;
+    - ``_moves``: per mover, the move list of each component key, and
+      ``_masks`` one int per distinct removed set;
+    - ``_pieces``: ``(key, removed)`` to the sorted keys of the pieces the
+      move leaves of that component, filled in nodes of two or more
+      components, where the same move comes back beside other components;
+    - ``_pair_cache``: the mirror-certificate verdicts of non-path pairs.
+    """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
         super().__init__(node_budget)
         self.prune = prune
         self._pair_cache: dict = {}
         self._positions: dict[tuple, Position] = {}
+        self._interned: dict[tuple, tuple] = {}
         self._moves: dict[int, dict[tuple, tuple[int, ...]]] = {1: {}, -1: {}}
         self._masks: dict[int, int] = {}
+        self._pieces: dict[tuple[tuple, int], tuple] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -308,16 +335,22 @@ class Solver(ZeroWindowSearch):
         """The root node of a sum of positions, Left to move, and its banked
         points."""
         parts = [strip_isolated(part) for part in parts]
-        keys = [key for part in parts for key in self._keys(part)]
+        keys = sorted(key for part in parts for key in self._keys(part))
         return (1, self._cancel(keys)), sum(part.offset for part in parts)
 
     def _keys(self, position: Position) -> list[tuple]:
-        """The canonical keys of the components of ``position``; a key
-        seen for the first time keeps its component in ``_positions``."""
-        comps = components(position)
-        keys = [canonical_key(c) for c in comps]
-        for key, comp in zip(keys, comps):
-            self._positions.setdefault(key, comp)
+        """The canonical keys of the components of ``position``, one
+        object per distinct key; a key seen for the first time keeps its
+        component in ``_positions``."""
+        interned = self._interned
+        keys = []
+        for comp in components(position):
+            key = canonical_key(comp)
+            same = interned.get(key)
+            if same is None:
+                interned[key] = same = key
+                self._positions[key] = comp
+            keys.append(same)
         return keys
 
     def _other_seat(self, node: tuple[int, tuple]):
@@ -325,19 +358,32 @@ class Solver(ZeroWindowSearch):
         negates the game."""
         return (-node[0], node[1]), 0
 
-    def _cancel(self, new: list[tuple], others: tuple = ()) -> tuple:
-        """``others``, sorted, with the keys in ``new`` added in order: each
-        cancels the first component it can, or is inserted in order.
+    def _cancel(self, new: list[tuple] | tuple, others: tuple = ()) -> tuple:
+        """``others``, sorted, with the sorted keys ``new`` added in order:
+        each cancels the first component it can, or is inserted in order.
         ``others``, the rest of a child's parent, cancels no pair, so only
-        pairs with a new piece are tested."""
+        pairs with a new piece are tested.  A path looks up its one
+        partner key, and any other piece tests only the components before
+        the first path: ``"g"`` sorts before ``"seg"``, and a path cancels
+        only a path."""
         if not new:
             return others
         out = list(others)
-        for c in sorted(new):
-            for i, other in enumerate(out):
-                if _negated_pair(other, c, self._positions, self._pair_cache):
-                    del out[i]
-                    break
+        for c in new:
+            partner = _path_partner(c)
+            if partner is not None:
+                i = bisect_left(out, partner)
+                hit = i < len(out) and out[i] == partner
+            else:
+                hit = False
+                for i, other in enumerate(out):
+                    if other[0] == "seg":
+                        break
+                    if _negated_pair(other, c, self._positions, self._pair_cache):
+                        hit = True
+                        break
+            if hit:
+                del out[i]
             else:
                 insort(out, c)
         return tuple(out)
@@ -363,9 +409,13 @@ class Solver(ZeroWindowSearch):
 
     def _children(self, node: tuple[int, tuple]):
         """The mover's moves, largest gains first, each successor folded
-        only when the search reaches it: the played component's rest, in
-        which no vertex is stranded, is split and cancelled into the other
-        components.  A repeated successor reads the bounds of its first."""
+        only when the search reaches it: the sorted keys of the played
+        component's pieces, read from ``_pieces`` or made by splitting its
+        rest (in which no vertex is stranded), are cancelled into the other
+        components.  A node of two or more components stores the pieces it
+        makes; in a node of one, a move comes back only when that node is
+        expanded again.  A repeated successor reads the bounds of its
+        first."""
         sign, keys = node
         moves = []
         for idx, key in enumerate(keys):
@@ -373,11 +423,17 @@ class Solver(ZeroWindowSearch):
                 continue  # identical component, symmetric moves
             moves.extend((idx, removed) for removed in self._move_list(sign, key))
         moves.sort(key=lambda im: -im[1].bit_count())
+        store = len(keys) > 1
+        table = self._pieces
         for idx, removed in moves:
-            comp = self._positions[keys[idx]]
-            rest = Position(comp.ground, comp.alive & ~removed)
-            merged = self._cancel(self._keys(rest), keys[:idx] + keys[idx + 1 :])
-            yield removed.bit_count(), (-sign, merged)
+            key = keys[idx]
+            pieces = table.get((key, removed))
+            if pieces is None:
+                comp = self._positions[key]
+                pieces = tuple(sorted(self._keys(Position(comp.ground, comp.alive & ~removed))))
+                if store:
+                    table[key, removed] = pieces
+            yield removed.bit_count(), (-sign, self._cancel(pieces, keys[:idx] + keys[idx + 1 :]))
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,24 @@ def ref_removal_closure(position: Position, v: int) -> int:
     return removed
 
 
+def ref_cancel(new, others, negated) -> tuple:
+    """``others`` with the keys of ``new`` added one at a time in sorted
+    order, each tested by ``negated(other, key)`` against every key already
+    there, first to last: the first that cancels it goes, and a key that
+    cancels none is inserted and the list re-sorted.  The all-pairs
+    reference for ``Solver._cancel``, which looks up a path's one partner
+    and tests any other piece only against the components that are not
+    paths."""
+    out = sorted(others)
+    for key in sorted(new):
+        hit = next((i for i, other in enumerate(out) if negated(other, key)), None)
+        if hit is None:
+            out = sorted(out + [key])
+        else:
+            del out[hit]
+    return tuple(out)
+
+
 _REF_SEGMENT_MEMO: dict[tuple[tuple[int, ...], bool], int] = {}
 
 

@@ -30,11 +30,13 @@ from bipartite_influence.solver import (
     milnor_audit,
     prune_dominated,
 )
+from bipartite_influence.symmetry import find_bw
 
 from conftest import (
     random_ground,
     random_position,
     raw_scores,
+    ref_cancel,
     ref_removal_closure,
     whole_position_tree,
 )
@@ -161,6 +163,10 @@ def _grow_piece(rng, g, size):
     return piece
 
 
+# A piece whose translate by (4, 3) on torus 8x8 is its mirror image with
+# the colours swapped, so the two cancel by a mirror certificate.
+MIRROR_PIECE = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2)]
+
 # A balanced piece whose colour-swapped degree profile equals its own, so
 # only a full search can tell that two copies of it do not cancel.
 BALANCED_PIECE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3), (2, 1)]
@@ -243,8 +249,7 @@ class TestCancellation:
 
     def test_mirror_pieces_on_one_board_cancel(self):
         g = build_torus(8, 8)
-        piece = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2)]
-        alive = _torus_cells(8, 8, piece) | _torus_cells(8, 8, piece, 4, 3)
+        alive = _torus_cells(8, 8, MIRROR_PIECE) | _torus_cells(8, 8, MIRROR_PIECE, 4, 3)
         a, b = components(Position.make(g, alive))
         assert a.vertex_count == b.vertex_count == 6
         ka, kb = canonical_key(a), canonical_key(b)
@@ -255,10 +260,8 @@ class TestCancellation:
         assert (pair.ls, pair.rs) == (0, 0) == raw_scores(g, alive)
         assert solver.nodes == 0
 
-    @pytest.mark.parametrize("piece", [
-        [(0, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2)],
-        BALANCED_PIECE,
-    ], ids=["unbalanced", "balanced"])
+    @pytest.mark.parametrize("piece", [MIRROR_PIECE, BALANCED_PIECE],
+                             ids=["unbalanced", "balanced"])
     def test_equal_size_non_mirror_pieces_stay(self, piece):
         # the translate by (4, 4) keeps the colours: a copy, not a negative
         g = build_torus(8, 8)
@@ -268,7 +271,7 @@ class TestCancellation:
         solver = Solver()
         ka, kb = solver._keys(Position.make(g, alive))
         assert not _negated_pair(ka, kb, solver._positions, {})
-        assert solver._cancel([ka, kb]) == tuple(sorted([ka, kb]))
+        assert solver._cancel(sorted([ka, kb])) == tuple(sorted([ka, kb]))
         assert raw_scores(g, alive) != (0, 0)
 
     def test_accepted_pairs_score_zero(self, rng):
@@ -316,7 +319,7 @@ class TestCancellation:
         g, alive, solver, keys = self.t_pieces(*offsets)
         pair = Solver().scores(Position.make(g, alive))
         assert (pair.ls, pair.rs) == raw_scores(g, alive)
-        assert len(solver._cancel(keys)) == 1
+        assert len(solver._cancel(sorted(keys))) == 1
 
     def test_three_mutual_negatives(self):
         # c1 could cancel the parent's ``a`` or the new ``c2``; either way
@@ -324,8 +327,74 @@ class TestCancellation:
         _, _, solver, (c1, c2, a) = self.t_pieces((0, 5), (5, 0))
         positions = solver._positions
         assert _negated_pair(c1, c2, positions, {}) and _negated_pair(c1, a, positions, {})
-        (left,) = solver._cancel([c1, c2], (a,))
+        (left,) = solver._cancel(sorted([c1, c2]), (a,))
         assert Solver().scores(positions[left]) == Solver().scores(positions[a])
+
+    def test_matches_the_all_pairs_greedy(self):
+        """``_cancel`` against ``conftest.ref_cancel`` on seeded key lists
+        that mix repeated path keys of both parities and signs with the
+        non-path pieces above: a T with two negatives and a copy, the
+        mirror pair and two copies of the balanced piece."""
+        _, _, solver, pool = self.t_pieces((0, 5), (5, 0), (5, 5))
+        g = build_torus(8, 8)
+        for piece, shift in ((MIRROR_PIECE, (4, 3)), (BALANCED_PIECE, (4, 4))):
+            alive = _torus_cells(8, 8, piece) | _torus_cells(8, 8, piece, *shift)
+            pool += solver._keys(Position.make(g, alive))
+        for n in (2, 3, -3, 4, 5, -5, 6, 7, -7, 9, -9):
+            pool += solver._keys(Position.make(build_segment(n)))
+        assert len(set(pool)) == len(pool) == 19
+        cache: dict = {}
+
+        def negated(a, b):
+            return _negated_pair(a, b, solver._positions, cache)
+
+        rng = random.Random(2801)
+        cancelled = {"seg": 0, "g": 0}
+        for _ in range(3000):
+            others = sorted(rng.choices(pool, k=rng.randint(0, 6)))
+            new = sorted(rng.choices(pool, k=rng.randint(1, 4)))
+            want = ref_cancel(new, others, negated)
+            assert solver._cancel(new, tuple(others)) == want, (new, others)
+            for kind in cancelled:
+                before = sum(key[0] == kind for key in new + others)
+                cancelled[kind] += before - sum(key[0] == kind for key in want)
+        assert min(cancelled.values()) > 500, cancelled
+
+    def test_colour_counts_screen_pairs_before_find_bw(self, monkeypatch):
+        """Equal-size pieces cut from torus 6x6 and grid 6x6 in both
+        colourings: ``_negated_pair`` gives the verdict ``find_bw`` gives on
+        their union, and hands it no union whose colour counts differ, in
+        this sample or in a search on a shared solver."""
+        import bipartite_influence.solver as solver_module
+
+        balanced = []
+
+        def counting(g, *args):
+            balanced.append(2 * g.black_mask.bit_count() == g.n)
+            return find_bw(g, *args)
+
+        monkeypatch.setattr(solver_module, "find_bw", counting)
+        boards = [build_torus(6, 6), build_grid(6, 6)]
+        boards += [g.color_swapped() for g in boards]
+        rng = random.Random(2802)
+        unbalanced = found = 0
+        for _ in range(400):
+            size = rng.randint(3, 8)
+            a, b = (Position.make(g, _grow_piece(rng, g, size))
+                    for g in (rng.choice(boards), rng.choice(boards)))
+            ka, kb = canonical_key(a), canonical_key(b)
+            if ka[0] == "seg" or kb[0] == "seg" or a.vertex_count != b.vertex_count:
+                continue  # a path is read off its key
+            want = find_bw(disjoint_union((a, b))).status == "found"
+            assert _negated_pair(ka, kb, {ka: a, kb: b}, {}) == want, (a, b)
+            blacks = a.alive_of_color(BLACK).bit_count() + b.alive_of_color(BLACK).bit_count()
+            unbalanced += blacks != a.vertex_count
+            found += want
+        shared = Solver()
+        for parts in _memo_queries(random.Random(2803), 30):
+            shared.score_of_sum(parts)
+        assert unbalanced > 100 and found > 10 and len(balanced) > 50
+        assert all(balanced)
 
 
 def pairwise_maximal(masks):
@@ -573,7 +642,7 @@ class TestFold:
                 comp = self._positions[keys[idx]]
                 succ = Position.make(comp.ground, comp.alive & ~removed,
                                      sign * removed.bit_count())
-                merged = self._cancel(list(keys[:idx] + keys[idx + 1 :]) + self._keys(succ))
+                merged = self._cancel(sorted([*keys[:idx], *keys[idx + 1 :], *self._keys(succ)]))
                 child = (sign * succ.offset, (-sign, merged))
                 if child not in seen:
                     seen.add(child)
@@ -605,6 +674,58 @@ class TestFold:
         assert folded.table.bounds == rebuilt.table.bounds
         # a duplicate child costs a lookup, never an expansion
         assert folded.table.lookups > rebuilt.table.lookups
+
+
+PIECE_BOARDS = [build_torus(4, 6), build_grid(5, 5)]
+
+
+def _separate_pieces(rng, count):
+    """``count`` sums of 2 to 6 positions, each one connected piece cut
+    from torus 4x6 or grid 5x5 in either colouring, with at most
+    ``PROPERTY_MAX_ALIVE`` vertices in all."""
+    queries = []
+    for _ in range(count):
+        parts, room = [], PROPERTY_MAX_ALIVE
+        for later in reversed(range(rng.randint(2, 6))):
+            g = rng.choice(PIECE_BOARDS)
+            if rng.random() < 0.5:
+                g = g.color_swapped()
+            piece = _grow_piece(rng, g, rng.randint(2, min(7, room - 2 * later)))
+            parts.append(Position.make(g, piece))
+            room -= parts[-1].vertex_count
+        queries.append(parts)
+    return queries
+
+
+class TestPiecesTable:
+    """``Solver._pieces`` keeps, per component key and removed mask, the
+    sorted keys of the pieces the move leaves, filled in nodes of two or
+    more components."""
+
+    def test_entries_are_the_pieces_of_the_move(self):
+        shared = Solver()
+        for parts in _separate_pieces(random.Random(2804), 80):
+            pair = shared.score_of_sum(parts)
+            assert (pair.ls, pair.rs) == raw_scores(disjoint_union(parts)), parts
+        assert len(shared._pieces) > 200
+        fresh = Solver()
+        for (key, removed), pieces in shared._pieces.items():
+            comp = shared._positions[key]
+            rest = Position(comp.ground, comp.alive & ~removed)
+            assert pieces == tuple(sorted(fresh._keys(rest))), (key, removed)
+        # one object per distinct key, in the tables and in the memo nodes
+        interned = shared._interned
+        assert all(interned[k] is k for (key, _), pieces in shared._pieces.items()
+                   for k in (key,) + pieces)
+        assert all(interned[k] is k for _, keys in shared.table.memo for k in keys)
+
+    @pytest.mark.parametrize("board", [build_hypercube(4), build_torus(4, 4)],
+                             ids=["hypercube4", "torus4x4"])
+    def test_a_one_component_search_stores_no_entry(self, board):
+        # every node these searches expand holds one component
+        solver = Solver()
+        solver.scores(Position.make(board))
+        assert solver.nodes > 40 and solver._pieces == {}
 
 
 class TestTree:
