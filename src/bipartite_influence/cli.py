@@ -88,7 +88,11 @@ def load_config(path: str | None) -> dict:
 def _int_setting(flag, settings: dict, key: str, default: int) -> int:
     """A flag value, else the config value, else the default; 0 is a value
     and a negative one is bad input."""
-    value = flag if flag is not None else int(settings.get(key) or default)
+    value = flag if flag is not None else settings.get(key) or default
+    try:
+        value = int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
     if value < 0:
         raise ValueError(f"{key} must be at least 0, got {value}")
     return value
@@ -116,10 +120,11 @@ def add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    m = text.lower().split("x")
-    if len(m) != 2:
-        raise ValueError(f"expected RxC, got {text!r}")
-    return int(m[0]), int(m[1])
+    try:
+        rows, cols = map(int, text.lower().split("x"))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ValueError(f"expected RxC, got {text!r}") from None
+    return rows, cols
 
 
 def parse_segment_list(text: str) -> list[int]:

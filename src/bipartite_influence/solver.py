@@ -21,10 +21,10 @@ the others as they were, so a successor is folded from its parent: only the
 rest of the played component is split, and its pieces cancel into them or
 are inserted among them in key order.  Those pieces depend only on the
 component key and the move, so a node of two or more components keeps them
-per (key, removed mask), and every later node that plays the same move beside
-other components reads them back.  Move lists are made once per mover and
-component key, on the first position seen under it, so equal paths on
-different grounds share one for the solver's life.
+per removed mask in the key's one record, a ``Comp``, and every later node
+that plays the same move beside other components reads them back.  The
+record's move lists are made once per mover, on the first position seen
+under the key, so equal paths on different grounds share one.
 A move is the int mask of the vertices it removes: ``graphs.legal_moves``
 makes a move list and ``prune_dominated`` drops its dominated moves.
 Transposition keys bring path components to canonical form, and pairs of
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import games
 from .graphs import (
@@ -54,6 +55,7 @@ from .graphs import (
 from .symmetry import find_bw
 
 DEFAULT_NODE_BUDGET = 100_000_000
+_KEY = attrgetter("key")  # ``Comp`` records sort by their keys
 
 
 class SearchBudgetError(RuntimeError):
@@ -125,9 +127,22 @@ def _path_partner(key: tuple) -> tuple | None:
     return key if key[1] % 2 == 0 else ("seg", -key[1])
 
 
-def _negated_pair(ka: tuple, kb: tuple, positions: dict, cache: dict) -> bool:
-    """True when the components under keys ``ka`` and ``kb`` cancel:
-    ``a + b = 0``, with ``positions`` mapping each key to its component.
+@dataclass(eq=False, slots=True)
+class Comp:
+    """A solver's one record per component ``key``, so equality is
+    identity: the first ``position`` seen under the key, which the search
+    plays on, Left's and Right's move lists, and ``pieces``, each removed
+    mask to the sorted records of the pieces that move leaves."""
+
+    key: tuple
+    position: Position
+    left: tuple[int, ...] | None = None
+    right: tuple[int, ...] | None = None
+    pieces: dict[int, tuple] | None = None
+
+
+def _negated_pair(a: Comp, b: Comp, cache: dict) -> bool:
+    """True when the components of records ``a`` and ``b`` cancel: a + b = 0.
 
     A path cancels only its :func:`_path_partner`.  ``b = a.negated()``
     cancels at any size.  Other equal-size pairs of at most ten vertices
@@ -138,10 +153,10 @@ def _negated_pair(ka: tuple, kb: tuple, positions: dict, cache: dict) -> bool:
     (Black(a) + Black(b) != |a|) is rejected before it is built, as
     ``find_bw`` would reject it.
     """
-    partner = _path_partner(kb)
-    if partner is not None or ka[0] == "seg":
-        return ka == partner
-    pa, pb = positions[ka], positions[kb]
+    partner = _path_partner(b.key)
+    if partner is not None or a.key[0] == "seg":
+        return a.key == partner
+    pa, pb = a.position, b.position
     if pb.alive == pa.alive and pb.ground is pa.ground.color_swapped():
         return True
     n = pa.vertex_count
@@ -149,10 +164,10 @@ def _negated_pair(ka: tuple, kb: tuple, positions: dict, cache: dict) -> bool:
         return False
     if pa.alive_of_color(BLACK).bit_count() + pb.alive_of_color(BLACK).bit_count() != n:
         return False
-    hit = cache.get((ka, kb))
+    hit = cache.get((a, b))
     if hit is None:
         hit = find_bw(disjoint_union((pa, pb))).status == "found"
-        cache[ka, kb] = hit
+        cache[a, b] = hit
     return hit
 
 
@@ -184,7 +199,6 @@ class ZeroWindowSearch:
         self._trees: dict = {}
 
     memo = property(lambda self: self.table.memo)
-    _bounds = property(lambda self: self.table.bounds)
 
     def _exact(self, node, guess: int = 0) -> int:
         """The exact score of ``node`` by MTD(f): :meth:`_test` passes, the
@@ -290,30 +304,18 @@ class ZeroWindowSearch:
 
 class Solver(ZeroWindowSearch):
     """Exact scores of sums of components.  A node is the sign of the
-    mover's gains (1 for Left, -1 for Right) and the sorted keys of the
-    components from :meth:`_cancel`.  The solver keeps these tables for its
-    life:
-
-    - ``_positions``: the first position seen under each component key,
-      the one the search plays on; ``_interned`` holds one object per
-      distinct key, so nodes and tables share their key tuples;
-    - ``_moves``: per mover, the move list of each component key, and
-      ``_masks`` one int per distinct removed set;
-    - ``_pieces``: ``(key, removed)`` to the sorted keys of the pieces the
-      move leaves of that component, filled in nodes of two or more
-      components, where the same move comes back beside other components;
-    - ``_pair_cache``: the mirror-certificate verdicts of non-path pairs.
-    """
+    mover's gains (1 for Left, -1 for Right) and the components from
+    :meth:`_cancel`, a tuple of ``Comp`` records sorted by key.  For its
+    life the solver keeps ``_comps``, the one record of each component key,
+    ``_masks``, one int per distinct removed set in its move lists, and
+    ``_pair_cache``, the mirror-certificate verdicts of non-path pairs."""
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
         super().__init__(node_budget)
         self.prune = prune
         self._pair_cache: dict = {}
-        self._positions: dict[tuple, Position] = {}
-        self._interned: dict[tuple, tuple] = {}
-        self._moves: dict[int, dict[tuple, tuple[int, ...]]] = {1: {}, -1: {}}
+        self._comps: dict[tuple, Comp] = {}
         self._masks: dict[int, int] = {}
-        self._pieces: dict[tuple[tuple, int], tuple] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -335,105 +337,103 @@ class Solver(ZeroWindowSearch):
         """The root node of a sum of positions, Left to move, and its banked
         points."""
         parts = [strip_isolated(part) for part in parts]
-        keys = sorted(key for part in parts for key in self._keys(part))
-        return (1, self._cancel(keys)), sum(part.offset for part in parts)
+        comps = sorted((c for part in parts for c in self._keys(part)), key=_KEY)
+        return (1, self._cancel(comps)), sum(part.offset for part in parts)
 
-    def _keys(self, position: Position) -> list[tuple]:
-        """The canonical keys of the components of ``position``, one
-        object per distinct key; a key seen for the first time keeps its
-        component in ``_positions``."""
-        interned = self._interned
-        keys = []
+    def _keys(self, position: Position) -> list[Comp]:
+        """The records of the components of ``position``, found by their
+        canonical keys; a key seen for the first time gets a record that
+        keeps its component."""
+        table = self._comps
+        out = []
         for comp in components(position):
             key = canonical_key(comp)
-            same = interned.get(key)
-            if same is None:
-                interned[key] = same = key
-                self._positions[key] = comp
-            keys.append(same)
-        return keys
+            rec = table.get(key)
+            if rec is None:
+                table[key] = rec = Comp(key, comp)
+            out.append(rec)
+        return out
 
     def _other_seat(self, node: tuple[int, tuple]):
         """The same components with the other sign: a colour swap, which
         negates the game."""
         return (-node[0], node[1]), 0
 
-    def _cancel(self, new: list[tuple] | tuple, others: tuple = ()) -> tuple:
-        """``others``, sorted, with the sorted keys ``new`` added in order:
-        each cancels the first component it can, or is inserted in order.
-        ``others``, the rest of a child's parent, cancels no pair, so only
-        pairs with a new piece are tested.  A path looks up its one
-        partner key, and any other piece tests only the components before
-        the first path: ``"g"`` sorts before ``"seg"``, and a path cancels
-        only a path."""
+    def _cancel(self, new: list[Comp] | tuple, others: tuple = ()) -> tuple:
+        """``others``, sorted, with the sorted records ``new`` added in
+        order: each cancels the first component it can, or is inserted in
+        key order.  ``others``, the rest of a child's parent, cancels no
+        pair, so only pairs with a new piece are tested.  A path looks up
+        its one partner key, and any other piece tests only the components
+        before the first path: ``"g"`` sorts before ``"seg"``, and a path
+        cancels only a path."""
         if not new:
             return others
         out = list(others)
         for c in new:
-            partner = _path_partner(c)
+            partner = _path_partner(c.key)
             if partner is not None:
-                i = bisect_left(out, partner)
-                hit = i < len(out) and out[i] == partner
+                i = bisect_left(out, partner, key=_KEY)
+                hit = i < len(out) and out[i].key == partner
             else:
                 hit = False
                 for i, other in enumerate(out):
-                    if other[0] == "seg":
+                    if other.key[0] == "seg":
                         break
-                    if _negated_pair(other, c, self._positions, self._pair_cache):
+                    if _negated_pair(other, c, self._pair_cache):
                         hit = True
                         break
             if hit:
                 del out[i]
             else:
-                insort(out, c)
+                insort(out, c, key=_KEY)
         return tuple(out)
 
     def _bound(self, node: tuple[int, tuple]) -> int:
-        return sum(self._positions[k].vertex_count for k in node[1])
+        return sum(c.position.vertex_count for c in node[1])
 
-    def _move_list(self, sign: int, key: tuple) -> tuple[int, ...]:
-        """The removed masks of the mover's moves in the component kept
-        under ``key``, largest gain first: generated (and pruned) once,
-        then read from ``_moves``."""
-        lists = self._moves[sign]
-        masks = lists.get(key)
+    def _move_list(self, sign: int, comp: Comp) -> tuple[int, ...]:
+        """The removed masks of the mover's moves in ``comp``, largest gain
+        first: generated (and pruned) once, then kept in the record."""
+        side = "left" if sign > 0 else "right"
+        masks = getattr(comp, side)
         if masks is None:
-            found = legal_moves(self._positions[key], BLACK if sign > 0 else WHITE)
+            found = legal_moves(comp.position, BLACK if sign > 0 else WHITE)
             if self.prune:
                 found = prune_dominated(found)
             same = self._masks  # one int object per distinct removed set
             masks = tuple(sorted((same.setdefault(r, r) for r in found),
                                  key=int.bit_count, reverse=True))
-            lists[key] = masks
+            setattr(comp, side, masks)
         return masks
 
     def _children(self, node: tuple[int, tuple]):
         """The mover's moves, largest gains first, each successor folded
-        only when the search reaches it: the sorted keys of the played
-        component's pieces, read from ``_pieces`` or made by splitting its
+        only when the search reaches it: the sorted records of the played
+        component's pieces, stored in its record or made by splitting its
         rest (in which no vertex is stranded), are cancelled into the other
         components.  A node of two or more components stores the pieces it
         makes; in a node of one, a move comes back only when that node is
-        expanded again.  A repeated successor reads the bounds of its
-        first."""
-        sign, keys = node
+        expanded again.  A repeated successor reads the bounds of its first."""
+        sign, comps = node
         moves = []
-        for idx, key in enumerate(keys):
-            if idx and key == keys[idx - 1]:
+        for idx, c in enumerate(comps):
+            if idx and c is comps[idx - 1]:
                 continue  # identical component, symmetric moves
-            moves.extend((idx, removed) for removed in self._move_list(sign, key))
+            moves.extend((idx, removed) for removed in self._move_list(sign, c))
         moves.sort(key=lambda im: -im[1].bit_count())
-        store = len(keys) > 1
-        table = self._pieces
+        store = len(comps) > 1
         for idx, removed in moves:
-            key = keys[idx]
-            pieces = table.get((key, removed))
+            c = comps[idx]
+            pieces = c.pieces and c.pieces.get(removed)  # a stored entry may be ()
             if pieces is None:
-                comp = self._positions[key]
-                pieces = tuple(sorted(self._keys(Position(comp.ground, comp.alive & ~removed))))
+                rest = Position(c.position.ground, c.position.alive & ~removed)
+                pieces = tuple(sorted(self._keys(rest), key=_KEY))
                 if store:
-                    table[key, removed] = pieces
-            yield removed.bit_count(), (-sign, self._cancel(pieces, keys[:idx] + keys[idx + 1 :]))
+                    if c.pieces is None:  # most records never store an entry
+                        c.pieces = {}
+                    c.pieces[removed] = pieces
+            yield removed.bit_count(), (-sign, self._cancel(pieces, comps[:idx] + comps[idx + 1 :]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 import pytest
 
@@ -107,19 +108,22 @@ def ref_removal_closure(position: Position, v: int) -> int:
     return removed
 
 
+_KEY = attrgetter("key")
+
+
 def ref_cancel(new, others, negated) -> tuple:
-    """``others`` with the keys of ``new`` added one at a time in sorted
-    order, each tested by ``negated(other, key)`` against every key already
-    there, first to last: the first that cancels it goes, and a key that
-    cancels none is inserted and the list re-sorted.  The all-pairs
-    reference for ``Solver._cancel``, which looks up a path's one partner
-    and tests any other piece only against the components that are not
-    paths."""
-    out = sorted(others)
-    for key in sorted(new):
-        hit = next((i for i, other in enumerate(out) if negated(other, key)), None)
+    """``others`` with the solver records of ``new`` added one at a time in
+    key order, each tested by ``negated(other, comp)`` against every record
+    already there, first to last: the first that cancels it goes, and a
+    record that cancels none is inserted and the list re-sorted by key.
+    The all-pairs reference for ``Solver._cancel``, which looks up a path's
+    one partner and tests any other piece only against the components that
+    are not paths."""
+    out = sorted(others, key=_KEY)
+    for comp in sorted(new, key=_KEY):
+        hit = next((i for i, other in enumerate(out) if negated(other, comp)), None)
         if hit is None:
-            out = sorted(out + [key])
+            out = sorted(out + [comp], key=_KEY)
         else:
             del out[hit]
     return tuple(out)

@@ -106,6 +106,13 @@ class TestSolve:
         rc, _, err = run(capsys, "solve", "--grid", "2by2")
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag,dims", [("--grid", "2x"), ("--grid", "2by2"),
+                                           ("--torus", "x3"), ("--torus", "2x3x4")])
+    def test_bad_dims_name_the_expected_form(self, capsys, flag, dims):
+        rc, _, err = run(capsys, "solve", flag, dims)
+        assert rc == EXIT_INPUT
+        assert err == f"error: expected RxC, got {dims!r}\n"
+
     @pytest.mark.parametrize("vertices", [
         [{"color": "B"}],
         [{"id": 0, "color": "B"}, {"id": "a", "color": "W"}],
@@ -588,6 +595,20 @@ class TestConfig:
                              "solve", "--segment", "2")
             assert rc == EXIT_INPUT
             assert f"unknown config key: {key}" in err
+
+    @pytest.mark.parametrize("key,value,command", [
+        ("node_budget", "abc", ["solve", "--grid", "2x3"]),
+        ("search_budget", "1.5", ["symmetry", "--grid", "2x2"]),
+    ])
+    def test_non_integer_setting_is_named(self, capsys, tmp_path, monkeypatch,
+                                          key, value, command):
+        # from a config file, then from the environment variable
+        message = f"error: {key} must be an integer, got {value!r}\n"
+        cfg = tmp_path / "influence.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run(capsys, "--config", str(cfg), *command) == (EXIT_INPUT, "", message)
+        monkeypatch.setenv("INFLUENCE_" + key.upper(), value)
+        assert run(capsys, *command) == (EXIT_INPUT, "", message)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "influence.cfg"

@@ -308,7 +308,7 @@ class TestSearch:
         first."""
         eng = SegmentEngine(use_rewrite=use_rewrite)
         segment_table(40, eng)
-        keys = set(eng.memo) | set(eng._bounds)
+        keys = set(eng.memo) | set(eng.table.bounds)
         assert len(keys) > 500
         reduce = eng._reduce
         shifts = []
@@ -340,15 +340,15 @@ class TestSearch:
     @pytest.mark.parametrize("search", ["segments", "solver"])
     def test_memo_holds_only_exact_scores(self, search):
         """Both engines share the zero-window search and its memo layout:
-        proven scores in ``memo``, open bounds in ``_bounds``, never both."""
+        proven scores in ``memo``, open bounds in ``table.bounds``, never both."""
         if search == "segments":
             eng = SegmentEngine()
             segment_table(30, eng)
             reference = ref_segment_black_score
         else:
             def reference(node):
-                sign, keys = node
-                union = disjoint_union([eng._positions[k] for k in keys])
+                sign, comps = node
+                union = disjoint_union([c.position for c in comps])
                 return sign * raw_score(union, union.full_mask, sign > 0)
 
             eng = Solver()
@@ -358,7 +358,7 @@ class TestSearch:
             eng.scores(Position.make(build_grid(3, 5)))
         # besides the queried roots, nodes whose bounds met joined the memo
         assert len(eng.memo) > 60
-        assert not set(eng.memo) & set(eng._bounds)
+        assert not set(eng.memo) & set(eng.table.bounds)
         for key, value in eng.memo.items():
             assert value == reference(key), key
 
@@ -452,7 +452,7 @@ class TestCache:
     def test_save_writes_memo_only(self, tmp_path):
         eng = SegmentEngine()
         segment_table(30, eng)
-        assert eng._bounds  # the search keeps bounds it never saves
+        assert eng.table.bounds  # the search keeps bounds it never saves
         path = tmp_path / "cache.json"
         eng.save(path)
         entries = json.loads(path.read_text())["entries"]

@@ -1,6 +1,7 @@
 """Exact graph solver: scores, pruning, sums, game trees, audits."""
 
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -23,6 +24,7 @@ from bipartite_influence.graphs import (
 )
 from bipartite_influence.reduction import PosCnf, gadget_graph
 from bipartite_influence.solver import (
+    Comp,
     SearchBudgetError,
     Solver,
     _negated_pair,
@@ -40,6 +42,18 @@ from conftest import (
     ref_removal_closure,
     whole_position_tree,
 )
+
+
+def _by_key(comps):
+    """Solver records sorted by their keys, the order of a node."""
+    return sorted(comps, key=attrgetter("key"))
+
+
+def _by_keys(table: dict) -> dict:
+    """A memo or bounds table with each node ``(sign, comps)`` named by
+    ``(sign, keys)``, so the tables of two solvers can be compared."""
+    return {(sign, tuple(c.key for c in comps)): v for (sign, comps), v in table.items()}
+
 
 # First 12 rows of the segment score table, checked again at full width
 # (and against the segment engine) in the acceptance suite.
@@ -252,9 +266,8 @@ class TestCancellation:
         alive = _torus_cells(8, 8, MIRROR_PIECE) | _torus_cells(8, 8, MIRROR_PIECE, 4, 3)
         a, b = components(Position.make(g, alive))
         assert a.vertex_count == b.vertex_count == 6
-        ka, kb = canonical_key(a), canonical_key(b)
-        positions = {ka: a, kb: b}
-        assert _negated_pair(ka, kb, positions, {}) and _negated_pair(kb, ka, positions, {})
+        ca, cb = Comp(canonical_key(a), a), Comp(canonical_key(b), b)
+        assert _negated_pair(ca, cb, {}) and _negated_pair(cb, ca, {})
         solver = Solver(node_budget=1000)
         pair = solver.scores(Position.make(g, alive))
         assert (pair.ls, pair.rs) == (0, 0) == raw_scores(g, alive)
@@ -269,15 +282,14 @@ class TestCancellation:
         a, b = components(Position.make(g, alive))
         assert a.vertex_count == b.vertex_count
         solver = Solver()
-        ka, kb = solver._keys(Position.make(g, alive))
-        assert not _negated_pair(ka, kb, solver._positions, {})
-        assert solver._cancel(sorted([ka, kb])) == tuple(sorted([ka, kb]))
+        ca, cb = solver._keys(Position.make(g, alive))
+        assert not _negated_pair(ca, cb, {})
+        assert solver._cancel(_by_key([ca, cb])) == tuple(_by_key([ca, cb]))
         assert raw_scores(g, alive) != (0, 0)
 
     def test_accepted_pairs_score_zero(self, rng):
         # random pieces, each with a colour-swapped translate and a random
         # neighbour piece; every pair the solver would cancel must be a draw
-        cache: dict = {}
         searched = rejected = 0
         for _ in range(400):
             rows, cols = rng.choice([(8, 8), (6, 10)])
@@ -289,11 +301,10 @@ class TestCancellation:
             alive = (piece | _torus_cells(rows, cols, cells, dr, dc)
                      | _grow_piece(rng, g, rng.randint(2, 6)))
             comps = components(Position.make(g, alive))
-            keys = [canonical_key(c) for c in comps]
-            positions = dict(zip(keys, comps))  # equal keys are paths, read off the key
+            recs = [Comp(canonical_key(c), c) for c in comps]
             for i, a in enumerate(comps):
                 for j, b in enumerate(comps[i + 1:], i + 1):
-                    if not _negated_pair(keys[i], keys[j], positions, cache):
+                    if not _negated_pair(recs[i], recs[j], {}):
                         rejected += 1
                         continue
                     assert raw_scores(g, a.alive | b.alive) == (0, 0)
@@ -304,34 +315,33 @@ class TestCancellation:
     def t_pieces(*offsets):
         """A solver holding the components of a six-vertex T on grid 9x9
         and of its translates by ``offsets``, none of which wraps, with
-        their keys; an odd translate is a colour-swapped copy, so a
+        their records; an odd translate is a colour-swapped copy, so a
         negative with a different key."""
         g = build_grid(9, 9)
         alive = sum(_torus_cells(9, 9, T_PIECE, dr, dc) for dr, dc in ((0, 0),) + offsets)
         solver = Solver()
-        keys = solver._keys(Position.make(g, alive))
-        assert len(keys) == 1 + len(offsets) and segment_value(solver._positions[keys[0]]) is None
-        return g, alive, solver, keys
+        comps = solver._keys(Position.make(g, alive))
+        assert len(comps) == 1 + len(offsets) and segment_value(comps[0].position) is None
+        return g, alive, solver, comps
 
     @pytest.mark.parametrize("offsets", [((0, 5), (5, 0)), ((0, 5), (5, 5))],
                              ids=["two-negatives", "negative-and-copy"])
     def test_competing_candidates_leave_one_piece(self, offsets):
-        g, alive, solver, keys = self.t_pieces(*offsets)
+        g, alive, solver, comps = self.t_pieces(*offsets)
         pair = Solver().scores(Position.make(g, alive))
         assert (pair.ls, pair.rs) == raw_scores(g, alive)
-        assert len(solver._cancel(sorted(keys))) == 1
+        assert len(solver._cancel(_by_key(comps))) == 1
 
     def test_three_mutual_negatives(self):
         # c1 could cancel the parent's ``a`` or the new ``c2``; either way
         # the piece left is a game equal to ``a``
         _, _, solver, (c1, c2, a) = self.t_pieces((0, 5), (5, 0))
-        positions = solver._positions
-        assert _negated_pair(c1, c2, positions, {}) and _negated_pair(c1, a, positions, {})
-        (left,) = solver._cancel(sorted([c1, c2]), (a,))
-        assert Solver().scores(positions[left]) == Solver().scores(positions[a])
+        assert _negated_pair(c1, c2, {}) and _negated_pair(c1, a, {})
+        (left,) = solver._cancel(_by_key([c1, c2]), (a,))
+        assert Solver().scores(left.position) == Solver().scores(a.position)
 
     def test_matches_the_all_pairs_greedy(self):
-        """``_cancel`` against ``conftest.ref_cancel`` on seeded key lists
+        """``_cancel`` against ``conftest.ref_cancel`` on seeded record lists
         that mix repeated path keys of both parities and signs with the
         non-path pieces above: a T with two negatives and a copy, the
         mirror pair and two copies of the balanced piece."""
@@ -346,18 +356,18 @@ class TestCancellation:
         cache: dict = {}
 
         def negated(a, b):
-            return _negated_pair(a, b, solver._positions, cache)
+            return _negated_pair(a, b, cache)
 
         rng = random.Random(2801)
         cancelled = {"seg": 0, "g": 0}
         for _ in range(3000):
-            others = sorted(rng.choices(pool, k=rng.randint(0, 6)))
-            new = sorted(rng.choices(pool, k=rng.randint(1, 4)))
+            others = _by_key(rng.choices(pool, k=rng.randint(0, 6)))
+            new = _by_key(rng.choices(pool, k=rng.randint(1, 4)))
             want = ref_cancel(new, others, negated)
             assert solver._cancel(new, tuple(others)) == want, (new, others)
             for kind in cancelled:
-                before = sum(key[0] == kind for key in new + others)
-                cancelled[kind] += before - sum(key[0] == kind for key in want)
+                before = sum(c.key[0] == kind for c in new + others)
+                cancelled[kind] += before - sum(c.key[0] == kind for c in want)
         assert min(cancelled.values()) > 500, cancelled
 
     def test_colour_counts_screen_pairs_before_find_bw(self, monkeypatch):
@@ -386,7 +396,7 @@ class TestCancellation:
             if ka[0] == "seg" or kb[0] == "seg" or a.vertex_count != b.vertex_count:
                 continue  # a path is read off its key
             want = find_bw(disjoint_union((a, b))).status == "found"
-            assert _negated_pair(ka, kb, {ka: a, kb: b}, {}) == want, (a, b)
+            assert _negated_pair(Comp(ka, a), Comp(kb, b), {}) == want, (a, b)
             blacks = a.alive_of_color(BLACK).bit_count() + b.alive_of_color(BLACK).bit_count()
             unbalanced += blacks != a.vertex_count
             found += want
@@ -477,14 +487,13 @@ class TestMoveMasks:
     def test_move_lists_are_the_pruned_moves_by_size(self, prune):
         solver = Solver(prune=prune)
         for pos in self.positions():
-            for key in solver._keys(pos):
-                comp = solver._positions[key]
+            for comp in solver._keys(pos):
                 for sign, color in ((1, BLACK), (-1, WHITE)):
-                    found = legal_moves(comp, color)
+                    found = legal_moves(comp.position, color)
                     if prune:
                         found = prune_dominated(found)
                     want = tuple(sorted(found, key=lambda r: -r.bit_count()))
-                    assert solver._move_list(sign, key) == want
+                    assert solver._move_list(sign, comp) == want
 
     def test_equal_masks_keep_the_first(self):
         a = (1 << 100) | 1
@@ -553,8 +562,8 @@ def _memo_queries(rng, count):
 
 
 class TestMoveMemo:
-    """``Solver._moves`` keeps each exact component's move list for the
-    solver's life; the search must not change."""
+    """A solver's record of each component key keeps its move lists for
+    the solver's life; the search must not change."""
 
     def test_shared_solver_matches_unpruned_and_reference(self):
         shared = Solver()
@@ -569,7 +578,8 @@ class TestMoveMemo:
                 assert (pair.ls, pair.rs) == (ls + offset, rs + offset), parts
                 raw_checked += 1
         assert raw_checked >= 40
-        assert all(shared._moves.values())
+        comps = shared._comps.values()
+        assert any(c.left is not None for c in comps) and any(c.right is not None for c in comps)
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_entries_are_the_move_lists(self, prune):
@@ -577,18 +587,18 @@ class TestMoveMemo:
         solver = Solver(prune=prune)
         for parts in _memo_queries(rng, 30) + [[Position.make(build_grid(3, 6))]]:
             solver.score_of_sum(parts)
-        assert sum(map(len, solver._moves.values())) > 100
-        for sign, lists in solver._moves.items():
-            for key, masks in lists.items():
-                comp = solver._positions[key]
-                assert canonical_key(comp) == key
-                found = legal_moves(comp, BLACK if sign > 0 else WHITE)
-                if prune:
-                    found = prune_dominated(found)
-                want = sorted(found, key=lambda r: -r.bit_count())
-                assert masks == tuple(want)
-                assert all(solver._masks[r] is r for r in masks)  # one object per set
-        assert Solver()._moves == {1: {}, -1: {}}
+        lists = [(sign, comp, masks) for comp in solver._comps.values()
+                 for sign, masks in ((1, comp.left), (-1, comp.right)) if masks is not None]
+        assert len(lists) > 100
+        for sign, comp, masks in lists:
+            assert solver._comps[comp.key] is comp and canonical_key(comp.position) == comp.key
+            found = legal_moves(comp.position, BLACK if sign > 0 else WHITE)
+            if prune:
+                found = prune_dominated(found)
+            want = sorted(found, key=lambda r: -r.bit_count())
+            assert masks == tuple(want)
+            assert all(solver._masks[r] is r for r in masks)  # one object per set
+        assert Solver()._comps == {}
 
     def test_equal_paths_share_one_move_list_per_mover(self):
         """S_5 and a Black-majority five-vertex path cut out of grid 3x3
@@ -601,23 +611,24 @@ class TestMoveMemo:
         solver = Solver()
         pair = solver.score_of_sum([seg, bent])
         assert (pair.ls, pair.rs) == raw_scores(disjoint_union([seg, bent]))
-        assert solver._positions[("seg", 5)] == seg
-        assert [("seg", 5) in lists for lists in solver._moves.values()] == [True, True]
-        assert {p.ground for p in solver._positions.values()} == {seg.ground}
+        path = solver._comps[("seg", 5)]
+        assert path.position == seg
+        assert path.left is not None and path.right is not None
+        assert {c.position.ground for c in solver._comps.values()} == {seg.ground}
 
     def test_memo_leaves_the_search_unchanged(self):
         class Regenerating(Solver):
-            def _move_list(self, sign, key):
-                for lists in self._moves.values():
-                    lists.clear()
-                return super()._move_list(sign, key)
+            def _move_list(self, sign, comp):
+                for c in self._comps.values():
+                    c.left = c.right = None
+                return super()._move_list(sign, comp)
 
         board = Position.make(build_grid(3, 8))
         kept, fresh = Solver(), Regenerating()
         assert kept.scores(board) == fresh.scores(board)
         assert kept.nodes == fresh.nodes
-        assert kept.table.memo == fresh.table.memo
-        assert kept.table.bounds == fresh.table.bounds
+        assert _by_keys(kept.table.memo) == _by_keys(fresh.table.memo)
+        assert _by_keys(kept.table.bounds) == _by_keys(fresh.table.bounds)
         assert kept.table.lookups == fresh.table.lookups
 
 
@@ -630,19 +641,19 @@ class TestFold:
         components anew, and drop a child already yielded."""
 
         def _children(self, node):
-            sign, keys = node
+            sign, comps = node
             moves = []
-            for idx, key in enumerate(keys):
-                if idx and key == keys[idx - 1]:
+            for idx, c in enumerate(comps):
+                if idx and c is comps[idx - 1]:
                     continue
-                moves.extend((idx, removed) for removed in self._move_list(sign, key))
+                moves.extend((idx, removed) for removed in self._move_list(sign, c))
             moves.sort(key=lambda im: -im[1].bit_count())
             seen = set()
             for idx, removed in moves:
-                comp = self._positions[keys[idx]]
+                comp = comps[idx].position
                 succ = Position.make(comp.ground, comp.alive & ~removed,
                                      sign * removed.bit_count())
-                merged = self._cancel(sorted([*keys[:idx], *keys[idx + 1 :], *self._keys(succ)]))
+                merged = self._cancel(_by_key([*comps[:idx], *comps[idx + 1 :], *self._keys(succ)]))
                 child = (sign * succ.offset, (-sign, merged))
                 if child not in seen:
                     seen.add(child)
@@ -670,8 +681,8 @@ class TestFold:
         for parts in queries:
             assert folded.score_of_sum(parts) == rebuilt.score_of_sum(parts), parts
             assert folded.nodes == rebuilt.nodes, parts
-        assert folded.table.memo == rebuilt.table.memo
-        assert folded.table.bounds == rebuilt.table.bounds
+        assert _by_keys(folded.table.memo) == _by_keys(rebuilt.table.memo)
+        assert _by_keys(folded.table.bounds) == _by_keys(rebuilt.table.bounds)
         # a duplicate child costs a lookup, never an expansion
         assert folded.table.lookups > rebuilt.table.lookups
 
@@ -698,26 +709,44 @@ def _separate_pieces(rng, count):
 
 
 class TestPiecesTable:
-    """``Solver._pieces`` keeps, per component key and removed mask, the
-    sorted keys of the pieces the move leaves, filled in nodes of two or
-    more components."""
+    """A record's ``pieces`` keeps, per removed mask, the sorted records of
+    the pieces the move leaves, filled in nodes of two or more components."""
 
-    def test_entries_are_the_pieces_of_the_move(self):
-        shared = Solver()
-        for parts in _separate_pieces(random.Random(2804), 80):
-            pair = shared.score_of_sum(parts)
+    @pytest.fixture(scope="class")
+    def shared(self):
+        """A solver after 80 sums of separate pieces, with each sum and its
+        answer."""
+        solver = Solver()
+        answers = [(parts, solver.score_of_sum(parts))
+                   for parts in _separate_pieces(random.Random(2804), 80)]
+        return solver, answers
+
+    @staticmethod
+    def entries(solver):
+        return [(comp, removed, pieces) for comp in solver._comps.values() if comp.pieces
+                for removed, pieces in comp.pieces.items()]
+
+    def test_entries_are_the_pieces_of_the_move(self, shared):
+        solver, answers = shared
+        for parts, pair in answers:
             assert (pair.ls, pair.rs) == raw_scores(disjoint_union(parts)), parts
-        assert len(shared._pieces) > 200
+        entries = self.entries(solver)
+        assert len(entries) > 200
         fresh = Solver()
-        for (key, removed), pieces in shared._pieces.items():
-            comp = shared._positions[key]
-            rest = Position(comp.ground, comp.alive & ~removed)
-            assert pieces == tuple(sorted(fresh._keys(rest))), (key, removed)
-        # one object per distinct key, in the tables and in the memo nodes
-        interned = shared._interned
-        assert all(interned[k] is k for (key, _), pieces in shared._pieces.items()
-                   for k in (key,) + pieces)
-        assert all(interned[k] is k for _, keys in shared.table.memo for k in keys)
+        for comp, removed, pieces in entries:
+            rest = Position(comp.position.ground, comp.position.alive & ~removed)
+            want = [c.key for c in _by_key(fresh._keys(rest))]
+            assert [c.key for c in pieces] == want, (comp.key, removed)
+
+    def test_every_component_is_the_record_of_its_key(self, shared):
+        # one record per key: in memo nodes, bounds nodes and pieces entries
+        solver, _ = shared
+        held = solver._comps
+        nodes = [*solver.table.memo, *solver.table.bounds]
+        assert len(nodes) > 1000
+        assert all(held[c.key] is c for _, comps in nodes for c in comps)
+        assert all(held[c.key] is c for comp, _, pieces in self.entries(solver)
+                   for c in (comp, *pieces))
 
     @pytest.mark.parametrize("board", [build_hypercube(4), build_torus(4, 4)],
                              ids=["hypercube4", "torus4x4"])
@@ -725,7 +754,8 @@ class TestPiecesTable:
         # every node these searches expand holds one component
         solver = Solver()
         solver.scores(Position.make(board))
-        assert solver.nodes > 40 and solver._pieces == {}
+        assert solver.nodes > 40
+        assert all(c.pieces is None for c in solver._comps.values())
 
 
 class TestTree:
