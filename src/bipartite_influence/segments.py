@@ -25,9 +25,11 @@ The engine generates the children of ``solver.ZeroWindowSearch``, the
 zero-window search the board solver runs too: MTD(f) passes of fail-soft
 negamax from Black's seat.  ``scores`` and ``tree`` reduce the parts once
 and hand the key to the search's root helpers, which read White's seat off
-the key's reduced mirror.  Moves are tried most vertices pocketed first,
-and a child's key is reduced only when the search reaches its move, so
-the children a cutoff skips cost nothing.
+the key's sorted mirror: the mirror of a reduced key is reduced.  Moves are
+tried most vertices pocketed first.  A child's key is the parent's sorted
+mirror less the moved part, with only the move's remnants reduced into it,
+and it is made only when the search reaches its move, so the children a
+cutoff skips cost nothing.
 Proven scores go in the memo, which is what the cache file holds; bounds
 that have not met stay in memory only.
 Each caller makes its own engine, so no search state lives for the whole
@@ -166,8 +168,8 @@ class SegmentEngine(ZeroWindowSearch):
     multiset is minus the Black-to-move score of its mirror.  A node is a
     ``_reduce`` key, and the memo maps it straight to that Black score.  It
     holds proven scores only: every queried key, and every key whose
-    ``[lower, upper]`` bounds in ``_bounds`` met during a search, leaving
-    that dict.  Entries are final and inserts are idempotent, so one
+    ``[lower, upper]`` bounds in ``table.bounds`` met during a search,
+    leaving that dict.  Entries are final and inserts are idempotent, so one
     engine can be shared, and ``save`` writes the memo alone.  With
     ``use_rewrite=False`` the engine keeps only banking, orientation and
     pair cancellation, skipping the ``4k + 2`` split and the rule tables, and
@@ -182,6 +184,9 @@ class SegmentEngine(ZeroWindowSearch):
         self._rules: dict[int, tuple] = {}
         self._moves: dict[int, tuple] = {}
         self._trees = _TREES[use_rewrite]
+        # The odd part a mirror leaves alone: with rewriting on, -3 becomes 3
+        # for no points, so a key holds 3, never -3.  No part is 0.
+        self._still = 3 if use_rewrite else 0
 
     # -- scores and trees --------------------------------------------------
 
@@ -195,19 +200,27 @@ class SegmentEngine(ZeroWindowSearch):
         return self._game(core, s.offset + shift)
 
     def _other_seat(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """The reduced mirror of ``key`` and its banked points: flipping
-        every odd part swaps the colours, which negates the game."""
-        return self._reduce([-p if p & 1 else p for p in key])
+        """The sorted mirror of the reduced ``key``, with no banked points:
+        flipping every odd part swaps the colours, which negates the game.
+        Every rule of ``_reduce`` reads the same after the flip, save
+        ``-3 -> 3``, which banks nothing; so with the 3 left as it is, the
+        mirror of a reduced key is reduced, and only needs sorting."""
+        still = self._still
+        return tuple(sorted([-p if p & 1 and p != still else p for p in key])), 0
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection, in
-        sorted order, so moves of equal count come in a fixed order."""
+        ``(count, remnants)`` order, so moves of equal count come in a fixed
+        order.  The remnants are stored mirrored, as the child, in which
+        White moves, is seen from Black's seat."""
         cached = self._moves.get(part)
         if cached is None:
-            cached = tuple(sorted(
-                {(count, tuple(sorted(rem)))
-                 for count, rem in segment_moves(part, True, prune=True)}
-            ))
+            still = self._still
+            cached = tuple(
+                (count, tuple([-r if r & 1 and r != still else r for r in rem]))
+                for count, rem in sorted(
+                    {(count, tuple(sorted(rem)))
+                     for count, rem in segment_moves(part, True, prune=True)}))
             self._moves[part] = cached
         return cached
 
@@ -230,18 +243,19 @@ class SegmentEngine(ZeroWindowSearch):
         self._rules[r] = rule
         return rule
 
-    def _reduce(self, values) -> tuple[tuple[int, ...], int]:
-        """Fold a multiset into the engine's memo key plus banked points.
+    def _reduce(self, values, key: tuple[int, ...] = ()) -> tuple[tuple[int, ...], int]:
+        """Fold ``values`` into the sorted, reduced ``key``: the engine's
+        memo key of both, plus banked points.
 
-        Inserts parts into a sorted key, smallest first and a replacement
-        as soon as it is made.  A part is oriented (even parts positive),
-        then fires the first triple of its ``_rule`` that can, or stays.
-        Every firing shrinks the multiset, or flips a lone negative three,
-        so this terminates; the key depends only on the multiset, not on
-        the order of ``values``.
+        Inserts the values into the key one by one, smallest first and a
+        replacement as soon as it is made.  A part is oriented (even parts
+        positive), then fires the first triple of its ``_rule`` that can,
+        or stays.  Every firing shrinks the multiset, or flips a lone
+        negative three, so this terminates; the result depends only on the
+        multiset of ``key`` and ``values``, not on their order.
         """
         rules = self._rules
-        out: list[int] = []
+        out = list(key)
         delta = 0
         stack = sorted(values, reverse=True)
         while stack:
@@ -266,19 +280,22 @@ class SegmentEngine(ZeroWindowSearch):
 
     def _children(self, parts: tuple[int, ...]) -> Iterator[tuple]:
         """Black's moves, most vertices pocketed first, each leaving a key
-        mirrored to Black's seat; a key is reduced only when the search
-        reaches its move."""
-        mirrored = tuple(-p if p & 1 else p for p in parts)
+        mirrored to Black's seat.  The sorted mirror of ``parts`` less the
+        moved part's image is reduced already, so a child's key is that
+        base with the move's remnants reduced into it, made only when the
+        search reaches its move."""
+        mirrored = self._other_seat(parts)[0]
+        still = self._still
         moves = []
         for i, part in enumerate(parts):
             if i and parts[i - 1] == part:
                 continue  # identical part, identical moves
-            base = mirrored[:i] + mirrored[i + 1 :]
+            j = bisect_left(mirrored, -part if part & 1 and part != still else part)
+            base = mirrored[:j] + mirrored[j + 1 :]
             moves.extend((count, base, rem) for count, rem in self._move_list(part))
         moves.sort(key=itemgetter(0), reverse=True)
         for count, base, remnants in moves:
-            # a list of at most two remnants builds faster than a generator
-            core, shift = self._reduce(base + tuple([-r if r & 1 else r for r in remnants]))
+            core, shift = self._reduce(remnants, base)
             yield count - shift, core
 
     # -- persistence ---------------------------------------------------------

@@ -139,7 +139,8 @@ class TestNormalForm:
     def test_other_seat_of_a_key_is_the_mirrored_key(self, rewrite):
         """``scores`` reads Rs off the other seat of the reduced key, which
         is the key of the mirrored parts, with the key's banked points
-        taken off the mirror's."""
+        taken off the mirror's.  The other seat banks nothing and is a key
+        already, which is what lets it skip ``_reduce``."""
         eng = SegmentEngine(use_rewrite=rewrite)
         rng = random.Random(2027)
         sizes = [v for v in range(-30, 31) if v]
@@ -149,6 +150,8 @@ class TestNormalForm:
             other, oshift = eng._other_seat(key)
             mirrored = eng._reduce([-p if p & 1 else p for p in parts])
             assert (other, oshift - shift) == mirrored, parts
+            assert oshift == 0, parts
+            assert eng._reduce(other) == (other, 0), parts
 
     def test_rule_tables_are_oriented(self):
         # parts are oriented before their rule is read, so a rule on a
@@ -295,7 +298,7 @@ class TestSearch:
         assert sum(len(eng._move_list(p)) for p in set(key)) > 15
         calls = []
         reduce = eng._reduce
-        eng._reduce = lambda values: calls.append(values) or reduce(values)
+        eng._reduce = lambda values, key=(): calls.append(values) or reduce(values, key)
         children = eng._children(key)
         assert calls == []
         next(children)
@@ -313,8 +316,8 @@ class TestSearch:
         reduce = eng._reduce
         shifts = []
 
-        def recording(values):
-            core, shift = reduce(values)
+        def recording(values, key=()):
+            core, shift = reduce(values, key)
             shifts.append(shift)
             return core, shift
 
@@ -483,9 +486,8 @@ class TestCache:
             full[parts] = ref_segment_black_score(parts)
             for i, part in enumerate(parts):
                 base = [-p if p & 1 else p for p in parts[:i] + parts[i + 1:]]
-                for _, remnants in eng._move_list(part):
-                    stack.append(eng._reduce(
-                        base + [-r if r & 1 else r for r in remnants])[0])
+                for _, remnants in eng._move_list(part):  # mirrored already
+                    stack.append(eng._reduce(base + list(remnants))[0])
         segment_table(20, engine=eng)
         assert len(full) > 2 * len(eng.memo)  # entries this engine never writes
         path = tmp_path / "cache.json"
