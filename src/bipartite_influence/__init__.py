@@ -27,7 +27,6 @@ from .solver import (
     ScorePair,
     SearchBudgetError,
     Solver,
-    gift_bounds_check,
     milnor_audit,
     prune_dominated,
 )
@@ -51,10 +50,8 @@ from .games import (
 from .thermo import (
     PiecewiseLinear,
     Thermograph,
-    cooled_score_bounds_check,
     mean,
     mean_by_repetition,
-    sum_temperature_check,
     thermograph,
 )
 from .segments import (
@@ -64,7 +61,6 @@ from .segments import (
     raw_union_tree,
     segment_table,
     segment_union_tree,
-    sum_bound_check,
 )
 from .symmetry import (
     CertifyReport,
@@ -72,7 +68,6 @@ from .symmetry import (
     bw_condition_report,
     certify_draw,
     find_bw,
-    mirror_strategy_audit,
     verify_bw,
 )
 from .reduction import (

@@ -49,7 +49,7 @@ from .segments import (
     write_table_csv,
 )
 from .solver import DEFAULT_NODE_BUDGET, SearchBudgetError, Solver, milnor_audit
-from .symmetry import DEFAULT_SEARCH_BUDGET, certify_draw
+from .symmetry import DEFAULT_SEARCH_BUDGET, DEFAULT_SOLVE_LIMIT, certify_draw
 from .thermo import thermograph, thermograph_csv_rows, thermograph_to_json
 
 EXIT_OK = 0
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     py = sub.add_parser("symmetry", help="search for a mirror-draw certificate")
     add_source_args(py)
     py.add_argument("--budget", type=int)
-    py.add_argument("--solve-limit", type=int, default=26,
+    py.add_argument("--solve-limit", type=int, default=DEFAULT_SOLVE_LIMIT,
                     help="largest graph whose exact scores are checked; 0 skips the check")
     py.add_argument("--json", action="store_true")
     py.set_defaults(func=cmd_symmetry)

@@ -190,7 +190,11 @@ def graph_from_json(data: dict) -> GroundGraph:
 
 def load_graph(path) -> GroundGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("graph file is nested too deep") from None
+    return graph_from_json(data)
 
 
 # ---------------------------------------------------------------------------

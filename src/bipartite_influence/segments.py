@@ -323,7 +323,10 @@ class SegmentEngine(ZeroWindowSearch):
         A file that is not a well-formed cache for this engine's rewrite
         mode raises ``ValueError`` and leaves the memo untouched.
         """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError("cache file is nested too deep") from None
         if not isinstance(data, dict) or data.get("format") != CACHE_FORMAT:
             raise ValueError("not a segment cache file")
         if data.get("version") != CACHE_VERSION:
@@ -394,46 +397,6 @@ def periodicity_scan(
     max_n = max(by_n)
     check_period_args(period, preperiod, max_n)
     return [n for n in range(preperiod + 1, max_n - period + 1) if by_n[n] != by_n[n + period]]
-
-
-# ---------------------------------------------------------------------------
-# bounds
-
-
-@dataclass(frozen=True)
-class SegmentBoundsReport:
-    odd_parts: int
-    scores: ScorePair
-    general_ok: bool
-    all_even_ok: bool | None
-    single_ok: bool | None
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.general_ok
-            and self.all_even_ok is not False
-            and self.single_ok is not False
-        )
-
-
-def sum_bound_check(s: SegmentSum, engine: SegmentEngine) -> SegmentBoundsReport:
-    """Scores of a union of segments stay within 4 of the odd-part count.
-
-    With ``k`` odd parts, ``-k - 4 <= Rs <= Ls <= k + 4``.  All-even unions
-    are pinned to ``[-4, 0]`` and ``[0, 4]``; a single segment of size two
-    or more has strictly signed scores within 5.
-    """
-    pair = engine.scores(SegmentSum(s.parts))
-    k = sum(1 for p in s.parts if p % 2 != 0)
-    general = -k - 4 <= pair.rs <= pair.ls <= k + 4
-    all_even = None
-    if s.parts and k == 0:
-        all_even = -4 <= pair.rs <= 0 <= pair.ls <= 4
-    single = None
-    if len(s.parts) == 1 and abs(s.parts[0]) >= 2:
-        single = -5 <= pair.rs < 0 < pair.ls <= 5
-    return SegmentBoundsReport(k, pair, general, all_even, single)
 
 
 # ---------------------------------------------------------------------------

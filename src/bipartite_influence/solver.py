@@ -37,7 +37,7 @@ position here) such a game is zero.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from . import games
@@ -492,62 +492,3 @@ def milnor_audit(position: Position, depth: int = 3, solver: Solver | None = Non
     visit(strip_isolated(position), depth)
     return report
 
-
-@dataclass
-class GiftReport:
-    base: ScorePair
-    without_white_gift: ScorePair
-    without_black_gift: ScorePair
-    white_gift_size: int
-    black_gift_size: int
-    ls_upper_ok: bool = field(init=False)
-    rs_upper_ok: bool = field(init=False)
-    ls_lower_ok: bool = field(init=False)
-    rs_lower_ok: bool = field(init=False)
-
-    def __post_init__(self):
-        w, b = self.white_gift_size, self.black_gift_size
-        self.ls_upper_ok = self.base.ls <= self.without_white_gift.ls + w
-        self.rs_upper_ok = self.base.rs <= self.without_white_gift.rs + w
-        self.ls_lower_ok = self.base.ls >= self.without_black_gift.ls - b
-        self.rs_lower_ok = self.base.rs >= self.without_black_gift.rs - b
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.ls_upper_ok
-            and self.rs_upper_ok
-            and self.ls_lower_ok
-            and self.rs_lower_ok
-        )
-
-
-def gift_bounds_check(
-    position: Position,
-    black_gift: int = 0,
-    white_gift: int = 0,
-    solver: Solver | None = None,
-) -> GiftReport:
-    """Deleting a set of White vertices costs Left at most its size, and
-    symmetrically for Black.  ``black_gift`` / ``white_gift`` are bitmasks
-    of alive vertices of the matching color."""
-    g = position.ground
-    if black_gift & ~(position.alive & g.black_mask):
-        raise ValueError("black gift must be a set of alive Black vertices")
-    if white_gift & ~(position.alive & g.white_mask):
-        raise ValueError("white gift must be a set of alive White vertices")
-    solver = solver or Solver()
-    base = solver.scores(position)
-    no_white = solver.scores(
-        Position.make(g, position.alive & ~white_gift, position.offset)
-    )
-    no_black = solver.scores(
-        Position.make(g, position.alive & ~black_gift, position.offset)
-    )
-    return GiftReport(
-        base,
-        no_white,
-        no_black,
-        white_gift.bit_count(),
-        black_gift.bit_count(),
-    )

@@ -18,20 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .graphs import (
-    BLACK,
-    WHITE,
-    GroundGraph,
-    Position,
-    apply_move,
-    legal_moves,
-    removal_closure,
-)
+from .graphs import BLACK, WHITE, GroundGraph, Position
 
 if TYPE_CHECKING:
     from .solver import ScorePair, Solver
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
+DEFAULT_SOLVE_LIMIT = 26  # most vertices ``certify_draw`` also solves exactly
 
 
 @dataclass(frozen=True)
@@ -172,81 +165,6 @@ def find_bw(g: GroundGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcom
 
 
 # ---------------------------------------------------------------------------
-# mirror-strategy simulation
-
-
-@dataclass(frozen=True)
-class MirrorReport:
-    lines_checked: int
-    states_checked: int
-    ok: bool
-    detail: str | None = None
-
-
-def mirror_strategy_audit(g: GroundGraph, mapping: Sequence[int]) -> MirrorReport:
-    """Replay every first-player line with mirrored replies.
-
-    At each step the reply removal must be the exact image of the first
-    removal and disjoint from it, and every completed line must end with
-    score 0.  Transposed boards are checked once.
-    """
-    if not verify_bw(g, mapping):
-        return MirrorReport(0, 0, False, "mapping fails the mirror conditions")
-
-    def map_mask(mask: int) -> int:
-        out = 0
-        v = 0
-        while mask:
-            if mask & 1:
-                out |= 1 << mapping[v]
-            mask >>= 1
-            v += 1
-        return out
-
-    lines = 0
-    seen: set[int] = set()
-    full = Position.make(g)
-    if full.offset != 0:
-        return MirrorReport(0, 0, False, "isolated vertices break the symmetry")
-
-    def explore(pos: Position) -> str | None:
-        nonlocal lines
-        if pos.alive in seen:
-            return None
-        seen.add(pos.alive)
-        if pos.is_empty:
-            lines += 1
-            if pos.offset != 0:
-                return f"line ended with score {pos.offset}"
-            return None
-        for mover in (BLACK, WHITE):
-            mine = [v for v in pos.alive_vertices() if g.colors[v] is mover]
-            for u, removed in zip(mine, legal_moves(pos, mover)):
-                after = apply_move(pos, removed, mover)
-                reply_vertex = mapping[u]
-                if not after.alive & (1 << reply_vertex):
-                    return f"mirror reply {reply_vertex} to {u} is gone"
-                reply = removal_closure(after, reply_vertex)
-                if reply != map_mask(removed):
-                    return (
-                        f"reply removal to {u} is not the mirror image "
-                        f"of the first removal"
-                    )
-                if reply & removed:
-                    return f"removals around {u} overlap"
-                done = apply_move(after, reply, mover.opponent)
-                if done.offset != pos.offset:
-                    return f"move pair around {u} did not net zero"
-                bad = explore(done)
-                if bad:
-                    return bad
-        return None
-
-    detail = explore(full)
-    return MirrorReport(lines, len(seen), detail is None, detail)
-
-
-# ---------------------------------------------------------------------------
 # certification
 
 
@@ -254,7 +172,6 @@ def mirror_strategy_audit(g: GroundGraph, mapping: Sequence[int]) -> MirrorRepor
 class CertifyReport:
     status: str  # "found" | "absent" | "budget"
     mapping: tuple[int, ...] | None
-    conditions: BWConditionReport | None
     scores: ScorePair | None
     search_nodes: int
 
@@ -276,24 +193,19 @@ def certify_draw(
     g: GroundGraph,
     budget: int = DEFAULT_SEARCH_BUDGET,
     solver: Solver | None = None,
-    solve_limit: int = 26,
+    solve_limit: int = DEFAULT_SOLVE_LIMIT,
 ) -> CertifyReport:
     """Search for a mirror mapping and cross-check with exact scores.
 
-    The solver confirmation runs only when the graph is small enough to
-    solve exactly; the certificate alone already proves the draw.
+    ``find_bw`` checks every mapping it returns against the mirror
+    conditions.  The solver confirmation runs only when the graph is small
+    enough to solve exactly; the certificate alone already proves the draw.
     """
     from .solver import Solver
 
     outcome = find_bw(g, budget)
-    conditions = None
     scores = None
-    if outcome.status == "found":
-        conditions = bw_condition_report(g, outcome.mapping)
     if g.n <= solve_limit:
         solver = solver or Solver()
         scores = solver.scores(Position.make(g))
-    return CertifyReport(
-        outcome.status, outcome.mapping, conditions, scores, outcome.nodes
-    )
-
+    return CertifyReport(outcome.status, outcome.mapping, scores, outcome.nodes)

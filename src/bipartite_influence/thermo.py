@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .games import Game, add, audit_universe, exact, ls, repeated, rs
+from .games import Game, audit_universe, exact, ls, repeated, rs
 
 
 class PiecewiseLinear:
@@ -229,106 +229,6 @@ def mean_by_repetition(g: Game, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("need at least one copy")
     total = repeated(g, n)
     return Fraction(ls(total), n), Fraction(rs(total), n)
-
-
-# ---------------------------------------------------------------------------
-# checks
-
-
-@dataclass(frozen=True)
-class CoolingReport:
-    t: Fraction
-    ls_hot: Fraction
-    ls_cool: Fraction
-    rs_hot: Fraction
-    rs_cool: Fraction
-
-    @property
-    def ls_ok(self) -> bool:
-        return 0 <= self.ls_hot - self.ls_cool <= self.t
-
-    @property
-    def rs_ok(self) -> bool:
-        return -self.t <= self.rs_hot - self.rs_cool <= 0
-
-    @property
-    def all_ok(self) -> bool:
-        return self.ls_ok and self.rs_ok
-
-
-def cooled_score_bounds_check(g: Game, t) -> CoolingReport:
-    """Cooling by ``t`` moves each score toward the other by at most ``t``."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("cooling tax must be nonnegative")
-    tg = thermograph(g)
-    return CoolingReport(
-        t,
-        ls(g),
-        tg.ls_trajectory.value(t),
-        rs(g),
-        tg.rs_trajectory.value(t),
-    )
-
-
-@dataclass(frozen=True)
-class SumTemperatureReport:
-    sigma_g: Fraction
-    sigma_h: Fraction
-    sigma_sum: Fraction
-    mast_g: Fraction
-    mast_h: Fraction
-    mast_sum: Fraction
-    ls_sum: Fraction
-    rs_sum: Fraction
-
-    @property
-    def sigma_bounded(self) -> bool:
-        return self.sigma_sum <= max(self.sigma_g, self.sigma_h)
-
-    @property
-    def sigma_exact_when_distinct(self) -> bool:
-        if self.sigma_g == self.sigma_h:
-            return True
-        return self.sigma_sum == max(self.sigma_g, self.sigma_h)
-
-    @property
-    def mast_additive(self) -> bool:
-        return self.mast_sum == self.mast_g + self.mast_h
-
-    @property
-    def sandwich_ok(self) -> bool:
-        m = self.mast_g + self.mast_h
-        s = max(self.sigma_g, self.sigma_h)
-        return m - s <= self.rs_sum <= m <= self.ls_sum <= m + s
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.sigma_bounded
-            and self.sigma_exact_when_distinct
-            and self.mast_additive
-            and self.sandwich_ok
-        )
-
-
-def sum_temperature_check(g: Game, h: Game) -> SumTemperatureReport:
-    """Temperature of a sum never exceeds the hottest summand (with equality
-    when the summands' temperatures differ), means add, and both scores of
-    the sum stay within the hottest temperature of the total mean."""
-    tg, th = thermograph(g), thermograph(h)
-    total = add(g, h)
-    tsum = thermograph(total)
-    return SumTemperatureReport(
-        tg.sigma,
-        th.sigma,
-        tsum.sigma,
-        tg.mast,
-        th.mast,
-        tsum.mast,
-        ls(total),
-        rs(total),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared helpers: an independent reference solver, a plain minimax on
-unions of segments, random graphs, and game-tree references (play
-length, leaf scores, full trees expanded on whole positions and summed
-over segment unions, comparisons read off the built difference
+unions of segments, random graphs, a mirror replay oracle that plays out
+every line under a mirror mapping's replies, and game-tree references
+(play length, leaf scores, full trees expanded on whole positions and
+summed over segment unions, comparisons read off the built difference
 ``g - h``, a universe audit that remembers nothing, and thermographs by
 the tax-subtract-root-clamp chain).
 
@@ -17,9 +18,11 @@ between the two is meaningful.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
+from typing import Sequence
 
 import pytest
 
@@ -44,10 +47,12 @@ from bipartite_influence.graphs import (
     apply_move,
     build_segment,
     legal_moves,
+    removal_closure,
     strip_isolated,
 )
 from bipartite_influence import segments
 from bipartite_influence.segments import segment_moves
+from bipartite_influence.symmetry import verify_bw
 from bipartite_influence.thermo import (
     PiecewiseLinear,
     Thermograph,
@@ -246,6 +251,77 @@ def whole_position_tree(position: Position):
 
     position = strip_isolated(position)
     return add(number(position.offset), tree(position.alive))
+
+
+@dataclass(frozen=True)
+class MirrorReport:
+    lines_checked: int
+    states_checked: int
+    ok: bool
+    detail: str | None = None
+
+
+def mirror_strategy_audit(g: GroundGraph, mapping: Sequence[int]) -> MirrorReport:
+    """Replay every first-player line with mirrored replies.
+
+    At each step the reply removal must be the exact image of the first
+    removal and disjoint from it, and every completed line must end with
+    score 0.  Transposed boards are checked once.
+    """
+    if not verify_bw(g, mapping):
+        return MirrorReport(0, 0, False, "mapping fails the mirror conditions")
+
+    def map_mask(mask: int) -> int:
+        out = 0
+        v = 0
+        while mask:
+            if mask & 1:
+                out |= 1 << mapping[v]
+            mask >>= 1
+            v += 1
+        return out
+
+    lines = 0
+    seen: set[int] = set()
+    full = Position.make(g)
+    if full.offset != 0:
+        return MirrorReport(0, 0, False, "isolated vertices break the symmetry")
+
+    def explore(pos: Position) -> str | None:
+        nonlocal lines
+        if pos.alive in seen:
+            return None
+        seen.add(pos.alive)
+        if pos.is_empty:
+            lines += 1
+            if pos.offset != 0:
+                return f"line ended with score {pos.offset}"
+            return None
+        for mover in (BLACK, WHITE):
+            mine = [v for v in pos.alive_vertices() if g.colors[v] is mover]
+            for u, removed in zip(mine, legal_moves(pos, mover)):
+                after = apply_move(pos, removed, mover)
+                reply_vertex = mapping[u]
+                if not after.alive & (1 << reply_vertex):
+                    return f"mirror reply {reply_vertex} to {u} is gone"
+                reply = removal_closure(after, reply_vertex)
+                if reply != map_mask(removed):
+                    return (
+                        f"reply removal to {u} is not the mirror image "
+                        f"of the first removal"
+                    )
+                if reply & removed:
+                    return f"removals around {u} overlap"
+                done = apply_move(after, reply, mover.opponent)
+                if done.offset != pos.offset:
+                    return f"move pair around {u} did not net zero"
+                bad = explore(done)
+                if bad:
+                    return bad
+        return None
+
+    detail = explore(full)
+    return MirrorReport(lines, len(seen), detail is None, detail)
 
 
 def alive_position(rnd: random.Random, max_n: int, min_alive: int = 4) -> Position:

@@ -26,6 +26,7 @@ from conftest import (
     FROZEN_TABLE_120,
     FROZEN_TABLE_38,
     alive_position,
+    mirror_strategy_audit,
     random_game,
     record_verdict,
     twin_classes,
@@ -63,25 +64,14 @@ from bipartite_influence.segments import (
     SegmentSum,
     periodicity_scan,
     segment_union_tree,
-    sum_bound_check,
 )
 from bipartite_influence.solver import (
     ScorePair,
     Solver,
-    gift_bounds_check,
     milnor_audit,
 )
-from bipartite_influence.symmetry import (
-    certify_draw,
-    find_bw,
-    mirror_strategy_audit,
-)
-from bipartite_influence.thermo import (
-    cooled_score_bounds_check,
-    mean_by_repetition,
-    sum_temperature_check,
-    thermograph,
-)
+from bipartite_influence.symmetry import certify_draw, find_bw
+from bipartite_influence.thermo import mean_by_repetition, thermograph
 
 CASES = 500
 
@@ -479,12 +469,24 @@ class TestRandomizedProperties:
             pos = alive_position(rnd, 10, min_alive=2)
             black = submask(rnd, pos.alive & pos.ground.black_mask)
             white = submask(rnd, pos.alive & pos.ground.white_mask)
-            report = gift_bounds_check(
-                pos, black_gift=black, white_gift=white, solver=solver
-            )
-            if not report.all_ok:
+            # deleting a set of White vertices costs Left at most its size,
+            # and a set of Black vertices costs Right at most its size
+            base = solver.scores(pos)
+            no_white = solver.scores(
+                Position.make(pos.ground, pos.alive & ~white, pos.offset))
+            no_black = solver.scores(
+                Position.make(pos.ground, pos.alive & ~black, pos.offset))
+            w, b = white.bit_count(), black.bit_count()
+            flags = {
+                "ls_upper": base.ls <= no_white.ls + w,
+                "rs_upper": base.rs <= no_white.rs + w,
+                "ls_lower": base.ls >= no_black.ls - b,
+                "rs_lower": base.rs >= no_black.rs - b,
+            }
+            broken = [name for name, ok in flags.items() if not ok]
+            if broken:
                 problems.append(
-                    f"case {i}: gifts {black:#x}/{white:#x} broke a bound"
+                    f"case {i}: gifts {black:#x}/{white:#x} broke {broken}"
                 )
         verdict(
             f"vertex-gift score bounds on {CASES} random positions", problems
@@ -496,9 +498,15 @@ class TestRandomizedProperties:
         for i in range(CASES):
             g = random_game(rnd, 8)
             tax = Fraction(rnd.randrange(0, 25), rnd.randrange(1, 5))
-            report = cooled_score_bounds_check(g, tax)
-            if not report.all_ok:
-                problems.append(f"case {i}: tax {tax} broke a bound")
+            tg = thermograph(g)
+            # cooling moves each score toward the other by at most the tax
+            flags = {
+                "ls": 0 <= ls(g) - tg.ls_trajectory.value(tax) <= tax,
+                "rs": 0 <= tg.rs_trajectory.value(tax) - rs(g) <= tax,
+            }
+            broken = [name for name, ok in flags.items() if not ok]
+            if broken:
+                problems.append(f"case {i}: tax {tax} broke {broken}")
         verdict(
             f"cooling moves each score by at most the tax on {CASES} "
             "random games",
@@ -529,15 +537,22 @@ class TestRandomizedProperties:
         for i in range(CASES):
             g = random_game(rnd, 6, min_alive=3)
             h = random_game(rnd, 6, min_alive=3)
-            report = sum_temperature_check(g, h)
-            if not report.all_ok:
-                flags = (
-                    report.sigma_bounded,
-                    report.sigma_exact_when_distinct,
-                    report.mast_additive,
-                    report.sandwich_ok,
-                )
-                problems.append(f"case {i}: flags {flags}")
+            tg, th = thermograph(g), thermograph(h)
+            total = add(g, h)
+            tsum = thermograph(total)
+            hottest = max(tg.sigma, th.sigma)
+            mast = tg.mast + th.mast
+            flags = {
+                "sigma_bounded": tsum.sigma <= hottest,
+                "sigma_exact_when_distinct": tg.sigma == th.sigma
+                or tsum.sigma == hottest,
+                "mast_additive": tsum.mast == mast,
+                "sandwich_ok": mast - hottest <= rs(total) <= mast
+                <= ls(total) <= mast + hottest,
+            }
+            broken = [name for name, ok in flags.items() if not ok]
+            if broken:
+                problems.append(f"case {i}: broke {broken}")
         verdict(
             f"sum temperature, additive means, and score sandwich on "
             f"{CASES} random pairs",
@@ -571,9 +586,17 @@ class TestRandomizedProperties:
                 rnd.choice([-1, 1]) * rnd.randrange(1, 15)
                 for _ in range(rnd.randrange(1, 5))
             ]
-            report = sum_bound_check(SegmentSum(parts), engine)
-            if not report.all_ok:
-                problems.append(f"case {i}: {parts} scored {report.scores}")
+            pair = engine.scores(SegmentSum(parts))
+            # within 4 of the odd-part count k; all-even unions in [-4, 0]
+            # and [0, 4]; one segment of two or more strictly signed within 5
+            k = sum(1 for p in parts if p % 2)
+            ok = -k - 4 <= pair.rs <= pair.ls <= k + 4
+            if k == 0:
+                ok = ok and -4 <= pair.rs <= 0 <= pair.ls <= 4
+            if len(parts) == 1 and abs(parts[0]) >= 2:
+                ok = ok and -5 <= pair.rs < 0 < pair.ls <= 5
+            if not ok:
+                problems.append(f"case {i}: {parts} scored {pair}")
         verdict(
             f"segment union score bounds on {CASES} random multisets",
             problems,

@@ -80,6 +80,14 @@ class TestSolve:
         rc, _, err = run(capsys, "solve", "--file", str(tmp_path / "no.json"))
         assert rc == EXIT_INPUT
 
+    def test_file_nested_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)  # json gives up on this with a RecursionError
+        rc, out, err = run(capsys, "solve", "--file", str(path))
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_budget_exhaustion(self, capsys, monkeypatch):
         # 0 is a budget too, not "unset"
         for grid, budget in (("3x3", "1"), ("3x4", "0")):
@@ -225,7 +233,8 @@ class TestTable:
         # S_5 has five vertices, so no score of it reaches 99
         '{"format": "bipartite-influence-segment-cache", "version": 1, '
         '"rewrite": true, "entries": [[[5], 99]]}',
-    ], ids=["garbage", "format", "rewrite", "score", "entries", "impossible"])
+        "[" * 100_000,
+    ], ids=["garbage", "format", "rewrite", "score", "entries", "impossible", "nested"])
     def test_bad_cache_is_rebuilt(self, capsys, tmp_path, content):
         cache = tmp_path / "cache"
         cache.mkdir()

@@ -27,7 +27,6 @@ from bipartite_influence.segments import (
     segment_moves,
     segment_table,
     segment_union_tree,
-    sum_bound_check,
     write_table_csv,
 )
 from bipartite_influence.games import (
@@ -415,26 +414,28 @@ class TestPeriodicity:
 
 
 class TestBounds:
+    """With ``k`` odd parts, ``-k - 4 <= Rs <= Ls <= k + 4``; all-even
+    unions sit in ``[-4, 0]`` and ``[0, 4]``, and a single segment of two
+    or more vertices has strictly signed scores within 5."""
+
     def test_many_odd_parts_hit_the_cap(self, oracle):
-        report = sum_bound_check(SegmentSum([5, 5, 5, 5, 5]), engine=oracle)
-        assert report.odd_parts == 5
-        assert report.scores == ScorePair(9, 3)
-        assert report.general_ok and report.all_ok
-        assert report.all_even_ok is None
+        pair = oracle.scores(SegmentSum([5, 5, 5, 5, 5]))
+        assert pair == ScorePair(9, 3)
+        assert -5 - 4 <= pair.rs <= pair.ls <= 5 + 4
 
     def test_all_even_window(self, oracle):
-        report = sum_bound_check(SegmentSum([8, 6]), engine=oracle)
-        assert report.scores == ScorePair(2, -2)
-        assert report.all_even_ok is True
+        pair = oracle.scores(SegmentSum([8, 6]))
+        assert pair == ScorePair(2, -2)
+        assert -4 <= pair.rs <= 0 <= pair.ls <= 4
 
     def test_single_segment_window(self, oracle):
-        report = sum_bound_check(SegmentSum([14]), engine=oracle)
-        assert report.single_ok is True
+        pair = oracle.scores(SegmentSum([14]))
+        assert -5 <= pair.rs < 0 < pair.ls <= 5
 
     def test_empty_union(self, oracle):
-        report = sum_bound_check(SegmentSum([]), engine=oracle)
-        assert report.scores == ScorePair(0, 0)
-        assert report.all_ok
+        pair = oracle.scores(SegmentSum([]))
+        assert pair == ScorePair(0, 0)
+        assert -4 <= pair.rs <= pair.ls <= 4
 
 
 class TestCache:

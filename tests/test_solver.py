@@ -28,7 +28,6 @@ from bipartite_influence.solver import (
     SearchBudgetError,
     Solver,
     _negated_pair,
-    gift_bounds_check,
     milnor_audit,
     prune_dominated,
 )
@@ -847,10 +846,11 @@ class TestAudits:
             whites = pos.alive & pos.ground.white_mask
             bg = blacks & rng.getrandbits(pos.ground.n)
             wg = whites & rng.getrandbits(pos.ground.n)
-            report = gift_bounds_check(pos, black_gift=bg, white_gift=wg, solver=solver)
-            assert report.all_ok
-
-    def test_gift_requires_matching_color(self, solver):
-        pos = Position.make(build_segment(4))
-        with pytest.raises(ValueError):
-            gift_bounds_check(pos, black_gift=0b10, solver=solver)  # white vertex
+            # deleting a set of White vertices costs Left at most its size,
+            # and a set of Black vertices costs Right at most its size
+            base = solver.scores(pos)
+            no_white = solver.scores(Position.make(pos.ground, pos.alive & ~wg, pos.offset))
+            no_black = solver.scores(Position.make(pos.ground, pos.alive & ~bg, pos.offset))
+            w, b = wg.bit_count(), bg.bit_count()
+            assert base.ls <= no_white.ls + w and base.rs <= no_white.rs + w
+            assert base.ls >= no_black.ls - b and base.rs >= no_black.rs - b
