@@ -65,10 +65,9 @@ from .segments import (
 from .symmetry import (
     CertifyReport,
     SearchOutcome,
-    bw_condition_report,
     certify_draw,
     find_bw,
-    verify_bw,
+    mirror_defect,
 )
 from .reduction import (
     PosCnf,

@@ -41,6 +41,7 @@ from .reduction import (
 )
 from .segments import (
     SegmentEngine,
+    SegmentSum,
     check_period_args,
     periodicity_scan,
     raw_union_tree,
@@ -132,6 +133,7 @@ def parse_segment_list(text: str) -> list[int]:
         parts = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:  # int() quotes the first bad token, cut to 200 characters
         raise ValueError(f"bad segment list: {exc}") from exc
+    SegmentSum(parts)  # rejects a zero part
     if (size := sum(map(abs, parts))) > MAX_VERTICES:
         raise ValueError(f"segment union has {size} vertices, capacity is {MAX_VERTICES}")
     return parts

@@ -185,7 +185,10 @@ def graph_from_json(data: dict) -> GroundGraph:
     if not isinstance(edges, list) or any(
             not isinstance(e, list) or [type(x) for x in e] != [int, int] for e in edges):
         raise ValueError("edges must be a list of [u, v] integer pairs")
-    return GroundGraph(colors, [tuple(e) for e in edges], name=data.get("name", ""))
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"graph name must be a string, got {type(name).__name__}")
+    return GroundGraph(colors, [tuple(e) for e in edges], name=name)
 
 
 def load_graph(path) -> GroundGraph:

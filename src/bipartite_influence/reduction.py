@@ -210,12 +210,9 @@ def pos_cnf_winner(f: PosCnf) -> bool:
 
 @dataclass(frozen=True)
 class SoundnessReport:
-    formula_vars: int
-    formula_clauses: int
     alice_wins: bool
     left_score: int
     threshold: int
-    graph_vertices: int
 
     @property
     def sound(self) -> bool:
@@ -226,14 +223,6 @@ def reduction_soundness_check(
     f: PosCnf, solver: Solver | None = None
 ) -> SoundnessReport:
     """Confirm the winner of the picking game against the board's score."""
-    g = gadget_graph(f)
     solver = solver or Solver()
-    left = solver.scores(Position.make(g)).ls
-    return SoundnessReport(
-        f.num_vars,
-        f.num_clauses,
-        pos_cnf_winner(f),
-        left,
-        f.num_clauses,
-        g.n,
-    )
+    left = solver.scores(Position.make(gadget_graph(f))).ls
+    return SoundnessReport(pos_cnf_winner(f), left, f.num_clauses)

@@ -199,14 +199,14 @@ class SegmentEngine(ZeroWindowSearch):
         core, shift = self._reduce(s.parts)
         return self._game(core, s.offset + shift)
 
-    def _other_seat(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """The sorted mirror of the reduced ``key``, with no banked points:
-        flipping every odd part swaps the colours, which negates the game.
-        Every rule of ``_reduce`` reads the same after the flip, save
-        ``-3 -> 3``, which banks nothing; so with the 3 left as it is, the
-        mirror of a reduced key is reduced, and only needs sorting."""
+    def _other_seat(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """The sorted mirror of the reduced ``key``: flipping every odd part
+        swaps the colours, which negates the game.  Every rule of
+        ``_reduce`` reads the same after the flip, save ``-3 -> 3``, which
+        banks nothing; so with the 3 left as it is, the mirror of a reduced
+        key is reduced, banks nothing, and only needs sorting."""
         still = self._still
-        return tuple(sorted([-p if p & 1 and p != still else p for p in key])), 0
+        return tuple(sorted([-p if p & 1 and p != still else p for p in key]))
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection, in
@@ -284,7 +284,7 @@ class SegmentEngine(ZeroWindowSearch):
         moved part's image is reduced already, so a child's key is that
         base with the move's remnants reduced into it, made only when the
         search reaches its move."""
-        mirrored = self._other_seat(parts)[0]
+        mirrored = self._other_seat(parts)
         still = self._still
         moves = []
         for i, part in enumerate(parts):
@@ -412,7 +412,8 @@ def segment_union_tree(parts: Iterable[int]) -> Game:
 def raw_union_tree(parts: Iterable[int]) -> Game:
     """The full game tree of a union of segments: every move of
     :func:`segment_moves` an option, with no rewrite, no pruning and no
-    simplification.  A single vertex is the number it banks."""
+    simplification.  A single vertex is the number it banks.  The parts
+    are read through :class:`SegmentSum`, which rejects a zero part."""
 
     @cache  # a part's tree, for this call
     def part_tree(part: int) -> Game:
@@ -423,4 +424,4 @@ def raw_union_tree(parts: Iterable[int]) -> Game:
              for count, remnants in segment_moves(part, black)]
             for black in (True, False)))
 
-    return add_all([part_tree(p) for p in parts])
+    return add_all([part_tree(p) for p in SegmentSum(parts).parts])

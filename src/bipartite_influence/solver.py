@@ -11,8 +11,8 @@ scores they prove, across passes and queries.  A node is its own memo key,
 so each search method takes one node.  Two child generators drive it:
 ``Solver`` over sums of connected components, and ``segments.SegmentEngine``
 over reduced unions of segments.  The same generators, on a node and on its
-other seat (the same position with the other player to move, with
-``_other_seat`` returning ``(other, shift)``), make the one game-tree loop,
+other seat ``_other_seat(node)``, the same position with the other player to
+move, which is minus the node's game, make the one game-tree loop,
 ``ZeroWindowSearch._tree``.  An engine turns its input into a root node plus
 banked points, and ``_pair`` and ``_game`` read Ls, Rs and the game off it.
 The solver tries moves in order of immediate gain and builds each successor
@@ -142,20 +142,18 @@ class Comp:
 
 
 def _negated_pair(a: Comp, b: Comp, cache: dict) -> bool:
-    """True when the components of records ``a`` and ``b`` cancel: a + b = 0.
+    """True when the components of records ``a`` and ``b``, neither a path,
+    cancel: a + b = 0.  (``Solver._cancel`` looks up a path's one
+    :func:`_path_partner` by key instead.)
 
-    A path cancels only its :func:`_path_partner`.  ``b = a.negated()``
-    cancels at any size.  Other equal-size pairs of at most ten vertices
-    cancel when their union has a mirror certificate: mirroring gives
-    Ls = Rs = 0 on ``a + b``.  This accepts every negative pair: swapping
-    ``a`` and ``b`` is a certificate whose pairs lie in different components.
-    A certificate swaps colours, so a union whose colour counts differ
-    (Black(a) + Black(b) != |a|) is rejected before it is built, as
-    ``find_bw`` would reject it.
+    ``b = a.negated()`` cancels at any size.  Other equal-size pairs of at
+    most ten vertices cancel when their union has a mirror certificate:
+    mirroring gives Ls = Rs = 0 on ``a + b``.  This accepts every negative
+    pair: swapping ``a`` and ``b`` is a certificate whose pairs lie in
+    different components.  A certificate swaps colours, so a union whose
+    colour counts differ (Black(a) + Black(b) != |a|) is rejected before it
+    is built, as ``find_bw`` would reject it.
     """
-    partner = _path_partner(b.key)
-    if partner is not None or a.key[0] == "seg":
-        return a.key == partner
     pa, pb = a.position, b.position
     if pb.alive == pa.alive and pb.ground is pa.ground.color_swapped():
         return True
@@ -186,10 +184,9 @@ class ZeroWindowSearch:
     position, which has no children); a node not in the memo starts from
     those bounds, which alone can decide a test.  ``nodes`` counts
     expansions.  ``_other_seat(node)`` is the node's other seat, the same
-    position with the other player to move: a pair ``(other, shift)`` such
-    that the game of ``other`` from its mover's seat, plus the banked
-    points ``shift``, is minus the game of ``node``.  The two seats give
-    :meth:`_tree` its two sides and :meth:`_pair` its two scores.
+    position with the other player to move, whose game from its mover's
+    seat is minus the game of ``node``; it is an involution.  The two seats
+    give :meth:`_tree` its two sides and :meth:`_pair` its two scores.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -222,8 +219,7 @@ class ZeroWindowSearch:
         """Ls and Rs of the root ``node`` plus ``offset``: Rs from the other
         seat, whose first pass asks whether Rs reaches Ls."""
         ls = self._exact(node)
-        other, shift = self._other_seat(node)
-        rs = -shift - self._exact(other, guess=1 - ls - shift)
+        rs = -self._exact(self._other_seat(node), guess=1 - ls)
         return ScorePair(offset + ls, offset + rs)
 
     def _game(self, node, offset: int) -> games.Game:
@@ -275,24 +271,23 @@ class ZeroWindowSearch:
 
         The mover's options are ``gain - T(child)`` over its children: a
         child's game is seen from the opponent's seat.  The opponent's are
-        ``T(child) - gain - shift`` over the children of the other seat.
+        ``T(child) - gain`` over the children of the other seat.
         Each node is audited and simplified as soon as it is built, so a
         dominated option grows no subtree, and is kept in ``_trees``: a
         ``Solver``'s own table, or the table every ``SegmentEngine`` of one
         rewrite mode shares.  A node whose other seat is already built is
-        that tree negated, less ``shift``.  A zugzwang node raises
-        ``ValueError``.
+        that tree negated.  A zugzwang node raises ``ValueError``.
         """
         hit = self._trees.get(node)
         if hit is None:
-            other, shift = self._other_seat(node)
+            other = self._other_seat(node)
             twin = self._trees.get(other)
             if twin is not None:
-                hit = games.add(games.negate(twin), games.number(-shift))
+                hit = games.negate(twin)
             else:
                 lefts = [games.add(games.number(gain), games.negate(self._tree(child)))
                          for gain, child in self._children(node)]
-                rights = [games.add(self._tree(child), games.number(-gain - shift))
+                rights = [games.add(self._tree(child), games.number(-gain))
                           for gain, child in self._children(other)]
                 hit = games.node(lefts, rights) if lefts or rights else games.number(0)
                 if bad := games.audit_universe(hit):
@@ -354,10 +349,10 @@ class Solver(ZeroWindowSearch):
             out.append(rec)
         return out
 
-    def _other_seat(self, node: tuple[int, tuple]):
+    def _other_seat(self, node: tuple[int, tuple]) -> tuple[int, tuple]:
         """The same components with the other sign: a colour swap, which
         negates the game."""
-        return (-node[0], node[1]), 0
+        return -node[0], node[1]
 
     def _cancel(self, new: list[Comp] | tuple, others: tuple = ()) -> tuple:
         """``others``, sorted, with the sorted records ``new`` added in

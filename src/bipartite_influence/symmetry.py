@@ -27,52 +27,28 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 DEFAULT_SOLVE_LIMIT = 26  # most vertices ``certify_draw`` also solves exactly
 
 
-@dataclass(frozen=True)
-class BWConditionReport:
-    involution_ok: bool
-    color_swap_ok: bool
-    automorphism_ok: bool
-    distance_ok: bool
-    detail: str | None = None
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.involution_ok
-            and self.color_swap_ok
-            and self.automorphism_ok
-            and self.distance_ok
-        )
-
-
-def bw_condition_report(g: GroundGraph, mapping: Sequence[int]) -> BWConditionReport:
-    """Check each requirement on a candidate vertex mapping separately."""
+def mirror_defect(g: GroundGraph, mapping: Sequence[int]) -> str | None:
+    """The first mirror condition that ``mapping`` breaks on ``g``, named,
+    or None for a mirror mapping.  The conditions are checked in order:
+    a permutation of the vertices, an involution, a colour swap, an
+    automorphism, and every vertex at distance at least 3 from its image."""
     n = g.n
     if len(mapping) != n or sorted(mapping) != list(range(n)):
-        return BWConditionReport(False, False, False, False, "not a permutation")
-    detail = None
-    involution = all(mapping[mapping[v]] == v for v in range(n))
-    color_swap = all(g.colors[mapping[v]] is g.colors[v].opponent for v in range(n))
-    automorphism = True
+        return "not a permutation"
+    for v, w in enumerate(mapping):
+        if mapping[w] != v:
+            return f"not an involution: {v} maps to {w}, which maps to {mapping[w]}"
+    for v, w in enumerate(mapping):
+        if g.colors[w] is not g.colors[v].opponent:
+            return f"no colour swap: {v} and {w} have the same colour"
     for u, v in g.edges:
         mu, mv = mapping[u], mapping[v]
         if not g.adj[mu] & (1 << mv):
-            automorphism = False
-            detail = f"edge ({u},{v}) maps to non-edge ({mu},{mv})"
-            break
-    distance = True
-    for v in range(n):
-        w = mapping[v]
+            return f"not an automorphism: edge ({u},{v}) maps to non-edge ({mu},{mv})"
+    for v, w in enumerate(mapping):
         if w == v or g.adj[v] & (1 << w) or g.adj[v] & g.adj[w]:
-            distance = False
-            if detail is None:
-                detail = f"vertices {v} and {w} are closer than distance 3"
-            break
-    return BWConditionReport(involution, color_swap, automorphism, distance, detail)
-
-
-def verify_bw(g: GroundGraph, mapping: Sequence[int]) -> bool:
-    return bw_condition_report(g, mapping).all_ok
+            return f"vertices {v} and {w} are closer than distance 3"
+    return None
 
 
 @dataclass(frozen=True)
@@ -158,8 +134,8 @@ def find_bw(g: GroundGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcom
 
     result = search()
     if isinstance(result, tuple):
-        report = bw_condition_report(g, result)
-        assert report.all_ok, f"search produced an invalid mapping: {report}"
+        bad = mirror_defect(g, result)
+        assert bad is None, f"search produced an invalid mapping: {bad}"
         return SearchOutcome("found", result, nodes)
     return SearchOutcome(result, None, nodes)
 
@@ -177,9 +153,7 @@ class CertifyReport:
 
     @property
     def draw_certified(self) -> bool:
-        return self.status == "found" and (
-            self.scores is None or (self.scores.ls == 0 and self.scores.rs == 0)
-        )
+        return self.status == "found" and self.consistent
 
     @property
     def consistent(self) -> bool:

@@ -52,7 +52,7 @@ from bipartite_influence.graphs import (
 )
 from bipartite_influence import segments
 from bipartite_influence.segments import segment_moves
-from bipartite_influence.symmetry import verify_bw
+from bipartite_influence.symmetry import mirror_defect
 from bipartite_influence.thermo import (
     PiecewiseLinear,
     Thermograph,
@@ -268,8 +268,8 @@ def mirror_strategy_audit(g: GroundGraph, mapping: Sequence[int]) -> MirrorRepor
     removal and disjoint from it, and every completed line must end with
     score 0.  Transposed boards are checked once.
     """
-    if not verify_bw(g, mapping):
-        return MirrorReport(0, 0, False, "mapping fails the mirror conditions")
+    if bad := mirror_defect(g, mapping):
+        return MirrorReport(0, 0, False, f"mapping fails the mirror conditions: {bad}")
 
     def map_mask(mask: int) -> int:
         out = 0

@@ -64,6 +64,14 @@ class TestSolve:
         assert rc == EXIT_OK
         assert json.loads(out)["ls"] == 3
 
+    def test_graph_name_must_be_a_string(self, capsys, tmp_path):
+        # reports echo the name as a string, so another value is bad input
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(build_segment(3).to_json() | {"name": {"x": [1]}}))
+        rc, out, err = run(capsys, "solve", "--file", str(path), "--json")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "error: graph name must be a string, got dict\n"
+
     def test_no_source_is_an_input_error(self, capsys):
         rc, _, err = run(capsys, "solve")
         assert rc == EXIT_INPUT
@@ -744,6 +752,17 @@ class TestUnionCapacity:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "capacity is 128" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--segments", "0"],
+    ["thermo", "--segments", "0"],
+    ["thermo", "--raw", "--segments", "0"],
+    ["equiv", "--sum-a", "0", "--sum-b", "2"],
+], ids=["solve", "thermo", "thermo-raw", "equiv"])
+def test_a_zero_part_is_one_input_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (EXIT_INPUT, "", "error: segment parts must be nonzero\n")
 
 
 # Edge and malformed values for every flag.  Boards stay tiny so that the

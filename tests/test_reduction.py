@@ -229,7 +229,7 @@ class TestSoundness:
             report = reduction_soundness_check(f, solver=solver)
             assert report.sound, (f, report)
             assert report.threshold == f.num_clauses
-            assert report.graph_vertices == gadget_vertex_count(2, f.num_clauses)
+            assert gadget_graph(f).n == gadget_vertex_count(2, f.num_clauses)
 
     def test_all_three_variable_formulas(self):
         """Every formula of one to three distinct clauses on three variables,
@@ -242,7 +242,7 @@ class TestSoundness:
         for f in formulas:
             report = reduction_soundness_check(f, solver=solver)
             assert report.sound, (f, report)
-            assert report.graph_vertices == gadget_vertex_count(3, f.num_clauses)
+            assert gadget_graph(f).n == gadget_vertex_count(3, f.num_clauses)
         elapsed = time.monotonic() - start
         record_verdict(f"[PASS] hardness reduction sound on all 63 formulas of up to "
                        f"3 clauses on 3 variables, {solver.nodes} nodes, {elapsed:.2f}s")
@@ -258,7 +258,7 @@ class TestSoundness:
         for f in formulas:
             report = reduction_soundness_check(f, solver=solver)
             assert report.sound, (f, report)
-            assert report.graph_vertices == gadget_vertex_count(4, f.num_clauses)
+            assert gadget_graph(f).n == gadget_vertex_count(4, f.num_clauses)
         elapsed = time.monotonic() - start
         record_verdict(f"[PASS] hardness reduction sound on all 575 formulas of up to "
                        f"3 clauses on 4 variables, {solver.nodes} nodes, {elapsed:.2f}s")

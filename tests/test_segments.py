@@ -137,20 +137,20 @@ class TestNormalForm:
     @pytest.mark.parametrize("rewrite", [True, False], ids=["rewrite", "oracle"])
     def test_other_seat_of_a_key_is_the_mirrored_key(self, rewrite):
         """``scores`` reads Rs off the other seat of the reduced key, which
-        is the key of the mirrored parts, with the key's banked points
-        taken off the mirror's.  The other seat banks nothing and is a key
-        already, which is what lets it skip ``_reduce``."""
+        is the key of the mirrored parts, whose banked points are minus the
+        key's.  The other seat is a key already, which is what lets it skip
+        ``_reduce``, and the other seat of the other seat is the key."""
         eng = SegmentEngine(use_rewrite=rewrite)
         rng = random.Random(2027)
         sizes = [v for v in range(-30, 31) if v]
         for _ in range(3000):
             parts = [rng.choice(sizes) for _ in range(rng.randint(1, 6))]
             key, shift = eng._reduce(parts)
-            other, oshift = eng._other_seat(key)
+            other = eng._other_seat(key)
             mirrored = eng._reduce([-p if p & 1 else p for p in parts])
-            assert (other, oshift - shift) == mirrored, parts
-            assert oshift == 0, parts
+            assert (other, -shift) == mirrored, parts
             assert eng._reduce(other) == (other, 0), parts
+            assert eng._other_seat(other) == key, parts
 
     def test_rule_tables_are_oriented(self):
         # parts are oriented before their rule is read, so a rule on a

@@ -15,12 +15,7 @@ from bipartite_influence.graphs import (
 from conftest import mirror_strategy_audit, random_ground
 
 from bipartite_influence.solver import Solver
-from bipartite_influence.symmetry import (
-    bw_condition_report,
-    certify_draw,
-    find_bw,
-    verify_bw,
-)
+from bipartite_influence.symmetry import certify_draw, find_bw, mirror_defect
 
 
 def breadth_first_distances(g: GroundGraph, source: int) -> list:
@@ -70,45 +65,34 @@ class TestConditionReport:
             (build_torus(4, 6), torus_glide(4, 6)),
         ]
         for g, mapping in cases:
-            report = bw_condition_report(g, mapping)
-            assert report.all_ok, (g.name, report)
-            assert verify_bw(g, mapping)
+            assert mirror_defect(g, mapping) is None, g.name
 
     def test_not_a_permutation(self):
         g = build_segment(4)
-        report = bw_condition_report(g, [0, 0, 1, 2])
-        assert not report.all_ok
-        assert report.detail == "not a permutation"
+        assert mirror_defect(g, [0, 0, 1, 2]) == "not a permutation"
 
     def test_identity_fails_color_swap(self):
+        # the identity is an involution, so the colour check is the first
+        # to fail
         g = build_hypercube(3)
-        report = bw_condition_report(g, list(range(8)))
-        assert not report.color_swap_ok
-        assert not report.distance_ok
+        assert "colour" in mirror_defect(g, list(range(8)))
 
     def test_adjacent_swap_fails_distance(self):
+        # an involution, a colour swap and an automorphism, but the swapped
+        # pair is an edge
         g = build_segment(2)
-        report = bw_condition_report(g, [1, 0])
-        assert report.involution_ok
-        assert report.color_swap_ok
-        assert report.automorphism_ok
-        assert not report.distance_ok
-        assert "distance" in report.detail
+        assert "distance" in mirror_defect(g, [1, 0])
 
     def test_non_automorphism_detected(self):
         # swapping within each end pair of a path tears the middle edge
         g = build_segment(4)
-        report = bw_condition_report(g, [1, 0, 3, 2])
-        assert report.involution_ok
-        assert report.color_swap_ok
-        assert not report.automorphism_ok
-        assert "non-edge" in report.detail
+        defect = mirror_defect(g, [1, 0, 3, 2])
+        assert "automorphism" in defect and "non-edge" in defect
 
     def test_non_involution_detected(self):
         g, _ = doubled(build_segment(2))
         # a 4-cycle permutation swaps colors but is not an involution
-        report = bw_condition_report(g, [2, 3, 1, 0])
-        assert not report.involution_ok
+        assert "involution" in mirror_defect(g, [2, 3, 1, 0])
 
 
 class TestSearch:
@@ -125,7 +109,7 @@ class TestSearch:
     def test_finds_valid_mapping(self, g):
         outcome = find_bw(g)
         assert outcome.status == "found"
-        assert verify_bw(g, outcome.mapping)
+        assert mirror_defect(g, outcome.mapping) is None
 
     def test_absent_on_even_grid(self):
         outcome = find_bw(build_grid(4, 4))
@@ -148,7 +132,7 @@ class TestSearch:
         for _ in range(25):
             g = random_ground(rng, max_n=7)
             big, expected = doubled(g)
-            assert verify_bw(big, expected)
+            assert mirror_defect(big, expected) is None
             outcome = find_bw(big)
             assert outcome.status == "found"
 
@@ -192,7 +176,7 @@ class TestCertification:
     def test_hypercube_draw(self):
         report = certify_draw(build_hypercube(3))
         assert report.status == "found"
-        assert verify_bw(build_hypercube(3), report.mapping)
+        assert mirror_defect(build_hypercube(3), report.mapping) is None
         assert report.scores.ls == 0 and report.scores.rs == 0
         assert report.draw_certified
         assert report.consistent
