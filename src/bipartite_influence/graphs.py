@@ -213,7 +213,7 @@ def _check_capacity(n: int) -> None:
 def build_segment(n: int) -> GroundGraph:
     """Path on ``|n|`` vertices; the first vertex is Black iff ``n > 0``."""
     if n == 0:
-        raise ValueError("segment length must be nonzero")
+        raise ValueError("segment parts must be nonzero")
     length = abs(n)
     _check_capacity(length)
     first = BLACK if n > 0 else WHITE

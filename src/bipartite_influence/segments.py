@@ -26,10 +26,13 @@ zero-window search the board solver runs too: MTD(f) passes of fail-soft
 negamax from Black's seat.  ``scores`` and ``tree`` reduce the parts once
 and hand the key to the search's root helpers, which read White's seat off
 the key's sorted mirror: the mirror of a reduced key is reduced.  Moves are
-tried most vertices pocketed first.  A child's key is the parent's sorted
-mirror less the moved part, with only the move's remnants reduced into it,
-and it is made only when the search reaches its move, so the children a
-cutoff skips cost nothing.
+tried largest net gain first: the vertices a move pockets less what its
+remnants bank when reduced on their own, so a move whose remnants a rule
+rewrites for points comes before a move that pockets as many; among equal
+net gains, the move that pockets fewer vertices comes first.  A child's
+key is the parent's sorted mirror less the moved part, with only the
+move's remnants reduced into it, and it is made only when the search
+reaches its move, so the children a cutoff skips cost nothing.
 Proven scores go in the memo, which is what the cache file holds; bounds
 that have not met stay in memory only.
 Each caller makes its own engine, so no search state lives for the whole
@@ -40,7 +43,7 @@ under sums, so ``SegmentEngine.tree`` builds game trees on the same keys,
 by the search's tree loop; ``raw_union_tree`` builds the full tree, every
 move an option, with no rule at all.  Every engine of one rewrite mode
 keeps its trees in one table of ``_TREES``, so a tree is built once per
-process.
+process; rules and move lists are shared the same way.
 The test suite cross-checks the engine against the generic graph solver,
 against a rewrite-free twin (for the rules), against a plain minimax with
 no reduction and no cutoffs (for the search), and against full trees.
@@ -156,8 +159,11 @@ _PARTNER_RULES: dict[int, tuple[tuple[int, tuple[int, ...], int], ...]] = {
 
 # A reduced key's game depends only on the key and the rewrite mode, so
 # every engine of one mode reads and fills one tree table, which lives as
-# long as the interned games it points to.
+# long as the interned games it points to.  A part's rule and move list
+# depend only on the part and the mode, so they are shared the same way.
 _TREES: dict[bool, dict] = {True: {}, False: {}}
+_RULES: dict[bool, dict[int, tuple]] = {True: {}, False: {}}
+_MOVES: dict[bool, dict[int, tuple]] = {True: {}, False: {}}
 
 
 class SegmentEngine(ZeroWindowSearch):
@@ -174,15 +180,16 @@ class SegmentEngine(ZeroWindowSearch):
     ``use_rewrite=False`` the engine keeps only banking, orientation and
     pair cancellation, skipping the ``4k + 2`` split and the rule tables, and
     serves as an independent oracle for them; it shares the search.
-    Memo, bounds, rules and move lists belong to the engine; the trees of
-    its keys go in its mode's table in ``_TREES``, which outlives it.
+    Memo and bounds belong to the engine; its mode's rules, move lists and
+    trees go in the mode's tables in ``_RULES``, ``_MOVES`` and ``_TREES``,
+    which outlive it.
     """
 
     def __init__(self, use_rewrite: bool = True):
         super().__init__()
         self.use_rewrite = use_rewrite
-        self._rules: dict[int, tuple] = {}
-        self._moves: dict[int, tuple] = {}
+        self._rules = _RULES[use_rewrite]
+        self._moves = _MOVES[use_rewrite]
         self._trees = _TREES[use_rewrite]
         # The odd part a mirror leaves alone: with rewriting on, -3 becomes 3
         # for no points, so a key holds 3, never -3.  No part is 0.
@@ -209,19 +216,22 @@ class SegmentEngine(ZeroWindowSearch):
         return tuple(sorted([-p if p & 1 and p != still else p for p in key]))
 
     def _move_list(self, part: int) -> tuple:
-        """Black's undominated moves on one part, up to reflection, in
-        ``(count, remnants)`` order, so moves of equal count come in a fixed
-        order.  The remnants are stored mirrored, as the child, in which
-        White moves, is seen from Black's seat."""
+        """Black's undominated moves on one part, up to reflection, as
+        ``(net, count, remnants)``: ``net`` is ``count`` less what the
+        remnants bank when reduced on their own.  The remnants are stored
+        mirrored, as the child, in which White moves, is seen from Black's
+        seat.  Largest ``net`` first; moves of equal ``net`` keep
+        ``(count, remnants)`` order, so the smaller count comes first."""
         cached = self._moves.get(part)
         if cached is None:
             still = self._still
-            cached = tuple(
-                (count, tuple([-r if r & 1 and r != still else r for r in rem]))
-                for count, rem in sorted(
-                    {(count, tuple(sorted(rem)))
-                     for count, rem in segment_moves(part, True, prune=True)}))
-            self._moves[part] = cached
+            moves = []
+            for count, rem in sorted({(count, tuple(sorted(rem)))
+                                      for count, rem in segment_moves(part, True, prune=True)}):
+                rem = tuple([-r if r & 1 and r != still else r for r in rem])
+                moves.append((count - self._reduce(rem)[1], count, rem))
+            moves.sort(key=itemgetter(0), reverse=True)
+            self._moves[part] = cached = tuple(moves)
         return cached
 
     def _rule(self, r: int) -> tuple:
@@ -279,11 +289,12 @@ class SegmentEngine(ZeroWindowSearch):
         return sum(map(abs, parts))
 
     def _children(self, parts: tuple[int, ...]) -> Iterator[tuple]:
-        """Black's moves, most vertices pocketed first, each leaving a key
-        mirrored to Black's seat.  The sorted mirror of ``parts`` less the
-        moved part's image is reduced already, so a child's key is that
-        base with the move's remnants reduced into it, made only when the
-        search reaches its move."""
+        """Black's moves, largest ``net`` of ``_move_list`` first and, among
+        equal ``net``, smallest count first, each leaving a key mirrored to
+        Black's seat.  The sorted mirror of ``parts`` less the moved part's
+        image is reduced already, so a child's key is that base with the
+        move's remnants reduced into it, made only when the search reaches
+        its move."""
         mirrored = self._other_seat(parts)
         still = self._still
         moves = []
@@ -292,9 +303,9 @@ class SegmentEngine(ZeroWindowSearch):
                 continue  # identical part, identical moves
             j = bisect_left(mirrored, -part if part & 1 and part != still else part)
             base = mirrored[:j] + mirrored[j + 1 :]
-            moves.extend((count, base, rem) for count, rem in self._move_list(part))
-        moves.sort(key=itemgetter(0), reverse=True)
-        for count, base, remnants in moves:
+            moves.extend((net, count, base, rem) for net, count, rem in self._move_list(part))
+        moves.sort(key=lambda m: (-m[0], m[1]))
+        for _, count, base, remnants in moves:
             core, shift = self._reduce(remnants, base)
             yield count - shift, core
 

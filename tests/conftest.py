@@ -516,3 +516,11 @@ FROZEN_TABLE_120 = (
 )
 
 FROZEN_TABLE_38 = FROZEN_TABLE_120[:38]
+
+# Rows 121 to 140, computed by ``table --max 140 --no-cache`` under both the
+# most-vertices-first and the net-gain move order, with equal CSVs: they
+# carry on the pattern of rows 41 to 120, with no spike.
+FROZEN_ROWS_121_140 = [
+    (n, 3 if n % 2 else 2, [-1, -2, -3, -2][(n - 41) % 4])
+    for n in range(121, 141)
+]

@@ -5,9 +5,9 @@ Each test covers one headline guarantee and prints a single [PASS] or
 run shows the whole scorecard at a glance.  Budgets are asserted with
 ``time.monotonic`` around the actual work.
 
-The extended 120-row table rerun takes under a minute and only runs
-when ``INFLUENCE_STRETCH`` is set in the environment.  Everything
-else is desk scale.
+The extended 120-row table rerun and the 140-row table take under a
+minute each and only run when ``INFLUENCE_STRETCH`` is set in the
+environment.  Everything else is desk scale.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from conftest import (
+    FROZEN_ROWS_121_140,
     FROZEN_TABLE_120,
     FROZEN_TABLE_38,
     alive_position,
@@ -127,7 +128,7 @@ class TestSegmentTable:
 
     @pytest.mark.skipif(
         not os.environ.get("INFLUENCE_STRETCH"),
-        reason="the 120-row rerun takes ~1 min; set INFLUENCE_STRETCH=1",
+        reason="the 120-row rerun takes ~10 s; set INFLUENCE_STRETCH=1",
     )
     def test_table_to_120(self, tmp_path):
         out_file = tmp_path / "table120.csv"
@@ -159,6 +160,31 @@ class TestSegmentTable:
             f"segment table to 120 rows with persistent cache, {elapsed:.0f}s",
             problems,
         )
+
+    @pytest.mark.skipif(
+        not os.environ.get("INFLUENCE_STRETCH"),
+        reason="the 140-row run takes ~30 s; set INFLUENCE_STRETCH=1",
+    )
+    def test_table_to_140(self, tmp_path):
+        out_file = tmp_path / "table140.csv"
+        start = time.monotonic()
+        code = main(["table", "--max", "140", "--no-cache", "--out", str(out_file)])
+        elapsed = time.monotonic() - start
+        problems = []
+        if code != 0:
+            problems.append(f"exit code {code}")
+        rows = parse_table_csv(out_file.read_text())
+        want = FROZEN_TABLE_120 + FROZEN_ROWS_121_140
+        if rows != want:
+            bad = [(got, row) for got, row in zip(rows, want) if got != row]
+            problems.append(f"{len(bad)} rows off, first {bad[:1]}")
+        if elapsed >= 1800:
+            problems.append(f"{elapsed:.0f}s is over the thirty minute budget")
+        if periodicity_scan(rows, 40, 30):
+            problems.append("period 40 after a preperiod of 30 is violated")
+        if periodicity_scan(rows, 8, 36) != [37, 69, 77, 109, 117]:
+            problems.append("the near-period-8 exceptions moved")
+        verdict(f"segment table to 140 rows, exact, {elapsed:.0f}s", problems)
 
 
 class TestFiveSegmentAlgebra:

@@ -759,7 +759,11 @@ class TestUnionCapacity:
     ["thermo", "--segments", "0"],
     ["thermo", "--raw", "--segments", "0"],
     ["equiv", "--sum-a", "0", "--sum-b", "2"],
-], ids=["solve", "thermo", "thermo-raw", "equiv"])
+    ["solve", "--segment", "0"],
+    ["audit", "--segment", "0"],
+    ["symmetry", "--segment", "0"],
+], ids=["solve", "thermo", "thermo-raw", "equiv", "solve-segment", "audit-segment",
+        "symmetry-segment"])
 def test_a_zero_part_is_one_input_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (EXIT_INPUT, "", "error: segment parts must be nonzero\n")

@@ -306,8 +306,9 @@ class TestSearch:
     @pytest.mark.parametrize("use_rewrite", [True, False])
     def test_lazy_children_are_the_eager_ones(self, use_rewrite):
         """Every key the table search reached yields, move by move, what an
-        eager expansion of ``segment_moves`` gives, most vertices pocketed
-        first."""
+        eager expansion of ``segment_moves`` gives, largest net gain first:
+        the count less what the remnants bank on their own, and among equal
+        net gains the smaller count first."""
         eng = SegmentEngine(use_rewrite=use_rewrite)
         segment_table(40, eng)
         keys = set(eng.memo) | set(eng.table.bounds)
@@ -317,7 +318,7 @@ class TestSearch:
 
         def recording(values, key=()):
             core, shift = reduce(values, key)
-            shifts.append(shift)
+            shifts.append((shift, reduce(values)[1]))
             return core, shift
 
         eng._reduce = recording
@@ -331,13 +332,46 @@ class TestSearch:
                     core, shift = reduce([-p if p & 1 else p for p in rest + list(rem)])
                     eager.append((count - shift, core))
             shifts.clear()
-            lazy, counts = [], []
+            lazy, order = [], []
             for gain, child in eng._children(key):
                 assert len(shifts) == len(lazy) + 1
                 lazy.append((gain, child))
-                counts.append(gain + shifts[-1])
+                shift, banked = shifts[-1]
+                count = gain + shift
+                order.append((banked - count, count))  # (-net, count)
             assert sorted(lazy) == sorted(eager), key
-            assert counts == sorted(counts, reverse=True), key
+            assert order == sorted(order), key
+
+    def test_move_order_changes_no_score(self):
+        """The net-gain order, the earlier most-vertices-first order and the
+        rewrite-free engine agree on rows 1-62 and on seeded sums; the
+        net-gain order expands fewer nodes on the rows."""
+
+        class CountOrder(SegmentEngine):
+            def _move_list(self, part):
+                """Moves in ``(count, remnants)`` order, with ``net`` set to
+                ``count``, so ``_children`` tries most vertices first."""
+                still = self._still
+                return tuple(
+                    (count, count, tuple([-r if r & 1 and r != still else r for r in rem]))
+                    for count, rem in sorted(
+                        {(count, tuple(sorted(rem)))
+                         for count, rem in segment_moves(part, True, prune=True)}))
+
+        new, old, plain = SegmentEngine(), CountOrder(), SegmentEngine(use_rewrite=False)
+        rows = segment_table(62, new)
+        assert segment_table(62, old) == rows
+        assert new.nodes < old.nodes
+        assert segment_table(62, plain) == rows
+        rng = random.Random(33)
+        for _ in range(200):
+            parts, room = [], rng.randint(4, 30)
+            while room > 0 and len(parts) < 4:
+                size = rng.randint(1, min(room, 17))
+                parts.append(rng.choice((1, -1)) * size)
+                room -= size
+            s = SegmentSum(parts, rng.randint(-2, 2))
+            assert new.scores(s) == old.scores(s) == plain.scores(s), parts
 
     @pytest.mark.parametrize("search", ["segments", "solver"])
     def test_memo_holds_only_exact_scores(self, search):
@@ -487,7 +521,7 @@ class TestCache:
             full[parts] = ref_segment_black_score(parts)
             for i, part in enumerate(parts):
                 base = [-p if p & 1 else p for p in parts[:i] + parts[i + 1:]]
-                for _, remnants in eng._move_list(part):  # mirrored already
+                for _, _, remnants in eng._move_list(part):  # mirrored already
                     stack.append(eng._reduce(base + list(remnants))[0])
         segment_table(20, engine=eng)
         assert len(full) > 2 * len(eng.memo)  # entries this engine never writes
