@@ -64,7 +64,6 @@ from .segments import (
 )
 from .symmetry import (
     CertifyReport,
-    SearchOutcome,
     certify_draw,
     find_bw,
     mirror_defect,

@@ -87,9 +87,9 @@ def load_config(path: str | None) -> dict:
 
 
 def _int_setting(flag, settings: dict, key: str, default: int) -> int:
-    """A flag value, else the config value, else the default; 0 is a value
-    and a negative one is bad input."""
-    value = flag if flag is not None else settings.get(key) or default
+    """A flag value, else the config value, else the default when the key
+    is absent; 0 is a value, and an empty or negative one is bad input."""
+    value = flag if flag is not None else settings.get(key, default)
     try:
         value = int(value)
     except ValueError:

@@ -51,7 +51,8 @@ class GroundGraph:
     """An immutable bicolored bipartite graph.
 
     Vertices are integers ``0..n-1``.  Every edge must join a Black vertex
-    and a White vertex; self-loops and duplicate edges are rejected.
+    and a White vertex; self-loops are rejected and a duplicate edge is
+    kept once.
     ``adj[v]`` masks the neighbors of ``v`` and ``two_step[v]`` the
     vertices two steps away, all of ``v``'s color.
     """

@@ -135,16 +135,13 @@ def gadget_graph(f: PosCnf) -> GroundGraph:
     colors = []
     edges = []
     colors.extend([WHITE] * m)  # clause vertices: ids 0..m-1
-    clause_id = list(range(m))
     cursor = m
-    anchor_of = {}
     connector_of = {}
     for i in range(1, n + 1):
         anchor = cursor
         connector = cursor + 1
         colors.append(WHITE)  # anchor x_i^w
         colors.append(BLACK)  # connector x_i^b
-        anchor_of[i] = anchor
         connector_of[i] = connector
         edges.append((anchor, connector))
         cursor += 2
@@ -154,7 +151,7 @@ def gadget_graph(f: PosCnf) -> GroundGraph:
             cursor += 1
     for j, clause in enumerate(f.clauses):
         for var in clause:
-            edges.append((connector_of[var], clause_id[j]))
+            edges.append((connector_of[var], j))
     return GroundGraph(colors, edges, name=f"poscnf_n{n}_m{m}")
 
 

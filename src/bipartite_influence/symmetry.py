@@ -15,7 +15,7 @@ exhausted.  The solver also uses it to decide which components cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .graphs import BLACK, WHITE, GroundGraph, Position
@@ -52,104 +52,13 @@ def mirror_defect(g: GroundGraph, mapping: Sequence[int]) -> str | None:
 
 
 @dataclass(frozen=True)
-class SearchOutcome:
-    status: str  # "found" | "absent" | "budget"
-    mapping: tuple[int, ...] | None
-    nodes: int
-
-
-def _signature(g: GroundGraph, v: int) -> tuple:
-    return (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
-
-
-def find_bw(g: GroundGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
-    """Exhaustive backtracking search for a mirror mapping.
-
-    Candidate images must swap color, match degree signatures, and sit at
-    distance at least 3; partial assignments must already act as a graph
-    automorphism.  Exhausting the space proves absence.
-    """
-    blacks = [v for v in range(g.n) if g.colors[v] is BLACK]
-    whites = [v for v in range(g.n) if g.colors[v] is WHITE]
-    if len(blacks) != len(whites):
-        return SearchOutcome("absent", None, 0)
-    if not blacks:
-        return SearchOutcome("found", (), 0)
-
-    sig = {v: _signature(g, v) for v in range(g.n)}
-    candidates: dict[int, list[int]] = {}
-    for b in blacks:
-        cands = []
-        for w in whites:
-            if sig[b] != sig[w]:
-                continue
-            if g.adj[b] & (1 << w) or g.adj[b] & g.adj[w]:
-                continue  # distance below 3
-            cands.append(w)
-        if not cands:
-            return SearchOutcome("absent", None, 0)
-        candidates[b] = cands
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-    nodes = 0
-
-    def viable(b: int) -> list[int]:
-        out = []
-        for w in candidates[b]:
-            if w in used:
-                continue
-            ok = True
-            for ub, uw in assignment.items():
-                # phi must keep adjacency: edge(b, uw) <-> edge(w, ub)
-                if bool(g.adj[b] & (1 << uw)) != bool(g.adj[w] & (1 << ub)):
-                    ok = False
-                    break
-            if ok:
-                out.append(w)
-        return out
-
-    def search() -> str | tuple[int, ...]:
-        nonlocal nodes
-        if len(assignment) == len(blacks):
-            mapping = list(range(g.n))
-            for b, w in assignment.items():
-                mapping[b] = w
-                mapping[w] = b
-            return tuple(mapping)
-        options = {b: viable(b) for b in blacks if b not in assignment}
-        choice = min(options, key=lambda b: len(options[b]))
-        for w in options[choice]:
-            nodes += 1
-            if nodes > budget:
-                return "budget"
-            assignment[choice] = w
-            used.add(w)
-            result = search()
-            del assignment[choice]
-            used.discard(w)
-            if result == "budget" or isinstance(result, tuple):
-                return result
-        return "absent"
-
-    result = search()
-    if isinstance(result, tuple):
-        bad = mirror_defect(g, result)
-        assert bad is None, f"search produced an invalid mapping: {bad}"
-        return SearchOutcome("found", result, nodes)
-    return SearchOutcome(result, None, nodes)
-
-
-# ---------------------------------------------------------------------------
-# certification
-
-
-@dataclass(frozen=True)
 class CertifyReport:
+    """The mirror search's answer; ``certify_draw`` adds exact scores."""
+
     status: str  # "found" | "absent" | "budget"
     mapping: tuple[int, ...] | None
-    scores: ScorePair | None
     search_nodes: int
+    scores: ScorePair | None = None
 
     @property
     def draw_certified(self) -> bool:
@@ -161,6 +70,83 @@ class CertifyReport:
         if self.status != "found" or self.scores is None:
             return True
         return self.scores.ls == 0 and self.scores.rs == 0
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _signature(g: GroundGraph, v: int) -> tuple:
+    return (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
+
+
+def find_bw(g: GroundGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> CertifyReport:
+    """Exhaustive backtracking search for a mirror mapping.
+
+    Candidate images must swap color, match degree signatures, and sit at
+    distance at least 3; partial assignments must already act as a graph
+    automorphism.  Exhausting the space proves absence.
+    """
+    blacks = [v for v in range(g.n) if g.colors[v] is BLACK]
+    whites = [v for v in range(g.n) if g.colors[v] is WHITE]
+    if len(blacks) != len(whites):
+        return CertifyReport("absent", None, 0)
+    if not blacks:
+        return CertifyReport("found", (), 0)
+
+    sig = {v: _signature(g, v) for v in range(g.n)}
+    candidates: dict[int, list[int]] = {}
+    for b in blacks:
+        # same signature, other colour, and at distance at least 3
+        cands = [w for w in whites if sig[w] == sig[b]
+                 and not (g.adj[b] & (1 << w) or g.adj[b] & g.adj[w])]
+        if not cands:
+            return CertifyReport("absent", None, 0)
+        candidates[b] = cands
+
+    mapping = list(range(g.n))  # a vertex is its own image until paired
+    paired: list[int] = []  # the Black vertices paired so far
+    nodes = 0
+
+    def viable(b: int) -> list[int]:
+        out = []
+        for w in candidates[b]:
+            if mapping[w] != w:
+                continue
+            for pb in paired:
+                # phi must keep adjacency: edge(b, phi(pb)) <-> edge(w, pb)
+                if bool(g.adj[b] & (1 << mapping[pb])) != bool(g.adj[w] & (1 << pb)):
+                    break
+            else:
+                out.append(w)
+        return out
+
+    def search() -> bool:
+        nonlocal nodes
+        if len(paired) == len(blacks):
+            return True
+        options = {b: viable(b) for b in blacks if mapping[b] == b}
+        choice = min(options, key=lambda b: len(options[b]))
+        for w in options[choice]:
+            nodes += 1
+            if nodes > budget:
+                raise _OutOfBudget
+            mapping[choice], mapping[w] = w, choice
+            paired.append(choice)
+            if search():
+                return True
+            paired.pop()
+            mapping[choice], mapping[w] = choice, w
+        return False
+
+    try:
+        if not search():
+            return CertifyReport("absent", None, nodes)
+    except _OutOfBudget:
+        return CertifyReport("budget", None, nodes)
+    bad = mirror_defect(g, mapping)
+    assert bad is None, f"search produced an invalid mapping: {bad}"
+    return CertifyReport("found", tuple(mapping), nodes)
 
 
 def certify_draw(
@@ -177,9 +163,8 @@ def certify_draw(
     """
     from .solver import Solver
 
-    outcome = find_bw(g, budget)
-    scores = None
-    if g.n <= solve_limit:
-        solver = solver or Solver()
-        scores = solver.scores(Position.make(g))
-    return CertifyReport(outcome.status, outcome.mapping, scores, outcome.nodes)
+    report = find_bw(g, budget)
+    if g.n > solve_limit:
+        return report
+    solver = solver or Solver()
+    return replace(report, scores=solver.scores(Position.make(g)))

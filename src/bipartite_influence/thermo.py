@@ -47,7 +47,7 @@ class PiecewiseLinear:
             if merged and start <= merged[-1][0]:
                 raise ValueError("piece starts must increase strictly")
             if merged:
-                prev_start, pa, pb = merged[-1]
+                _, pa, pb = merged[-1]
                 if pa + pb * start != a + b * start:
                     raise ValueError("pieces must join continuously")
             merged.append((start, a, b))

@@ -142,8 +142,11 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("edges", [None, [[0, "a"]], [[0, 1.5]], [0]],
-                             ids=["null", "string", "float", "bare-int"])
+    @pytest.mark.parametrize(
+        "edges",
+        [None, [[0, "a"]], [[0, 1.5]], [0], [[0, 2]], [[0, -1]], [[0, 0]]],
+        ids=["null", "string", "float", "bare-int", "out-of-range", "negative",
+             "self-loop"])
     def test_bad_edges(self, capsys, tmp_path, edges):
         path = tmp_path / "g.json"
         vertices = [{"id": 0, "color": "B"}, {"id": 1, "color": "W"}]
@@ -488,6 +491,15 @@ class TestSymmetry:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_human_readable_output(self, capsys):
+        found = "H_3: found, mapping [7, 6, 5, 4, 3, 2, 1, 0]\n"
+        assert run(capsys, "symmetry", "--hypercube", "3") == (
+            EXIT_OK, found + "scores: Ls = 0, Rs = 0\n", "")
+        assert run(capsys, "symmetry", "--hypercube", "3",
+                   "--solve-limit", "0") == (EXIT_OK, found, "")
+        assert run(capsys, "symmetry", "--grid", "2x2") == (
+            EXIT_OK, "G_2x2: absent\nscores: Ls = 4, Rs = -4\n", "")
+
     def test_no_solve_skips_scores(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "--hypercube", "3",
                          "--solve-limit", "0", "--json")
@@ -616,6 +628,7 @@ class TestConfig:
     @pytest.mark.parametrize("key,value,command", [
         ("node_budget", "abc", ["solve", "--grid", "2x3"]),
         ("search_budget", "1.5", ["symmetry", "--grid", "2x2"]),
+        ("node_budget", "", ["solve", "--grid", "2x3"]),
     ])
     def test_non_integer_setting_is_named(self, capsys, tmp_path, monkeypatch,
                                           key, value, command):

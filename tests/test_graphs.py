@@ -1,11 +1,13 @@
 """Ground graphs, builders, closures, stripping, components."""
 
+import json
 import random
 import sys
 from itertools import count
 
 import pytest
 
+from bipartite_influence.cli import main
 from bipartite_influence.graphs import (
     BLACK,
     WHITE,
@@ -159,6 +161,18 @@ class TestJson:
         }
         with pytest.raises(ValueError):
             graph_from_json(data)
+
+    def test_duplicate_edge_kept_once(self, capsys, tmp_path):
+        data = {
+            "vertices": [{"id": 0, "color": "B"}, {"id": 1, "color": "W"}],
+            "edges": [[0, 1], [1, 0]],
+        }
+        assert graph_from_json(data).edge_count == 1
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--file", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["ls"], out["rs"]) == (2, -2)
 
 
 class TestClosure:

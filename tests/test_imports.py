@@ -1,8 +1,8 @@
 """Each package module imports by itself in a fresh interpreter, uses
-every name it imports and holds no ``global`` statement; ``segments``
-imports nothing from ``graphs``, and ``games`` nothing from ``graphs``,
-``solver`` or ``segments``; every function the benchmark traces, and
-every attribute it counts, exists.
+every name it imports, reads every local its functions bind and holds no
+``global`` statement; ``segments`` imports nothing from ``graphs``, and
+``games`` nothing from ``graphs``, ``solver`` or ``segments``; every
+function the benchmark traces, and every attribute it counts, exists.
 
 ``solver`` imports ``symmetry`` and ``games``, so ``symmetry`` imports
 ``Solver`` only inside ``certify_draw`` (a module-level import would be a
@@ -57,6 +57,32 @@ def test_module_uses_every_import(module):
     path = SRC / "bipartite_influence" / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    """Names other than ``_`` that a function binds and never reads, not
+    even in a function nested in it."""
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    loaded.add(node.id)
+        out += [f"{func.name}: {name} (line {line})" for name, line in stored.items()
+                if name != "_" and name not in loaded]
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_local(module):
+    path = SRC / "bipartite_influence" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unread_locals(tree) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -130,6 +156,12 @@ def test_counted_attributes_exist():
             solver.table.lookups) == (0, 0, 0, 0)
     engine = SegmentEngine()
     assert (engine.nodes, engine.memo) == (0, {})
+
+
+def test_unread_local_is_caught():
+    tree = ast.parse("def f(pair):\n    first, second = pair\n    _ = 1\n"
+                     "    def g():\n        return second\n    return g\n")
+    assert _unread_locals(tree) == ["f: first (line 2)"]
 
 
 def test_unused_import_is_caught():

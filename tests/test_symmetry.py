@@ -5,6 +5,8 @@ from collections import deque
 import pytest
 
 from bipartite_influence.graphs import (
+    BLACK,
+    WHITE,
     GroundGraph,
     build_cylinder,
     build_grid,
@@ -126,7 +128,29 @@ class TestSearch:
         outcome = find_bw(build_torus(4, 6), budget=3)
         assert outcome.status == "budget"
         assert outcome.mapping is None
-        assert outcome.nodes > 3
+        assert outcome.search_nodes > 3
+
+    def test_absence_proven_by_backtracking(self):
+        # three disjoint edges pass the prechecks: every vertex has
+        # degree 1 and each Black vertex has two White candidates at
+        # distance at least 3; but pairing 0 with either candidate leaves
+        # another Black vertex with no image, so both branches fail
+        g = GroundGraph([BLACK] * 3 + [WHITE] * 3, [(0, 5), (1, 4), (2, 3)])
+        outcome = find_bw(g)
+        assert (outcome.status, outcome.mapping, outcome.search_nodes) == (
+            "absent", None, 2)
+
+    def test_search_backtracks_to_a_mapping(self):
+        g = build_cylinder(6, 6)
+        outcome = find_bw(g)
+        assert sum(c is BLACK for c in g.colors) == 18
+        assert (outcome.status, outcome.search_nodes) == ("found", 19)
+        assert mirror_defect(g, outcome.mapping) is None
+
+    def test_empty_graph_is_its_own_mirror(self):
+        outcome = find_bw(GroundGraph([], []))
+        assert (outcome.status, outcome.mapping, outcome.search_nodes) == (
+            "found", (), 0)
 
     def test_doubled_graphs_always_have_mappings(self, rng):
         for _ in range(25):
