@@ -184,14 +184,16 @@ def cmd_solve(args, settings) -> int:
         "input": label,
         "ls": pair.ls,
         "rs": pair.rs,
+        "how": "mirror" if solver.mirrored else "search",
         "nodes": solver.nodes,
         "table_entries": len(solver.table),
     }
     if args.json:
         print(json.dumps(payload))
     else:
-        print(f"{label}: Ls = {pair.ls}, Rs = {pair.rs} "
-              f"({solver.nodes} nodes, {len(solver.table)} table entries)")
+        print(f"{label}: Ls = {pair.ls}, Rs = {pair.rs}"
+              + (" by mirror" if solver.mirrored else "")
+              + f" ({solver.nodes} nodes, {len(solver.table)} table entries)")
     return EXIT_OK
 
 
@@ -201,9 +203,10 @@ def cmd_table(args, settings) -> int:
     engine = SegmentEngine()
     cache_file = None
     if not args.no_cache:
-        cache_dir = Path(args.cache_dir or settings.get("cache_dir")
-                         or default_cache_dir())
-        cache_file = cache_dir / "segment-scores.json"
+        cache_dir = args.cache_dir if args.cache_dir is not None else settings.get("cache_dir")
+        if cache_dir == "":
+            raise ValueError("cache_dir must not be empty")
+        cache_file = Path(cache_dir or default_cache_dir()) / "segment-scores.json"
         try:
             if cache_file.exists():
                 engine.load(cache_file)
@@ -304,7 +307,7 @@ def cmd_symmetry(args, settings) -> int:
     payload = {
         "graph": g.name or "graph",
         "status": report.status,
-        "mapping": list(report.mapping) if report.mapping else None,
+        "mapping": None if report.mapping is None else list(report.mapping),
         "search_nodes": report.search_nodes,
         "scores": (
             {"ls": report.scores.ls, "rs": report.scores.rs}
@@ -316,7 +319,7 @@ def cmd_symmetry(args, settings) -> int:
         print(json.dumps(payload))
     else:
         print(f"{payload['graph']}: {report.status}"
-              + (f", mapping {payload['mapping']}" if report.mapping else ""))
+              + (f", mapping {payload['mapping']}" if report.mapping is not None else ""))
         if report.scores:
             print(f"scores: Ls = {report.scores.ls}, Rs = {report.scores.rs}")
     if report.status == "budget":

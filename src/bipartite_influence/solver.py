@@ -31,7 +31,11 @@ Transposition keys bring path components to canonical form, and pairs of
 components cancel before lookup: a path with its one partner key, and other
 pairs when a mirror certificate on their union (``symmetry.find_bw``) gives
 Ls = Rs = 0: in Milnor's universe (dicotic, free of zugzwang, as every
-position here) such a game is zero.
+position here) such a game is zero.  The same certificate answers a
+whole root: ``Solver.score_of_sum`` first runs ``find_bw``, on a small
+budget, on a root left with one component, and a mirror there gives
+Ls = Rs = 0 with no search.  A root of two or more components is not
+checked: a pair that mirrors each other has already cancelled.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from .graphs import (
 from .symmetry import find_bw
 
 DEFAULT_NODE_BUDGET = 100_000_000
+# ``find_bw`` nodes for the mirror check of a root: certificates on tori up
+# to 8x10 and hypercubes up to 7 took at most 64, about one per Black vertex
+_ROOT_MIRROR_BUDGET = 256
 _KEY = attrgetter("key")  # ``Comp`` records sort by their keys
 
 
@@ -303,11 +310,14 @@ class Solver(ZeroWindowSearch):
     :meth:`_cancel`, a tuple of ``Comp`` records sorted by key.  For its
     life the solver keeps ``_comps``, the one record of each component key,
     ``_masks``, one int per distinct removed set in its move lists, and
-    ``_pair_cache``, the mirror-certificate verdicts of non-path pairs."""
+    ``_pair_cache``, the mirror-certificate verdicts of non-path pairs.
+    ``mirrored`` counts the roots a mirror certificate answered, beside
+    ``nodes``."""
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True):
         super().__init__(node_budget)
         self.prune = prune
+        self.mirrored = 0
         self._pair_cache: dict = {}
         self._comps: dict[tuple, Comp] = {}
         self._masks: dict[int, int] = {}
@@ -318,7 +328,13 @@ class Solver(ZeroWindowSearch):
         return self.score_of_sum([position])
 
     def score_of_sum(self, parts: list[Position]) -> ScorePair:
-        return self._pair(*self._root(parts))
+        """Ls and Rs of the sum: (0, 0) plus the banked points when the root
+        is one component with a mirror certificate, else by search."""
+        node, offset = self._root(parts)
+        if self._has_mirror(node[1]):
+            self.mirrored += 1
+            return ScorePair(offset, offset)
+        return self._pair(node, offset)
 
     def tree(self, position: Position) -> games.Game:
         """The game of ``position``, simplified node by node on the
@@ -327,6 +343,24 @@ class Solver(ZeroWindowSearch):
         return self._game(*self._root([position]))
 
     # -- internals ---------------------------------------------------------
+
+    def _searched(self, parts: list[Position]) -> ScorePair:
+        """:meth:`score_of_sum` by search alone, for the checks that compare
+        a certificate with exact scores or rest on Ls >= Rs."""
+        return self._pair(*self._root(parts))
+
+    @staticmethod
+    def _has_mirror(comps: tuple) -> bool:
+        """True when ``comps`` is one component with equal colour counts
+        and ``find_bw`` finds a mirror certificate on it within
+        ``_ROOT_MIRROR_BUDGET`` nodes; running out is not a certificate."""
+        if len(comps) != 1:
+            return False
+        p = comps[0].position
+        if 2 * p.alive_of_color(BLACK).bit_count() != p.vertex_count:
+            return False
+        g = p.ground if p.alive == p.ground.full_mask else disjoint_union([p])
+        return find_bw(g, _ROOT_MIRROR_BUDGET).status == "found"
 
     def _root(self, parts: list[Position]) -> tuple[tuple[int, tuple], int]:
         """The root node of a sum of positions, Left to move, and its banked
@@ -469,7 +503,7 @@ def milnor_audit(position: Position, depth: int = 3, solver: Solver | None = Non
             report.dicotic_ok = False
             report.first_violation = f"one-sided position at alive={pos.alive:#x}"
             return False
-        pair = solver.scores(pos)
+        pair = solver._searched([pos])  # Ls >= Rs is what a mirror answer rests on
         if pair.ls < pair.rs:
             report.nonzugzwang_ok = False
             report.first_violation = (

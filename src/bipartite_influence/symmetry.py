@@ -160,6 +160,7 @@ def certify_draw(
     ``find_bw`` checks every mapping it returns against the mirror
     conditions.  The solver confirmation runs only when the graph is small
     enough to solve exactly; the certificate alone already proves the draw.
+    The scores come from search alone, never from a mirror certificate.
     """
     from .solver import Solver
 
@@ -167,4 +168,4 @@ def certify_draw(
     if g.n > solve_limit:
         return report
     solver = solver or Solver()
-    return replace(report, scores=solver.scores(Position.make(g)))
+    return replace(report, scores=solver._searched([Position.make(g)]))

@@ -57,6 +57,20 @@ class TestSolve:
         data = json.loads(out)
         assert (data["ls"], data["rs"]) == (4, -4)
 
+    def test_how_names_the_mirror_or_the_search(self, capsys):
+        rc, out, _ = run(capsys, "solve", "--torus", "4x4", "--json")
+        assert rc == EXIT_OK
+        data = json.loads(out)
+        assert (data["ls"], data["rs"], data["how"], data["nodes"]) == (0, 0, "mirror", 0)
+        rc, out, _ = run(capsys, "solve", "--grid", "3x4", "--json")
+        assert rc == EXIT_OK
+        data = json.loads(out)
+        assert data["how"] == "search" and data["nodes"] > 0
+        assert run(capsys, "solve", "--torus", "4x4") == (
+            EXIT_OK, "T_4x4: Ls = 0, Rs = 0 by mirror (0 nodes, 0 table entries)\n", "")
+        rc, out, _ = run(capsys, "solve", "--grid", "3x4")
+        assert rc == EXIT_OK and "by mirror" not in out
+
     def test_graph_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(build_segment(3).to_json()))
@@ -500,6 +514,17 @@ class TestSymmetry:
         assert run(capsys, "symmetry", "--grid", "2x2") == (
             EXIT_OK, "G_2x2: absent\nscores: Ls = 4, Rs = -4\n", "")
 
+    def test_empty_graph_shows_its_empty_mapping(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"vertices": [], "edges": []}')
+        rc, out, _ = run(capsys, "symmetry", "--file", str(path), "--json")
+        assert rc == EXIT_OK
+        data = json.loads(out)
+        assert (data["status"], data["mapping"]) == ("found", [])
+        rc, out, _ = run(capsys, "symmetry", "--file", str(path))
+        assert rc == EXIT_OK
+        assert out.splitlines()[0] == "graph: found, mapping []"
+
     def test_no_solve_skips_scores(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "--hypercube", "3",
                          "--solve-limit", "0", "--json")
@@ -645,6 +670,19 @@ class TestConfig:
         cfg.write_text("just words\n")
         with pytest.raises(ValueError, match="bad config line"):
             load_config(str(cfg))
+
+    def test_empty_cache_dir_is_named(self, capsys, tmp_path, monkeypatch):
+        # from a config file, then from the environment variable; the
+        # default cache directory is not used instead
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        message = "error: cache_dir must not be empty\n"
+        cfg = tmp_path / "influence.cfg"
+        cfg.write_text("cache_dir =\n")
+        assert run(capsys, "--config", str(cfg), "table", "--max", "4") == (
+            EXIT_INPUT, "", message)
+        monkeypatch.setenv("INFLUENCE_CACHE_DIR", "")
+        assert run(capsys, "table", "--max", "4") == (EXIT_INPUT, "", message)
+        assert not (tmp_path / "xdg").exists()
 
     def test_cache_dir_honors_xdg(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -1,10 +1,13 @@
 """Exact graph solver: scores, pruning, sums, game trees, audits."""
 
+import importlib.util
 import random
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
+from bipartite_influence import solver as solver_module
 from bipartite_influence.games import equivalent, ls, number, rs
 from bipartite_influence.graphs import (
     BLACK,
@@ -32,7 +35,7 @@ from bipartite_influence.solver import (
     milnor_audit,
     prune_dominated,
 )
-from bipartite_influence.symmetry import find_bw
+from bipartite_influence.symmetry import DEFAULT_SEARCH_BUDGET, certify_draw, find_bw
 
 from conftest import (
     random_ground,
@@ -767,7 +770,7 @@ class TestPiecesTable:
     def test_a_one_component_search_stores_no_entry(self, board):
         # every node these searches expand holds one component
         solver = Solver()
-        solver.scores(Position.make(board))
+        solver._searched([Position.make(board)])
         assert solver.nodes > 40
         assert all(c.pieces is None for c in solver._comps.values())
 
@@ -826,6 +829,84 @@ class TestTree:
         assert solver.tree(board) is tree and len(solver._trees) == kept
         # the empty position is the number 0, plus what was banked
         assert solver.tree(Position.make(build_segment(1))) is number(1)
+
+
+def _board_solves():
+    """``BOARD_SOLVES`` of the benchmark's ``boards`` workload, as boards."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads._BUILDERS[kind](*size) for kind, *size in workloads.BOARD_SOLVES]
+
+
+class TestMirrorFirst:
+    """``score_of_sum`` answers a one-component root that has a mirror
+    certificate with (0, 0) and no search; ``_searched`` always searches."""
+
+    CERTIFIED = [build_cylinder(4, 4), build_cylinder(6, 3), build_cylinder(6, 4),
+                 build_torus(4, 4), build_torus(4, 6), build_hypercube(3),
+                 build_hypercube(4), build_hypercube(5), build_torus(6, 8)]
+
+    @pytest.mark.parametrize("board", CERTIFIED, ids=lambda g: g.name)
+    def test_a_certificate_answers_with_no_search(self, board):
+        solver = Solver()
+        pair = solver.scores(Position.make(board, offset=3))
+        assert (pair.ls, pair.rs, solver.nodes, solver.mirrored) == (3, 3, 0, 1)
+        if board.n <= 26:
+            searched = Solver()
+            assert searched._searched([Position.make(board, offset=3)]) == pair
+            assert searched.nodes > 0 and searched.mirrored == 0
+
+    def test_benchmark_boards_agree_with_search(self):
+        boards = _board_solves()
+        assert len(boards) == 26
+        for board in boards:
+            pos = Position.make(board)
+            assert Solver().scores(pos) == Solver()._searched([pos]), board.name
+
+    def test_a_component_of_a_larger_ground_is_checked(self):
+        # a torus with one isolated vertex: the rest is checked on its own
+        g = build_torus(4, 4)
+        colors = list(g.colors) + [BLACK]
+        pos = Position.make(GroundGraph(colors, g.edges))
+        solver = Solver()
+        pair = solver.scores(pos)
+        assert (pair.ls, pair.rs, solver.nodes, solver.mirrored) == (1, 1, 0, 1)
+        assert Solver()._searched([pos]) == pair
+
+    def test_out_of_budget_falls_back_to_search(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_ROOT_MIRROR_BUDGET", 0)
+        solver = Solver()
+        pair = solver.scores(Position.make(build_torus(4, 4)))
+        assert (pair.ls, pair.rs) == (0, 0)
+        assert solver.nodes > 0 and solver.mirrored == 0
+
+    def test_a_root_of_two_components_is_not_checked(self, monkeypatch):
+        budgets = []
+
+        def spy(g, budget=DEFAULT_SEARCH_BUDGET):
+            budgets.append(budget)
+            return find_bw(g, budget)
+
+        monkeypatch.setattr(solver_module, "find_bw", spy)
+        # both parts have a certificate, but they are not a cancelling pair
+        parts = [Position.make(build_torus(4, 4)), Position.make(build_hypercube(3))]
+        solver = Solver()
+        assert solver.score_of_sum(parts) == Solver()._searched(parts)
+        assert solver.nodes > 0 and solver.mirrored == 0
+        assert solver_module._ROOT_MIRROR_BUDGET not in budgets
+        solver.scores(Position.make(build_hypercube(3)))
+        assert budgets[-1] == solver_module._ROOT_MIRROR_BUDGET  # the spy sees it
+
+    def test_certify_draw_and_the_audit_still_search(self):
+        solver = Solver()
+        report = certify_draw(build_torus(4, 6), solver=solver)
+        assert report.status == "found" and report.consistent
+        assert solver.nodes > 0 and solver.mirrored == 0
+        solver = Solver()
+        assert milnor_audit(Position.make(build_hypercube(3)), solver=solver).clean
+        assert solver.nodes > 0 and solver.mirrored == 0
 
 
 class TestBudget:
