@@ -29,10 +29,14 @@ the key's sorted mirror: the mirror of a reduced key is reduced.  Moves are
 tried largest net gain first: the vertices a move pockets less what its
 remnants bank when reduced on their own, so a move whose remnants a rule
 rewrites for points comes before a move that pockets as many; among equal
-net gains, the move that pockets fewer vertices comes first.  A child's
-key is the parent's sorted mirror less the moved part, with only the
-move's remnants reduced into it, and it is made only when the search
-reaches its move, so the children a cutoff skips cost nothing.
+net gains, the move that pockets fewer vertices comes first.  A part's
+move list is kept ready to sort, each move carrying one integer rank for
+that order, the part's image in the mirror and the move's remnants, so an
+expansion only gathers and sorts the lists of its distinct parts.  A
+child's key is the parent's sorted mirror less the moved part's image,
+with only the move's remnants reduced into it; that base is sliced and
+the remnants reduced only when the search reaches the move, so the
+children a cutoff skips cost nothing.
 Proven scores go in the memo, which is what the cache file holds; bounds
 that have not met stay in memory only.
 Each caller makes its own engine, so no search state lives for the whole
@@ -217,20 +221,26 @@ class SegmentEngine(ZeroWindowSearch):
 
     def _move_list(self, part: int) -> tuple:
         """Black's undominated moves on one part, up to reflection, as
-        ``(net, count, remnants)``: ``net`` is ``count`` less what the
-        remnants bank when reduced on their own.  The remnants are stored
-        mirrored, as the child, in which White moves, is seen from Black's
-        seat.  Largest ``net`` first; moves of equal ``net`` keep
-        ``(count, remnants)`` order, so the smaller count comes first."""
+        entries ``(rank, count, image, remnants)`` ready for ``_children``
+        to extend and sort.  ``net`` is ``count`` less what the remnants
+        bank when reduced on their own, and ``rank = count - 8 * net``
+        orders moves by ``(-net, count)``, as no move pockets eight
+        vertices.  ``image`` is the part in the sorted mirror of a key
+        holding it; the remnants are stored mirrored, as the child, in
+        which White moves, is seen from Black's seat.  Entries are in rank
+        order; moves of equal rank keep the order of their remnants before
+        mirroring."""
         cached = self._moves.get(part)
         if cached is None:
             still = self._still
+            image = -part if part & 1 and part != still else part
             moves = []
             for count, rem in sorted({(count, tuple(sorted(rem)))
                                       for count, rem in segment_moves(part, True, prune=True)}):
                 rem = tuple([-r if r & 1 and r != still else r for r in rem])
-                moves.append((count - self._reduce(rem)[1], count, rem))
-            moves.sort(key=itemgetter(0), reverse=True)
+                net = count - self._reduce(rem)[1]
+                moves.append((count - 8 * net, count, image, rem))
+            moves.sort(key=itemgetter(0))
             self._moves[part] = cached = tuple(moves)
         return cached
 
@@ -289,24 +299,23 @@ class SegmentEngine(ZeroWindowSearch):
         return sum(map(abs, parts))
 
     def _children(self, parts: tuple[int, ...]) -> Iterator[tuple]:
-        """Black's moves, largest ``net`` of ``_move_list`` first and, among
-        equal ``net``, smallest count first, each leaving a key mirrored to
+        """Black's moves in ``rank`` order of ``_move_list``: largest net
+        gain first and, among equal net gains, smallest count first; a
+        stable sort keeps ties in part order.  Each leaves a key mirrored to
         Black's seat.  The sorted mirror of ``parts`` less the moved part's
         image is reduced already, so a child's key is that base with the
-        move's remnants reduced into it, made only when the search reaches
-        its move."""
+        move's remnants reduced into it.  The base is sliced and the
+        remnants reduced only when the search reaches the move."""
         mirrored = self._other_seat(parts)
-        still = self._still
         moves = []
         for i, part in enumerate(parts):
             if i and parts[i - 1] == part:
                 continue  # identical part, identical moves
-            j = bisect_left(mirrored, -part if part & 1 and part != still else part)
-            base = mirrored[:j] + mirrored[j + 1 :]
-            moves.extend((net, count, base, rem) for net, count, rem in self._move_list(part))
-        moves.sort(key=lambda m: (-m[0], m[1]))
-        for _, count, base, remnants in moves:
-            core, shift = self._reduce(remnants, base)
+            moves.extend(self._move_list(part))
+        moves.sort(key=itemgetter(0))
+        for _, count, image, remnants in moves:
+            j = bisect_left(mirrored, image)
+            core, shift = self._reduce(remnants, mirrored[:j] + mirrored[j + 1 :])
             yield count - shift, core
 
     # -- persistence ---------------------------------------------------------

@@ -292,55 +292,71 @@ class TestSearch:
             assert eng.scores(SegmentSum(parts)) == _reference_pair(parts), parts
 
     def test_children_reduce_only_what_the_search_reaches(self):
+        """No move's child is made before the search reaches it: of more
+        than fifteen moves, the first child takes one ``_reduce`` and the
+        two slices of its base, and no other move is touched."""
         eng = SegmentEngine()
         key = eng._reduce([7, 11, 16, 20])[0]
         assert sum(len(eng._move_list(p)) for p in set(key)) > 15
-        calls = []
+        calls, slices = [], []
         reduce = eng._reduce
         eng._reduce = lambda values, key=(): calls.append(values) or reduce(values, key)
+
+        class Mirror(tuple):
+            def __getitem__(self, i):
+                if isinstance(i, slice):
+                    slices.append(i)
+                return tuple.__getitem__(self, i)
+
+        other_seat = eng._other_seat
+        eng._other_seat = lambda parts: Mirror(other_seat(parts))
         children = eng._children(key)
         assert calls == []
         next(children)
         assert len(calls) == 1
+        assert len(slices) == 2
 
     @pytest.mark.parametrize("use_rewrite", [True, False])
     def test_lazy_children_are_the_eager_ones(self, use_rewrite):
-        """Every key the table search reached yields, move by move, what an
-        eager expansion of ``segment_moves`` gives, largest net gain first:
-        the count less what the remnants bank on their own, and among equal
-        net gains the smaller count first."""
+        """Every key the table search reached yields, move by move and ties
+        included, what an eager expansion of ``segment_moves`` gives: moves
+        taken part by part in key order, each part's in ``(count,
+        remnants)`` order, then stably sorted largest net gain first (the
+        count less what the remnants bank on their own) and, among equal
+        net gains, smaller count first.  Each child is reduced only when
+        it is reached."""
         eng = SegmentEngine(use_rewrite=use_rewrite)
         segment_table(40, eng)
         keys = set(eng.memo) | set(eng.table.bounds)
         assert len(keys) > 500
         reduce = eng._reduce
-        shifts = []
+        calls = []
 
-        def recording(values, key=()):
-            core, shift = reduce(values, key)
-            shifts.append((shift, reduce(values)[1]))
-            return core, shift
+        def counting(values, key=()):
+            calls.append(values)
+            return reduce(values, key)
 
-        eng._reduce = recording
+        def mirror(parts):
+            return [-p if p & 1 else p for p in parts]
+
+        eng._reduce = counting
         for key in keys:
             eager = []
-            for part in set(key):
+            for part in dict.fromkeys(key):
                 rest = list(key)
                 rest.remove(part)
-                for count, rem in {(c, tuple(sorted(r)))
-                                   for c, r in segment_moves(part, True, prune=True)}:
-                    core, shift = reduce([-p if p & 1 else p for p in rest + list(rem)])
-                    eager.append((count - shift, core))
-            shifts.clear()
-            lazy, order = [], []
-            for gain, child in eng._children(key):
-                assert len(shifts) == len(lazy) + 1
-                lazy.append((gain, child))
-                shift, banked = shifts[-1]
-                count = gain + shift
-                order.append((banked - count, count))  # (-net, count)
-            assert sorted(lazy) == sorted(eager), key
-            assert order == sorted(order), key
+                for count, rem in sorted({(c, tuple(sorted(r)))
+                                          for c, r in segment_moves(part, True, prune=True)}):
+                    net = count - reduce(mirror(rem))[1]
+                    core, shift = reduce(mirror(rest + list(rem)))
+                    eager.append((net, count, (count - shift, core)))
+            eager.sort(key=lambda m: (-m[0], m[1]))
+            calls.clear()
+            lazy = []
+            for child in eng._children(key):
+                assert len(calls) == len(lazy) + 1
+                lazy.append(child)
+            assert lazy == [child for _, _, child in eager], key
 
     def test_move_order_changes_no_score(self):
         """The net-gain order, the earlier most-vertices-first order and the
@@ -349,11 +365,13 @@ class TestSearch:
 
         class CountOrder(SegmentEngine):
             def _move_list(self, part):
-                """Moves in ``(count, remnants)`` order, with ``net`` set to
-                ``count``, so ``_children`` tries most vertices first."""
+                """Moves in ``(count, remnants)`` order, ranked by ``-count``,
+                so ``_children`` tries most vertices first."""
                 still = self._still
+                image = -part if part & 1 and part != still else part
                 return tuple(
-                    (count, count, tuple([-r if r & 1 and r != still else r for r in rem]))
+                    (-count, count, image,
+                     tuple([-r if r & 1 and r != still else r for r in rem]))
                     for count, rem in sorted(
                         {(count, tuple(sorted(rem)))
                          for count, rem in segment_moves(part, True, prune=True)}))
@@ -372,6 +390,16 @@ class TestSearch:
                 room -= size
             s = SegmentSum(parts, rng.randint(-2, 2))
             assert new.scores(s) == old.scores(s) == plain.scores(s), parts
+
+    @pytest.mark.parametrize("max_n, nodes, entries", [(62, 3642, 3337), (80, 15141, 13720)])
+    def test_table_search_work_is_pinned(self, max_n, nodes, entries):
+        """A fresh engine's table expands exactly these nodes and leaves
+        these memo and bound entries.  A change to the move order changes
+        them: such a change updates these numbers with its measurements."""
+        eng = SegmentEngine()
+        segment_table(max_n, eng)
+        assert eng.nodes == nodes
+        assert len(eng.memo) + len(eng.table.bounds) == entries
 
     @pytest.mark.parametrize("search", ["segments", "solver"])
     def test_memo_holds_only_exact_scores(self, search):
@@ -521,7 +549,7 @@ class TestCache:
             full[parts] = ref_segment_black_score(parts)
             for i, part in enumerate(parts):
                 base = [-p if p & 1 else p for p in parts[:i] + parts[i + 1:]]
-                for _, _, remnants in eng._move_list(part):  # mirrored already
+                for _, _, _, remnants in eng._move_list(part):  # mirrored already
                     stack.append(eng._reduce(base + list(remnants))[0])
         segment_table(20, engine=eng)
         assert len(full) > 2 * len(eng.memo)  # entries this engine never writes
